@@ -1,17 +1,30 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a past-fixity check found violations
-(so CI can assert the past stayed fixed), 2 on any error.
+(so CI can assert the past stayed fixed), 2 on any error, including an
+unexpected one, which is reported with an "internal error:" prefix.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import traceback
 
 from .errors import SvqError
 from .runner import emit_report, run_scenario
 from .scenario import parse_scenario
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and 0 < value < 1):
+        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1), got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,13 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario file and print its report")
     run_p.add_argument("file", help="scenario file (.svq)")
     run_p.add_argument("--seed", type=int, default=None, help="seed for random steps")
-    run_p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+    run_p.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance, in (0, 1)")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
 
     eval_p = sub.add_parser("eval", help="execute a scenario and print only query results")
     eval_p.add_argument("file", help="scenario file (.svq)")
     eval_p.add_argument("--seed", type=int, default=None)
-    eval_p.add_argument("--tol", type=float, default=None)
+    eval_p.add_argument("--tol", type=_tolerance, default=None)
 
     check_p = sub.add_parser("check", help="parse and check a scenario without running it")
     check_p.add_argument("file", help="scenario file (.svq)")
@@ -62,6 +75,10 @@ def main(argv=None) -> int:
         return 1 if report.has_violations else 0
     except (OSError, SvqError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # exit 1 must only ever mean "violations found"
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,8 @@ class Config:
     and membership residuals. It is measured against unit-norm quantities, so
     the default 1e-9 leaves several decimal digits of double-precision
     headroom. gap_cap bounds how many gap atoms a formula may carry before
-    supervaluation refuses to enumerate completions.
+    supervaluation refuses to evaluate it: the single packed pass holds
+    2^gap_cap bits per live value.
     """
 
     tol: float = 1e-9

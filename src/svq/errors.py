@@ -30,7 +30,7 @@ class UnknownAtom(SvqError):
 
 
 class PrecisificationBlowup(SvqError):
-    """Too many gap atoms to enumerate Boolean completions."""
+    """Too many gap atoms to evaluate every Boolean completion."""
 
 
 class NotProductState(SvqError):

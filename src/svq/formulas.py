@@ -1,10 +1,12 @@
 """Propositional formulas and their supervaluational evaluation.
 
 A formula whose atoms all carry determinate values is evaluated classically.
-Gap atoms are handled by enumerating every Boolean completion of them: the
-formula is TRUE when classically true under all completions, FALSE when
-false under all, and GAP otherwise. Classical tautologies therefore stay
-true no matter how many atoms have gaps.
+With gap atoms it is TRUE when classically true under every Boolean
+completion of them, FALSE when false under all, and GAP otherwise.
+Classical tautologies therefore stay true no matter how many atoms have
+gaps. All 2^k completions of k gap atoms are evaluated in one bit-parallel
+pass: each atom is bound to a Python int holding one bit lane per
+completion, and the formula is evaluated once with ``&``, ``|`` and ``~``.
 
 Completions treat gap atoms as independent Booleans; no compatibility
 constraints between atoms are imposed.
@@ -13,7 +15,6 @@ constraints between atoms are imposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Union
 
 from .config import config
@@ -55,36 +56,84 @@ Formula = Union[Atom, Not, And, Or, Implies]
 def formula_atoms(f: Formula) -> tuple[str, ...]:
     """Atom names in first-occurrence order."""
     seen: dict[str, None] = {}
-
-    def walk(node: Formula) -> None:
+    stack = [f]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Atom):
             seen.setdefault(node.name)
         elif isinstance(node, Not):
-            walk(node.operand)
+            stack.append(node.operand)
         else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
+            stack += (node.right, node.left)
     return tuple(seen)
 
 
-def evaluate_classical(f: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Two-valued evaluation under a total Boolean assignment."""
-    if isinstance(f, Atom):
-        try:
-            return bool(assignment[f.name])
-        except KeyError:
-            raise UnknownAtom(f"atom {f.name!r} has no assigned value") from None
-    if isinstance(f, Not):
-        return not evaluate_classical(f.operand, assignment)
-    if isinstance(f, And):
-        return evaluate_classical(f.left, assignment) and evaluate_classical(f.right, assignment)
-    if isinstance(f, Or):
-        return evaluate_classical(f.left, assignment) or evaluate_classical(f.right, assignment)
-    if isinstance(f, Implies):
-        return (not evaluate_classical(f.left, assignment)) or evaluate_classical(f.right, assignment)
-    raise TypeError(f"not a formula node: {f!r}")
+#: Marks a pending negation on the evaluator's work stack; the node classes
+#: And, Or and Implies mark their own pending operations.
+_NOT = object()
+
+
+def evaluate_classical(f: Formula, assignment: Mapping[str, bool | int]) -> bool | int:
+    """Two-valued evaluation under a total assignment.
+
+    Given bool values it returns a bool. An int value holds one bit lane per
+    assignment (bit j is the atom's value in assignment j; bools count as all
+    lanes equal), and then the result is the packed int whose bit j is the
+    formula's value in assignment j. Lanes above those the caller uses carry
+    no meaning; mask them off.
+    """
+    packed = False
+    values: list[int] = []
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Atom:
+            try:
+                value = assignment[node.name]
+            except KeyError:
+                raise UnknownAtom(f"atom {node.name!r} has no assigned value") from None
+            if type(value) is int:
+                packed = True
+            else:
+                value = -1 if value else 0
+            values.append(value)
+        elif kind is Not:
+            todo += (_NOT, node.operand)
+        elif kind is And or kind is Or or kind is Implies:
+            todo += (kind, node.right, node.left)
+        elif node is _NOT:
+            values[-1] = ~values[-1]
+        elif node is And:
+            right = values.pop()
+            values[-1] &= right
+        elif node is Or:
+            right = values.pop()
+            values[-1] |= right
+        elif node is Implies:
+            right = values.pop()
+            values[-1] = ~values[-1] | right
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return values[0] if packed else values[0] != 0
+
+
+def _gap_columns(k: int) -> list[int]:
+    """Lane patterns for k gap atoms over 2^k lanes: bit j of column i is
+    bit i of j, so lane j holds the completion numbered j."""
+    lanes = 1 << k
+    nbytes = max(1, lanes // 8)
+    full = (1 << lanes) - 1
+    columns = []
+    for i in range(k):
+        if i < 3:
+            pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1])
+        else:
+            half = 1 << (i - 3)
+            pattern = b"\x00" * half + b"\xff" * half
+        column = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
+        columns.append(column & full)
+    return columns
 
 
 def evaluate_super(
@@ -94,8 +143,12 @@ def evaluate_super(
 ) -> TruthValue:
     """Supervaluational truth value of a formula under a gappy valuation.
 
+    The formula is evaluated once over all 2^k completions of its k gap
+    atoms, one bit lane per completion: TRUE when every lane is true, FALSE
+    when none is, GAP otherwise.
+
     Raises UnknownAtom when a leaf is missing from atomics, and
-    PrecisificationBlowup, before enumerating anything, when the number of
+    PrecisificationBlowup, before evaluating anything, when the number of
     gap atoms exceeds the cap (config.gap_cap by default).
     """
     names = formula_atoms(f)
@@ -108,12 +161,12 @@ def evaluate_super(
         raise PrecisificationBlowup(
             f"{len(gaps)} gap atoms exceed the completion cap of {cap}"
         )
-    base = {n: atomics[n] is TruthValue.TRUE for n in names if atomics[n].is_determinate}
-    outcomes: set[bool] = set()
-    for bits in product((False, True), repeat=len(gaps)):
-        assignment = dict(base)
-        assignment.update(zip(gaps, bits))
-        outcomes.add(evaluate_classical(f, assignment))
-        if len(outcomes) == 2:
-            return TruthValue.GAP
-    return TruthValue.from_bool(outcomes.pop())
+    full = (1 << (1 << len(gaps))) - 1
+    assignment = {
+        n: full if atomics[n] is TruthValue.TRUE else 0 for n in names if atomics[n].is_determinate
+    }
+    assignment.update(zip(gaps, _gap_columns(len(gaps))))
+    lanes = evaluate_classical(f, assignment) & full
+    if lanes == full:
+        return TruthValue.TRUE
+    return TruthValue.FALSE if lanes == 0 else TruthValue.GAP

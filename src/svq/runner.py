@@ -443,7 +443,7 @@ def emit_report(report: Report, format: str = "text") -> bytes:
             "checks_run": report.checks_run,
             "ledger": ledger_lines(report.ledger),
         }
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
     if format == "text":
         return _text_report(report).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

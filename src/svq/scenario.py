@@ -24,6 +24,9 @@ in source order by the runner. The concrete grammar:
     and       := unary ("and" unary)*
     unary     := "not" unary | "(" boolexpr ")" | NAME
 
+A formula may nest "not", parentheses and "->" at most MAX_FORMULA_NESTING
+levels deep; deeper nesting is a ScenarioSyntaxError.
+
 Numbers are reals (decimals, integer fractions "a/b", or the "a/sqrt(b)"
 sugar) optionally combined with an imaginary literal: "0.5+0.5i", "1i",
 "1/sqrt(2)-0.5i". '#' starts a comment running to end of line.
@@ -311,10 +314,17 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 
 
+#: Deepest nesting of "not", parentheses and "->" a formula may have. The
+#: parser recurses once per level, so the limit keeps it well inside
+#: Python's recursion limit.
+MAX_FORMULA_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -440,11 +450,21 @@ class _Parser:
 
     # formulas ------------------------------------------------------------
 
+    def _nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_FORMULA_NESTING:
+            tok = self.peek()
+            raise ScenarioSyntaxError(
+                f"formula nested deeper than {MAX_FORMULA_NESTING} levels", tok.line, tok.col
+            )
+
     def parse_boolexpr(self) -> Formula:
-        left = self._parse_or()
+        self._nest()
+        node = self._parse_or()
         if self.accept("->"):
-            return Implies(left, self.parse_boolexpr())
-        return left
+            node = Implies(node, self.parse_boolexpr())
+        self.depth -= 1
+        return node
 
     def _parse_or(self) -> Formula:
         node = self._parse_and()
@@ -462,8 +482,11 @@ class _Parser:
 
     def _parse_unary(self) -> Formula:
         if self.at_keyword("not"):
+            self._nest()
             self.advance()
-            return Not(self._parse_unary())
+            node = Not(self._parse_unary())
+            self.depth -= 1
+            return node
         if self.accept("("):
             node = self.parse_boolexpr()
             self.expect(")", "')'")

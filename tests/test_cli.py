@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from svq.cli import main
 
 
@@ -68,3 +70,39 @@ def test_tol_flag_is_echoed(scenario_dir, capsys):
     main(["run", str(scenario_dir / "valuations.svq"), "--tol", "1e-7", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["tolerance"] == 1e-7
+
+
+def test_deep_nesting_exits_two_with_a_position(tmp_path, capsys):
+    deep = tmp_path / "deep.svq"
+    deep.write_text(
+        "state s = [1, 0]\nprop A = span([1, 0])\nformula f = " + "not " * 5000 + "A\nsuper f\n",
+        encoding="utf-8",
+    )
+    code = main(["run", str(deep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: 3:") and "nested deeper" in err
+
+
+def test_unexpected_exception_exits_two(scenario_dir, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("svq.cli.run_scenario", broken)
+    code = main(["run", str(scenario_dir / "valuations.svq")])
+    assert code == 2
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
+def test_tol_outside_the_open_unit_interval_exits_two(scenario_dir, capsys, command, tol):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(scenario_dir / "valuations.svq"), "--tol", tol])
+    assert exit_info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_eval_accepts_a_tol_inside_the_open_unit_interval(scenario_dir, capsys):
+    assert main(["eval", str(scenario_dir / "valuations.svq"), "--tol", "0.5"]) == 0
+    assert "super excluded_middle = 1" in capsys.readouterr().out

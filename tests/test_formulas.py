@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from svq import (
     evaluate_super,
     formula_atoms,
 )
+from svq.config import config
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
 
@@ -34,6 +37,47 @@ def classical_oracle(f, assignment):
     if isinstance(f, Implies):
         return (not classical_oracle(f.left, assignment)) or classical_oracle(f.right, assignment)
     raise AssertionError(f)
+
+
+def reference_evaluate_classical(f, assignment):
+    """The seed's recursive evaluator, kept as the packed evaluator's oracle."""
+    if isinstance(f, Atom):
+        try:
+            return bool(assignment[f.name])
+        except KeyError:
+            raise UnknownAtom(f"atom {f.name!r} has no assigned value") from None
+    if isinstance(f, Not):
+        return not reference_evaluate_classical(f.operand, assignment)
+    if isinstance(f, And):
+        return reference_evaluate_classical(f.left, assignment) and reference_evaluate_classical(f.right, assignment)
+    if isinstance(f, Or):
+        return reference_evaluate_classical(f.left, assignment) or reference_evaluate_classical(f.right, assignment)
+    if isinstance(f, Implies):
+        return (not reference_evaluate_classical(f.left, assignment)) or reference_evaluate_classical(f.right, assignment)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def reference_evaluate_super(f, atomics, cap=None):
+    """The seed's evaluate_super, which enumerates every completion one by one."""
+    names = formula_atoms(f)
+    for name in names:
+        if name not in atomics:
+            raise UnknownAtom(f"atom {name!r} is not in the valuation map")
+    gaps = [n for n in names if atomics[n] is TruthValue.GAP]
+    cap = config.gap_cap if cap is None else cap
+    if len(gaps) > cap:
+        raise PrecisificationBlowup(
+            f"{len(gaps)} gap atoms exceed the completion cap of {cap}"
+        )
+    base = {n: atomics[n] is TruthValue.TRUE for n in names if atomics[n].is_determinate}
+    outcomes: set[bool] = set()
+    for bits in product((False, True), repeat=len(gaps)):
+        assignment = dict(base)
+        assignment.update(zip(gaps, bits))
+        outcomes.add(reference_evaluate_classical(f, assignment))
+        if len(outcomes) == 2:
+            return TruthValue.GAP
+    return TruthValue.from_bool(outcomes.pop())
 
 
 def test_excluded_middle_survives_a_gap():
@@ -75,8 +119,6 @@ def test_formula_atoms_order_and_dedup():
 
 
 def test_blowup_raises_before_enumerating():
-    import time
-
     atoms = [Atom(f"A{i}") for i in range(21)]
     f = atoms[0]
     for a in atoms[1:]:
@@ -85,6 +127,30 @@ def test_blowup_raises_before_enumerating():
     with pytest.raises(PrecisificationBlowup):
         evaluate_super(f, {a.name: G for a in atoms})
     assert time.perf_counter() - start < 1.0
+
+
+def test_tautology_at_the_default_cap_is_fast():
+    atoms = [Atom(f"A{i}") for i in range(config.gap_cap)]
+    conjunction = atoms[0]
+    for a in atoms[1:]:
+        conjunction = And(conjunction, a)
+    f = Implies(conjunction, atoms[7])
+    start = time.perf_counter()
+    assert evaluate_super(f, {a.name: G for a in atoms}) is T
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deep_formulas_do_not_recurse():
+    # 5,000 negations around 5,000 conjunctions with true atoms: f is A
+    f = Atom("A")
+    for i in range(10_000):
+        f = Not(f) if i % 2 else And(f, Atom(f"B{i % 7}"))
+    atomics = {"A": G, **{f"B{i}": T for i in range(7)}}
+    assert formula_atoms(f) == ("A", *(f"B{i}" for i in (0, 2, 4, 6, 1, 3, 5)))
+    assert evaluate_super(f, atomics) is G
+    for truth in (T, F):
+        atomics["A"] = truth
+        assert evaluate_super(f, atomics) is truth
 
 
 def test_cap_is_configurable():
@@ -162,3 +228,36 @@ def test_super_value_is_consistent_with_completions(f, partial):
         assert verdict is F
     else:
         assert verdict is G
+
+
+EIGHT = tuple(f"A{i}" for i in range(8))
+
+
+@st.composite
+def wide_formulas(draw):
+    return draw(
+        st.recursive(
+            st.sampled_from(EIGHT).map(Atom),
+            lambda kids: st.one_of(
+                kids.map(Not),
+                st.tuples(kids, kids).map(lambda t: And(*t)),
+                st.tuples(kids, kids).map(lambda t: Or(*t)),
+                st.tuples(kids, kids).map(lambda t: Implies(*t)),
+            ),
+            max_leaves=24,
+        )
+    )
+
+
+@given(wide_formulas(), st.lists(st.sampled_from((T, F, G, G)), min_size=8, max_size=8))
+def test_packed_super_matches_the_enumerating_reference(f, pattern):
+    atomics = dict(zip(EIGHT, pattern))
+    assert evaluate_super(f, atomics) is reference_evaluate_super(f, atomics)
+
+
+@given(wide_formulas(), st.lists(st.integers(0, 2**16 - 1), min_size=8, max_size=8))
+def test_packed_classical_agrees_lane_by_lane(f, columns):
+    packed = evaluate_classical(f, dict(zip(EIGHT, columns)))
+    for lane in range(16):
+        assignment = {n: bool(c >> lane & 1) for n, c in zip(EIGHT, columns)}
+        assert evaluate_classical(f, assignment) is bool(packed >> lane & 1)

@@ -239,3 +239,10 @@ def test_unknown_format_rejected():
     report = run_text("state phi = [1, 0]")
     with pytest.raises(ValueError):
         emit_report(report, "yaml")
+
+
+def test_json_report_refuses_non_finite_numbers():
+    report = run_text("state phi = [1, 0]\n")
+    report.tolerance = float("nan")
+    with pytest.raises(ValueError):
+        emit_report(report, "json")

@@ -21,6 +21,7 @@ from svq import (
     parse_scenario,
 )
 from svq.scenario import (
+    MAX_FORMULA_NESTING,
     BlackholeStep,
     CheckPastQuery,
     CloneStep,
@@ -182,6 +183,19 @@ def test_implies_is_right_associative():
     text = "prop A = span([1, 0])\nprop B = span([0, 1])\nformula f = A -> B -> A"
     s = parse_scenario(text)
     assert s.items[2].body == Implies(Atom("A"), Implies(Atom("B"), Atom("A")))
+
+
+def test_formula_nesting_limit():
+    head = "prop A = span([1, 0])\nformula f = "
+    limit = MAX_FORMULA_NESTING - 1  # the formula itself is the first level
+    for deep in ("not " * limit + "A", "(" * limit + "A" + ")" * limit, "A -> " * limit + "A"):
+        parse_scenario(head + deep)
+    for deeper in ("not " * (limit + 1) + "A", "(" * (limit + 1) + "A" + ")" * (limit + 1)):
+        with pytest.raises(ScenarioSyntaxError, match="nested deeper") as err:
+            parse_scenario(head + deeper)
+        assert err.value.line == 2
+    with pytest.raises(ScenarioSyntaxError, match="nested deeper"):
+        parse_scenario(head + "A -> " * (limit + 1) + "A")
 
 
 def test_round_trip_fixed_point_for_corpus(scenario_dir):
