@@ -27,6 +27,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svq",
@@ -36,13 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario file and print its report")
     run_p.add_argument("file", help="scenario file (.svq)")
-    run_p.add_argument("--seed", type=int, default=None, help="seed for random steps")
+    run_p.add_argument("--seed", type=_seed, default=None, help="seed for random steps, >= 0")
     run_p.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance, in (0, 1)")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
 
     eval_p = sub.add_parser("eval", help="execute a scenario and print only query results")
     eval_p.add_argument("file", help="scenario file (.svq)")
-    eval_p.add_argument("--seed", type=int, default=None)
+    eval_p.add_argument("--seed", type=_seed, default=None)
     eval_p.add_argument("--tol", type=_tolerance, default=None)
 
     check_p = sub.add_parser("check", help="parse and check a scenario without running it")

@@ -111,7 +111,13 @@ def make_state(components) -> StateVector:
         raise ValueError("components must be finite")
     if float(np.max(np.abs(arr))) <= resolve_tol(None):
         raise ZeroVector("every component is below tolerance; the zero vector is not a state")
-    return StateVector(arr / np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
+    if not np.isfinite(norm):
+        # The sum of squares overflowed: bring the largest part to 1 first.
+        arr = arr / np.max(np.maximum(np.abs(arr.real), np.abs(arr.imag)))
+        norm = np.linalg.norm(arr)
+    return StateVector(arr / norm)
 
 
 def make_operator(entries, unitary: bool = False, tol: float | None = None) -> Operator:

@@ -6,6 +6,12 @@ Ledgers are persistent values: appending returns a new ledger and never
 touches the old one, so any previously held ledger stays valid. Appends
 must not regress in assertion time.
 
+Versions of a ledger share one list of records, and each version sees the
+prefix of its own length. Appending to the newest version extends that
+list in place, so building a ledger of n records costs O(n) in all.
+Appending to an older version is a fork: it copies the older version's
+prefix into a new list first, and every version keeps the records it had.
+
 The audit treats the earliest determinate truth recorded for a given
 (proposition, tick) pair as fixed. A later determinate record that
 disagrees is a "flip"; a later gap is a "loss". A gap that is later
@@ -16,6 +22,8 @@ flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 from .errors import NonMonotoneAssertion
 from .lattice import TruthValue
@@ -42,15 +50,35 @@ class TensedRecord:
     asserted_at: int
 
 
-@dataclass(frozen=True)
 class Ledger:
-    records: tuple[TensedRecord, ...] = ()
+    """An immutable sequence of tensed records; equal when the records are."""
+
+    __slots__ = ("_log", "_size")
+
+    def __init__(self, records: Iterable[TensedRecord] = ()):
+        self._log = list(records)
+        self._size = len(self._log)
+
+    @property
+    def records(self) -> tuple[TensedRecord, ...]:
+        return tuple(islice(self._log, self._size))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._size
 
     def __iter__(self):
-        return iter(self.records)
+        return islice(self._log, self._size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ledger):
+            return NotImplemented
+        return self._size == other._size and self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"Ledger(records={self.records!r})"
 
 
 @dataclass(frozen=True)
@@ -80,17 +108,32 @@ def record_valuation(
 ) -> Ledger:
     """Append one valuation, deriving its tense from (at, asserted_at).
 
-    Returns a new ledger; the input ledger is unchanged. Raises
-    NonMonotoneAssertion when asserted_at is earlier than the last record's.
+    Returns a new ledger; the input ledger is unchanged. O(1) amortised
+    when the input is the newest version of its list; an older input is
+    forked by copying its records. Raises NonMonotoneAssertion when
+    asserted_at is earlier than the last record's.
     """
     _check_tick("at", at)
     _check_tick("asserted_at", asserted_at)
-    if ledger.records and asserted_at < ledger.records[-1].asserted_at:
+    log, size = ledger._log, ledger._size
+    if size and asserted_at < log[size - 1].asserted_at:
         raise NonMonotoneAssertion(
-            f"asserted_at {asserted_at} regresses behind {ledger.records[-1].asserted_at}"
+            f"asserted_at {asserted_at} regresses behind {log[size - 1].asserted_at}"
         )
     rec = TensedRecord(at, prop_id, derive_tense(at, asserted_at), truth, asserted_at)
-    return Ledger(ledger.records + (rec,))
+    # Extend the shared list only when this is its newest version, and keep
+    # the extension only if rec landed right after this version's prefix:
+    # list.append is atomic, so a concurrent append to the same version
+    # makes one of the two fork instead of seeing the other's record.
+    if len(log) == size:
+        log.append(rec)
+    if log[size] is not rec:
+        log = log[:size]
+        log.append(rec)
+    appended = Ledger.__new__(Ledger)
+    appended._log = log
+    appended._size = size + 1
+    return appended
 
 
 def check_past_unalterability(ledger: Ledger) -> tuple[Violation, ...]:
@@ -105,7 +148,7 @@ def check_past_unalterability(ledger: Ledger) -> tuple[Violation, ...]:
     so a prediction that fails to come true is not an alteration.
     """
     groups: dict[tuple[str, int], list[TensedRecord]] = {}
-    for rec in ledger.records:
+    for rec in ledger:
         groups.setdefault((rec.prop_id, rec.at), []).append(rec)
     violations: list[Violation] = []
     for (prop_id, at), recs in groups.items():
@@ -133,7 +176,7 @@ def tense_view(ledger: Ledger, now: int) -> tuple[tuple[str, int, str, TruthValu
     untouched."""
     _check_tick("now", now)
     return tuple(
-        (rec.prop_id, rec.at, derive_tense(rec.at, now), rec.truth) for rec in ledger.records
+        (rec.prop_id, rec.at, derive_tense(rec.at, now), rec.truth) for rec in ledger
     )
 
 
@@ -141,5 +184,5 @@ def ledger_lines(ledger: Ledger) -> list[str]:
     """Line-delimited serialization: tick, prop id, tense, truth, asserted tick."""
     return [
         f"{rec.at}\t{rec.prop_id}\t{rec.tense}\t{rec.truth}\t{rec.asserted_at}"
-        for rec in ledger.records
+        for rec in ledger
     ]

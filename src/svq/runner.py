@@ -27,6 +27,10 @@ replace the system with their output:
   appends it as a past-tense record at the current tick, and clears the
   lost marks. Flips against the original record are what the past-fixity
   audit then surfaces.
+* ``check-past`` counts one audit and keeps the ledger as it stands. The
+  report lists the violations of the ledger as of the last ``check-past``;
+  that ledger is a persistent value, so it is audited once, after the last
+  step, however many checks the scenario runs.
 
 Reports are deterministic for a fixed scenario, seed and tolerance;
 sub-seeds for random steps are drawn from a single generator seeded with
@@ -127,8 +131,8 @@ def _feasibility_entry(feas) -> dict:
 def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report:
     """Execute a parsed scenario and return its report.
 
-    Errors raised by a step or query are re-raised as StepError carrying the
-    item's index (1-based) and source line.
+    Errors raised by a step or query, SvqError or ValueError, are re-raised
+    as StepError carrying the item's index (1-based) and source line.
     """
     cfg = _merge_config(scenario.config, overrides)
     rng = np.random.default_rng(cfg.seed)
@@ -139,6 +143,7 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     formulas: dict = {}
     system: StateVector | None = None
     led = Ledger()
+    audited = led
     recorded: dict[tuple[str, int], TruthValue] = {}
     lost: dict[tuple[str, int], bool] = {}
     now = 0
@@ -277,8 +282,8 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
             elif isinstance(item, ReconstructStep):
                 p = cfg.p_one if item.p_one is None else item.p_one
                 samples = []
-                for pid, at0 in list(lost):
-                    sub_seed = int(rng.integers(0, 2**63))
+                sub_seeds = rng.integers(0, 2**63, size=len(lost)).tolist()
+                for (pid, at0), sub_seed in zip(lost, sub_seeds):
                     outcome = sample_past_reconstruction(p, sub_seed)
                     tv = TruthValue.TRUE if outcome.value == 1 else TruthValue.FALSE
                     led = record_valuation(led, at0, pid, tv, now)
@@ -318,19 +323,8 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
                     }
                 )
             elif isinstance(item, CheckPastQuery):
-                found = check_past_unalterability(led)
                 report.checks_run += 1
-                report.violations = [
-                    {
-                        "kind": v.kind,
-                        "prop": v.prop_id,
-                        "at": v.at,
-                        "earlier": str(v.earlier_truth),
-                        "later": str(v.later_truth),
-                        "asserted_at": v.later_asserted_at,
-                    }
-                    for v in found
-                ]
+                audited = led
             elif isinstance(item, FeasibleQuery):
                 feas = check_cloner_feasibility(states[item.first], states[item.second], cfg.tol)
                 entry = {"first": item.first, "second": item.second}
@@ -340,9 +334,21 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
                 raise SvqError(f"unhandled scenario item {item!r}")
         except StepError:
             raise
-        except SvqError as err:
+        except (SvqError, ValueError) as err:
             raise StepError(index, item.line, kind, err) from err
 
+    if report.checks_run:
+        report.violations = [
+            {
+                "kind": v.kind,
+                "prop": v.prop_id,
+                "at": v.at,
+                "earlier": str(v.earlier_truth),
+                "later": str(v.later_truth),
+                "asserted_at": v.later_asserted_at,
+            }
+            for v in check_past_unalterability(audited)
+        ]
     report.ledger = led
     return report
 

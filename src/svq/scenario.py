@@ -743,24 +743,35 @@ def _fmt_vector(v: tuple[complex, ...]) -> str:
 
 
 def format_formula(f: Formula) -> str:
-    """Render a formula with minimal parentheses; reparsing restores the AST."""
+    """Render a formula with minimal parentheses; reparsing restores the AST.
 
-    def go(node: Formula, min_prec: int) -> str:
+    Iterative, so a long and/or chain (a left-deep tree) renders at any
+    length."""
+    parts: list[str] = []
+    todo: list = [(f, 0)]  # text to emit, or (node, least precedence it may have bare)
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, min_prec = item
         if isinstance(node, Atom):
-            return node.name
+            parts.append(node.name)
+            continue
         if isinstance(node, Not):
-            rendered, prec = "not " + go(node.operand, 4), 4
+            prec, pieces = 4, ["not ", (node.operand, 4)]
         elif isinstance(node, And):
-            rendered, prec = go(node.left, 3) + " and " + go(node.right, 4), 3
+            prec, pieces = 3, [(node.left, 3), " and ", (node.right, 4)]
         elif isinstance(node, Or):
-            rendered, prec = go(node.left, 2) + " or " + go(node.right, 3), 2
+            prec, pieces = 2, [(node.left, 2), " or ", (node.right, 3)]
         elif isinstance(node, Implies):
-            rendered, prec = go(node.left, 2) + " -> " + go(node.right, 1), 1
+            prec, pieces = 1, [(node.left, 2), " -> ", (node.right, 1)]
         else:
             raise TypeError(f"not a formula node: {node!r}")
-        return f"({rendered})" if prec < min_prec else rendered
-
-    return go(f, 0)
+        if prec < min_prec:
+            pieces = ["(", *pieces, ")"]
+        todo += reversed(pieces)
+    return "".join(parts)
 
 
 def format_item(item: ScenarioItem) -> str:

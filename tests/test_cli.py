@@ -106,3 +106,22 @@ def test_tol_outside_the_open_unit_interval_exits_two(scenario_dir, capsys, comm
 def test_eval_accepts_a_tol_inside_the_open_unit_interval(scenario_dir, capsys):
     assert main(["eval", str(scenario_dir / "valuations.svq"), "--tol", "0.5"]) == 0
     assert "super excluded_middle = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_seed_that_is_not_a_non_negative_integer_exits_two(scenario_dir, capsys, command, seed):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(scenario_dir / "blackhole.svq"), "--seed", seed])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_value_error_inside_a_step_carries_its_position(tmp_path, capsys):
+    overflow = tmp_path / "overflow.svq"
+    overflow.write_text(
+        "state d = [1, 1]\nevolve d by [[1.5e308, 1.5e308], [0, 1]]\n", encoding="utf-8"
+    )
+    code = main(["run", str(overflow)])
+    assert code == 2
+    assert "error: step 2 (evolve, line 2): components must be finite" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -47,6 +49,15 @@ def test_make_state_rejects_single_component():
 def test_make_state_preserves_global_phase():
     s = make_state([-2, 0])
     assert np.allclose(s.amplitudes, [-1, 0], atol=1e-12)
+
+
+def test_make_state_accepts_components_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        big = make_state([1e308, 1e308])
+        complex_big = make_state([1.5e308 + 1.5e308j, 0])
+    assert np.allclose(big.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-12)
+    assert complex_big.same_ray(make_state([1, 0]))
 
 
 def test_inner_orthogonal_basis():

@@ -171,3 +171,46 @@ def test_append_only_under_random_sequences(entries):
     before = ledgers[-1].records
     check_past_unalterability(ledgers[-1])
     assert ledgers[-1].records == before
+
+
+def test_ledger_attributes_cannot_be_set():
+    led = record_valuation(Ledger(), 0, "Zplus", T, 0)
+    with pytest.raises(AttributeError):
+        led.records = ()
+    with pytest.raises(AttributeError):
+        led.extra = 1
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.sampled_from(("P", "Q")),
+            st.sampled_from((T, F, G)),
+            st.integers(0, 5),
+        ),
+        max_size=12,
+    ),
+    st.data(),
+)
+def test_appending_to_an_older_ledger_forks(entries, data):
+    entries = sorted(entries, key=lambda e: e[3])
+    ledgers = [Ledger()]
+    for at, pid, truth, asserted in entries:
+        ledgers.append(record_valuation(ledgers[-1], at, pid, truth, asserted))
+    snapshots = [led.records for led in ledgers]
+    older = ledgers[data.draw(st.integers(0, len(ledgers) - 1))]
+    tick = max((rec.asserted_at for rec in older), default=0)
+    fork = record_valuation(older, 0, "R", T, tick)
+    again = record_valuation(older, 0, "R", data.draw(st.sampled_from((T, F))), tick)
+    for led, records in zip(ledgers, snapshots):
+        assert led.records == records
+        assert len(led) == len(records)
+    assert fork.records[:-1] == again.records[:-1] == older.records
+    assert fork.records[-1].truth is T
+    # == and hash follow the records, whatever list holds them
+    assert Ledger(fork.records) == fork
+    assert hash(Ledger(fork.records)) == hash(fork)
+    assert (fork == again) == (fork.records == again.records)
+    assert (older == ledgers[-1]) == (older.records == ledgers[-1].records)
+    assert fork != older

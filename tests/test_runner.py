@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from svq import (
     NotCloneShape,
     StepError,
+    check_past_unalterability,
     emit_report,
     parse_scenario,
     run_scenario,
@@ -246,3 +248,48 @@ def test_json_report_refuses_non_finite_numbers():
     report.tolerance = float("nan")
     with pytest.raises(ValueError):
         emit_report(report, "json")
+
+
+CLONE_HEADER = """
+state phi = [1, 0]
+state upsilon = [1/sqrt(2), 1/sqrt(2)]
+prop Zplus = span([1, 0])
+prop Xplus = span([1/sqrt(2), 1/sqrt(2)])
+"""
+
+
+def clone_ticks(first, count, audit_each):
+    lines = []
+    for tick in range(first, first + count):
+        lines += [f"record at {2 * tick}", "clone upsilon -> phi", f"record at {2 * tick + 1}", "reconstruct"]
+        if audit_each:
+            lines.append("check-past")
+    return lines
+
+
+@pytest.mark.parametrize("audit_each", [True, False], ids=["audit-each", "audit-once"])
+def test_violations_are_those_of_the_ledger_at_the_last_check(audit_each):
+    audited = clone_ticks(0, 3, audit_each) + ([] if audit_each else ["check-past"])
+    cut = CLONE_HEADER + "\n".join(audited) + "\n"
+    full = cut + "\n".join(clone_ticks(3, 2, audit_each=False)) + "\n"
+    at_cut = run_text(cut, seed=5)
+    report = run_text(full, seed=5)
+    assert report.checks_run == at_cut.checks_run == (3 if audit_each else 1)
+    assert report.violations == at_cut.violations
+    assert report.violations
+    # The records after the last check-past hold violations of their own,
+    # which the report must not list.
+    assert len(check_past_unalterability(report.ledger)) > len(report.violations)
+
+
+def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
+    report = run_text(CLONE_HEADER + "\n".join(clone_ticks(0, 2, audit_each=False)) + "\n", seed=9)
+    seeds = [
+        sample["seed"]
+        for step in report.steps
+        if step["kind"] == "reconstruct"
+        for sample in step["samples"]
+    ]
+    rng = np.random.default_rng(9)
+    assert len(seeds) > 2
+    assert seeds == [int(rng.integers(0, 2**63)) for _ in seeds]

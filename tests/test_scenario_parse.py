@@ -235,6 +235,41 @@ def test_formula_printer_round_trips(f):
     assert s.items[3].body == f
 
 
+def reference_format_formula(f):
+    """The recursive printer that format_formula replaced, kept as its oracle."""
+
+    def go(node, min_prec):
+        if isinstance(node, Atom):
+            return node.name
+        if isinstance(node, Not):
+            rendered, prec = "not " + go(node.operand, 4), 4
+        elif isinstance(node, And):
+            rendered, prec = go(node.left, 3) + " and " + go(node.right, 4), 3
+        elif isinstance(node, Or):
+            rendered, prec = go(node.left, 2) + " or " + go(node.right, 3), 2
+        else:
+            rendered, prec = go(node.left, 2) + " -> " + go(node.right, 1), 1
+        return f"({rendered})" if prec < min_prec else rendered
+
+    return go(f, 0)
+
+
+@given(formula_trees())
+def test_formula_printer_matches_the_recursive_reference(f):
+    assert format_formula(f) == reference_format_formula(f)
+
+
+def test_formula_printer_renders_a_long_chain():
+    # The parser builds and/or chains as left-deep trees with no nesting
+    # limit. Compare text, not trees: the AST's dataclass __eq__ and
+    # __repr__ still recurse once per level.
+    head = "prop A = span([1, 0])\nprop B = span([0, 1])\nformula f = "
+    for op in (" and ", " or "):
+        chain = op.join(["A", "B"] * 2500)
+        body = parse_scenario(head + chain).items[2].body
+        assert format_formula(body) == chain
+
+
 def test_every_diagnostic_has_line_and_column():
     bad_texts = [
         "state phi = [1, 0] extra",
