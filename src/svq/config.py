@@ -7,10 +7,10 @@ from dataclasses import dataclass
 class Config:
     """Shared knobs for every module.
 
-    tol is the absolute tolerance for unit-norm checks, projector invariants
-    and membership residuals. It is measured against unit-norm quantities, so
-    the default 1e-9 leaves several decimal digits of double-precision
-    headroom. gap_cap bounds how many gap atoms a formula may carry before
+    tol is the absolute tolerance for unit-norm checks, subspace invariants
+    (orthonormal bases, and projectors given to Subspace) and membership
+    residuals. It is measured against unit-norm quantities, so the default
+    1e-9 leaves several decimal digits of double-precision headroom. gap_cap bounds how many gap atoms a formula may carry before
     supervaluation refuses to evaluate it: the single packed pass holds
     2^gap_cap bits per live value.
     """

@@ -85,9 +85,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def adjoint(self) -> "Operator":
-        return Operator(self.entries.conj().T, unitary=self.unitary)
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim}, unitary={self.unitary})"
 
@@ -155,7 +152,8 @@ def apply_operator(M: Operator, v: StateVector, tol: float | None = None) -> Sta
     """
     if M.dim != v.dim:
         raise DimensionMismatch(f"operator dim {M.dim} does not match state dim {v.dim}")
-    out = M.entries @ v.amplitudes
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = M.entries @ v.amplitudes
     if M.unitary:
         norm = float(np.linalg.norm(out))
         if abs(norm - 1.0) > resolve_tol(tol):
@@ -168,9 +166,14 @@ def apply_operator(M: Operator, v: StateVector, tol: float | None = None) -> Sta
 
 
 def is_unitary(M: Operator, tol: float | None = None) -> bool:
-    """True iff the max-abs deviation of M†M from the identity is below tol."""
-    gram = M.entries.conj().T @ M.entries
-    defect = np.max(np.abs(gram - np.eye(M.dim)))
+    """True iff the max-abs deviation of M†M from the identity is below tol.
+
+    Entries whose products overflow give an infinite or NaN defect, which
+    is not below tol, so such a matrix is reported not unitary.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = M.entries.conj().T @ M.entries
+        defect = np.max(np.abs(gram - np.eye(M.dim)))
     return float(defect) < resolve_tol(tol)
 
 

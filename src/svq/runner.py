@@ -174,7 +174,7 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
             elif isinstance(item, PropDecl):
                 dim = len(item.vectors[0])
                 sub = span_subspace(item.vectors, dim, cfg.tol)
-                props[item.name] = Proposition(item.name, f"rank-{sub.rank} subspace", sub)
+                props[item.name] = Proposition(item.name, sub)
             elif isinstance(item, FormulaDecl):
                 formulas[item.name] = item.body
             elif isinstance(item, RecordStep):

@@ -125,3 +125,14 @@ def test_value_error_inside_a_step_carries_its_position(tmp_path, capsys):
     code = main(["run", str(overflow)])
     assert code == 2
     assert "error: step 2 (evolve, line 2): components must be finite" in capsys.readouterr().err
+
+
+def test_overflowing_evolve_prints_only_the_positioned_error(tmp_path, run_cli):
+    # The overflowing products used to print numpy RuntimeWarnings first.
+    overflow = tmp_path / "overflow.svq"
+    overflow.write_text(
+        "state d = [1, 1]\nevolve d by [[1.5e308, 1.5e308], [0, 1]]\n", encoding="utf-8"
+    )
+    done = run_cli("run", str(overflow))
+    assert done.returncode == 2
+    assert done.stderr.decode() == "error: step 2 (evolve, line 2): components must be finite\n"

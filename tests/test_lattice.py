@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svq import (
     DimensionMismatch,
@@ -269,3 +271,222 @@ def test_truth_value_rendering():
     assert not TruthValue.GAP.is_determinate
     with pytest.raises(ValueError):
         TruthValue.GAP.to_bool()
+
+
+# differential oracle -------------------------------------------------------
+#
+# The projector-based lattice that subspaces were stored as before they became
+# orthonormal bases, kept as the oracle of the rewrite. The bodies are the old
+# ones, except that they take and return projector arrays instead of Subspace
+# objects, so the oracle does not run through the code under test.
+
+
+def reference_span_subspace(vectors, dim: int, tol: float = 1e-9) -> np.ndarray:
+    cols = []
+    for v in vectors:
+        arr = np.asarray(v, dtype=np.complex128).reshape(-1)
+        if arr.shape[0] != dim:
+            raise DimensionMismatch(f"spanning vector has length {arr.shape[0]}, expected {dim}")
+        cols.append(arr)
+    if not cols:
+        raise EmptySpan("no spanning vectors given")
+    basis_matrix = np.column_stack(cols)
+    if float(np.max(np.abs(basis_matrix))) <= tol:
+        raise EmptySpan("every spanning vector is numerically zero")
+    u, s, _ = np.linalg.svd(basis_matrix)
+    rank = int(np.sum(s > tol * s[0]))
+    q = u[:, :rank]
+    return q @ q.conj().T
+
+
+def reference_membership(state, projector: np.ndarray, tol: float = 1e-9) -> TruthValue:
+    projected = projector @ state.amplitudes
+    r = float(np.linalg.norm(projected - state.amplitudes))
+    s = float(np.linalg.norm(projected))
+    if r < tol:
+        return TruthValue.TRUE
+    if s < tol:
+        return TruthValue.FALSE
+    return TruthValue.GAP
+
+
+def reference_orthocomplement(projector: np.ndarray) -> np.ndarray:
+    return np.eye(projector.shape[0], dtype=np.complex128) - projector
+
+
+def reference_meet(pa: np.ndarray, pb: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    eye = np.eye(pa.shape[0], dtype=np.complex128)
+    gram = (eye - pa) + (eye - pb)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    kernel = eigenvectors[:, eigenvalues < tol]
+    return kernel @ kernel.conj().T
+
+
+def reference_join(pa: np.ndarray, pb: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    stacked = np.hstack([pa, pb])
+    u, s, _ = np.linalg.svd(stacked)
+    if s.size == 0 or s[0] <= tol:
+        return np.zeros_like(pa)
+    rank = int(np.sum(s > tol * s[0]))
+    q = u[:, :rank]
+    return q @ q.conj().T
+
+
+def reference_contains(outer: np.ndarray, inner: np.ndarray, tol: float = 1e-9) -> bool:
+    residual = outer @ inner - inner
+    return float(np.max(np.abs(residual), initial=0.0)) <= tol
+
+
+def reference_rank(projector: np.ndarray) -> int:
+    return round(float(np.trace(projector).real))
+
+
+def _gaussian(rng, dim, count):
+    return rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+
+
+def _operand(kind, dim, shared, own):
+    """Spanning vectors (one per row) of a zero, full or generic operand."""
+    if kind == "zero":
+        return None
+    if kind == "full":
+        return np.eye(dim)
+    return np.hstack([shared, own]).T
+
+
+def _probes(projector, rng):
+    """An inside, an orthogonal and a generic state for a projector."""
+    dim = projector.shape[0]
+    states = [haar_state(dim, rng)]
+    for side in (projector, reference_orthocomplement(projector)):
+        raw = side @ _gaussian(rng, dim, 1)[:, 0]
+        if np.linalg.norm(raw) > 0.1:
+            states.append(make_state(raw))
+    return states
+
+
+@st.composite
+def operand_pairs(draw):
+    dim = draw(st.integers(2, 8))
+    common = draw(st.integers(0, dim))
+    own_a = draw(st.integers(0, dim - common))
+    own_b = draw(st.integers(0, dim - common))
+    kinds = st.sampled_from(("generic", "generic", "generic", "zero", "full"))
+    return dim, common, own_a, own_b, draw(kinds), draw(kinds), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_lattice_matches_projector_oracle(case):
+    dim, common, own_a, own_b, kind_a, kind_b, seed = case
+    rng = np.random.default_rng(seed)
+    shared = _gaussian(rng, dim, common)
+    vectors_a = _operand(kind_a, dim, shared, _gaussian(rng, dim, own_a))
+    vectors_b = _operand(kind_b, dim, shared, _gaussian(rng, dim, own_b))
+    operands = []
+    for vectors in (vectors_a, vectors_b):
+        if vectors is None or vectors.shape[0] == 0:
+            operands.append((zero_subspace(dim), np.zeros((dim, dim), dtype=np.complex128)))
+        else:
+            operands.append((span_subspace(vectors, dim), reference_span_subspace(vectors, dim)))
+    (a, pa), (b, pb) = operands
+
+    pairs = [
+        (a, pa),
+        (b, pb),
+        (meet(a, b), reference_meet(pa, pb)),
+        (join(a, b), reference_join(pa, pb)),
+        (orthocomplement(a), reference_orthocomplement(pa)),
+    ]
+    for sub, projector in pairs:
+        assert sub.rank == reference_rank(projector)
+        assert np.max(np.abs(sub.projector - projector), initial=0.0) < 1e-9
+    for outer, inner in ((0, 1), (1, 0), (0, 2), (3, 0), (3, 1), (2, 4)):
+        (s_out, p_out), (s_in, p_in) = pairs[outer], pairs[inner]
+        assert s_out.contains(s_in) is reference_contains(p_out, p_in)
+    for sub, projector in pairs:
+        for state in _probes(projector, rng):
+            assert membership(state, sub) is reference_membership(state, projector)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.sampled_from((3e-5, 6e-5, 1e-3)), st.integers(0, 2**32 - 1))
+def test_meet_and_join_near_the_angle_threshold_match_oracle(dim, angle, seed):
+    # 1 - cos(angle) is 4.5e-10, 1.8e-9 and 5e-7: shared within tol = 1e-9 or not
+    rng = np.random.default_rng(seed)
+    frame = haar_unitary(dim, rng).entries
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    vectors_a = frame[:, :1].T
+    vectors_b = phase * (np.cos(angle) * frame[:, :1] + np.sin(angle) * frame[:, 1:2]).T
+    a, pa = span_subspace(vectors_a, dim), reference_span_subspace(vectors_a, dim)
+    b, pb = span_subspace(vectors_b, dim), reference_span_subspace(vectors_b, dim)
+    assert meet(a, b).rank == reference_rank(reference_meet(pa, pb)) == (1 if angle < 4.4e-5 else 0)
+    assert join(a, b).rank == reference_rank(reference_join(pa, pb)) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 7), st.sampled_from((1e-11, 1e-6)), st.integers(0, 2**32 - 1))
+def test_membership_near_the_tolerance_matches_oracle(dim, rank, eps, seed):
+    # a state eps away from the subspace or from its complement: TRUE or
+    # FALSE within tol = 1e-9 at eps = 1e-11, a gap at eps = 1e-6
+    rank = min(rank, dim - 1)
+    rng = np.random.default_rng(seed)
+    frame = haar_unitary(dim, rng).entries
+    vectors = frame[:, :rank].T
+    sub, projector = span_subspace(vectors, dim), reference_span_subspace(vectors, dim)
+    inside = frame[:, :rank] @ _gaussian(rng, rank, 1)[:, 0]
+    outside = frame[:, rank:] @ _gaussian(rng, dim - rank, 1)[:, 0]
+    inside, outside = inside / np.linalg.norm(inside), outside / np.linalg.norm(outside)
+    for near, far, determinate in ((inside, outside, TruthValue.TRUE), (outside, inside, TruthValue.FALSE)):
+        state = make_state(near + eps * far)
+        want = determinate if eps < 1e-9 else TruthValue.GAP
+        assert membership(state, sub) is reference_membership(state, projector) is want
+
+
+def test_rank_zero_and_full_rank_operands_match_oracle():
+    rng = np.random.default_rng(71)
+    for dim in (2, 5, 8):
+        zero, full = zero_subspace(dim), full_space(dim)
+        p_zero = np.zeros((dim, dim), dtype=np.complex128)
+        p_full = np.eye(dim, dtype=np.complex128)
+        line_vectors = _gaussian(rng, dim, 1).T
+        line, p_line = span_subspace(line_vectors, dim), reference_span_subspace(line_vectors, dim)
+        cases = [
+            (meet(zero, full), reference_meet(p_zero, p_full)),
+            (join(zero, zero), reference_join(p_zero, p_zero)),
+            (join(zero, full), reference_join(p_zero, p_full)),
+            (meet(full, full), reference_meet(p_full, p_full)),
+            (meet(line, zero), reference_meet(p_line, p_zero)),
+            (join(line, full), reference_join(p_line, p_full)),
+            (orthocomplement(zero), reference_orthocomplement(p_zero)),
+            (orthocomplement(full), reference_orthocomplement(p_full)),
+        ]
+        for sub, projector in cases:
+            assert sub.rank == reference_rank(projector)
+            assert np.max(np.abs(sub.projector - projector)) < 1e-9
+        for outer, p_outer in ((zero, p_zero), (full, p_full), (line, p_line)):
+            for inner, p_inner in ((zero, p_zero), (full, p_full), (line, p_line)):
+                assert outer.contains(inner) is reference_contains(p_outer, p_inner)
+            for state in _probes(p_line, rng):
+                assert membership(state, outer) is reference_membership(state, p_outer)
+
+
+def test_projector_constructor_derives_an_orthonormal_basis():
+    rng = np.random.default_rng(81)
+    for rank in range(5):
+        basis = haar_unitary(4, rng).entries[:, :rank]
+        projector = basis @ basis.conj().T
+        sub = Subspace(projector)
+        assert sub.rank == rank
+        assert np.allclose(sub.basis.conj().T @ sub.basis, np.eye(rank), atol=1e-12)
+        assert np.allclose(sub.basis @ sub.basis.conj().T, projector, atol=1e-12)
+        assert sub.projector is not projector and np.array_equal(sub.projector, projector)
+
+
+def test_subspace_is_immutable():
+    with pytest.raises(AttributeError):
+        Z_PLUS.rank = 2
+    with pytest.raises(ValueError):
+        Z_PLUS.basis[0, 0] = 0
+    with pytest.raises(ValueError):
+        Z_PLUS.projector[0, 0] = 0
