@@ -66,7 +66,6 @@ from .formulas import (
 from .dynamics import (
     FeasibilityReport,
     ProductState,
-    ReconstructionOutcome,
     blackhole_evaporate,
     check_cloner_feasibility,
     ideal_clone,

@@ -12,6 +12,7 @@ import math
 import sys
 import traceback
 
+from .config import is_valid_tol
 from .errors import SvqError
 from .runner import emit_report, run_scenario
 from .scenario import parse_scenario
@@ -22,7 +23,7 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and 0 < value < 1):
+    if not is_valid_tol(value):
         raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1), got {text!r}")
     return value
 

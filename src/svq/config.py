@@ -1,5 +1,6 @@
 """Process-wide numeric configuration."""
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,6 +22,11 @@ class Config:
 
 #: The one global configuration record. Mutate fields to change defaults.
 config = Config()
+
+
+def is_valid_tol(tol: float) -> bool:
+    """True for a usable tolerance: a finite number in (0, 1)."""
+    return math.isfinite(tol) and 0 < tol < 1
 
 
 def resolve_tol(tol: float | None) -> float:

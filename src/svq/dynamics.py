@@ -59,16 +59,6 @@ class FeasibilityReport:
     detail: str
 
 
-@dataclass(frozen=True)
-class ReconstructionOutcome:
-    """A seeded Bernoulli draw standing in for an erased past truth value."""
-
-    value: int
-    p_one: float
-    p_zero: float
-    seed: int
-
-
 def check_cloner_feasibility(a: StateVector, b: StateVector, tol: float | None = None) -> FeasibilityReport:
     """Decide whether a single unitary could copy both a and b.
 
@@ -128,19 +118,118 @@ def truth_transition(
     return membership(before, prop, tol), membership(after, prop, tol)
 
 
-def sample_past_reconstruction(p_one: float = 0.5, seed: int = 0) -> ReconstructionOutcome:
-    """Draw the random bit that replaces an erased past truth value.
+def sample_past_reconstruction(p_one: float, seeds) -> list[int]:
+    """Draw the random bits that replace erased past truth values.
 
-    The draw is deterministic given the seed. The default of one half
-    reflects indifference between the two symmetric components of the
-    state the record was erased into; pass p_one to override.
+    Bit i is 1 exactly when ``np.random.default_rng(seeds[i]).random()`` is
+    below p_one, so each bit is deterministic given its seed. The runner
+    draws one sub-seed per lost key and passes a whole ``reconstruct`` step
+    at once, and the bits are computed together in one vectorised pass. A
+    p_one of one half reflects indifference between the two symmetric
+    components of the state the record was erased into.
+
+    Raises BadProbability unless p_one lies in [0, 1], and ValueError
+    unless every seed is an int in [0, 2**64).
     """
     p = float(p_one)
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p_one must lie in [0, 1], got {p_one!r}")
-    rng = np.random.default_rng(seed)
-    value = 1 if rng.random() < p else 0
-    return ReconstructionOutcome(value, p, 1.0 - p, seed)
+    if not all(isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in seeds):
+        raise ValueError("seeds must be integers in [0, 2**64)")
+    if not len(seeds):
+        return []
+    uniforms = _first_uniforms(np.array(seeds, dtype=np.uint64))
+    return (uniforms < p).astype(np.int64).tolist()
+
+
+# The first ``random()`` of ``default_rng(seed)``, for many seeds at once.
+# default_rng seeds PCG64 through a SeedSequence, whose stream numpy keeps
+# stable (NEP 19); the steps below follow numpy's bit_generator.pyx and
+# pcg64.h. All arithmetic is on 1-D uint32 or uint64 arrays, where it wraps
+# silently; numpy scalars would warn on overflow.
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(start: int, mult: int, count: int) -> list[np.uint32]:
+    consts = [start]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return [np.uint32(c) for c in consts]
+
+
+_ENTROPY_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_LOW32, _U1, _U11, _U32, _U58, _U63, _U64 = (
+    np.uint64(c) for c in (_MASK32, 1, 11, 32, 58, 63, 64)
+)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _LOW32, _MULT_LO >> _U32
+
+
+def _hashmix(value: np.ndarray, consts: list[np.uint32], k: int) -> np.ndarray:
+    value = value ^ consts[k]
+    value *= consts[k + 1]
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One PCG64 step, state * MULT + inc modulo 2**128, on hi/lo halves.
+
+    Modulo 2**128, (hi:lo) * (MULT_HI:MULT_LO) has low half lo * MULT_LO
+    and high half hi * MULT_LO + lo * MULT_HI plus the high half of the
+    full product lo * MULT_LO, which is assembled from 32-bit limbs.
+    """
+    a0, a1 = lo & _LOW32, lo >> _U32
+    cross0, cross1 = a0 * _MULT_LO1, a1 * _MULT_LO0
+    mid = ((a0 * _MULT_LO0) >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    hi = hi * _MULT_LO
+    hi += lo * _MULT_HI
+    hi += a1 * _MULT_LO1
+    hi += cross0 >> _U32
+    hi += cross1 >> _U32
+    hi += mid >> _U32
+    hi += inc_hi
+    lo = lo * _MULT_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+    return hi, lo
+
+
+def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
+    """``[default_rng(s).random() for s in seeds]`` for a 1-D uint64 array."""
+    # SeedSequence: a seed below 2**64 is two entropy words, and the pool
+    # words past the entropy hash as 0.
+    pool = [(seeds & _LOW32).astype(np.uint32), (seeds >> _U32).astype(np.uint32)]
+    pool += [np.zeros_like(pool[0]), np.zeros_like(pool[0])]
+    pool = [_hashmix(word, _ENTROPY_HASH, k) for k, word in enumerate(pool)]
+    k = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L
+                mixed -= _hashmix(pool[src], _ENTROPY_HASH, k) * _MIX_R
+                mixed ^= mixed >> _XSHIFT
+                pool[dst] = mixed
+                k += 1
+    # generate_state(4, uint64): eight hashed words, paired little-endian.
+    words = [_hashmix(pool[i % 4], _OUTPUT_HASH, i).astype(np.uint64) for i in range(8)]
+    s0, s1, s2, s3 = (words[2 * i] | (words[2 * i + 1] << _U32) for i in range(4))
+    # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) stepped.
+    inc_hi = (s2 << _U1) | (s3 >> _U63)
+    inc_lo = (s3 << _U1) | _U1
+    lo = inc_lo + s1
+    hi = inc_hi + s0
+    hi += lo < inc_lo
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    # random(): one more step, XSL-RR output, top 53 bits as a double.
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    x = hi ^ lo
+    rot = hi >> _U58
+    x = (x >> rot) | (x << ((_U64 - rot) & _U63))
+    return (x >> _U11) * 2.0**-53
 
 
 def blackhole_evaporate(state: StateVector, seed: int) -> StateVector:

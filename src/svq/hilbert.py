@@ -139,7 +139,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     first factor is the major index. This ordering is a convention of this
     library and is relied on by the product-state helpers.
     """
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def apply_operator(M: Operator, v: StateVector, tol: float | None = None) -> StateVector:

@@ -35,7 +35,7 @@ class TruthValue(Enum):
     GAP = "0/0"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
     @property
     def is_determinate(self) -> bool:

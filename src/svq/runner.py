@@ -39,12 +39,14 @@ the run seed.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 import numpy as np
 
+from .config import is_valid_tol
 from .dynamics import (
     ProductState,
     check_cloner_feasibility,
@@ -53,7 +55,7 @@ from .dynamics import (
     ideal_unclone,
     sample_past_reconstruction,
 )
-from .errors import NotCloneShape, StepError, SvqError
+from .errors import BadProbability, NotCloneShape, StepError, SvqError
 from .formulas import evaluate_super, formula_atoms
 from .hilbert import Operator, StateVector, apply_operator, is_unitary, make_state
 from .lattice import Proposition, TruthValue, membership, span_subspace
@@ -131,10 +133,16 @@ def _feasibility_entry(feas) -> dict:
 def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report:
     """Execute a parsed scenario and return its report.
 
-    Errors raised by a step or query, SvqError or ValueError, are re-raised
-    as StepError carrying the item's index (1-based) and source line.
+    The merged tolerance must be a finite number in (0, 1) and p_one must
+    lie in [0, 1]; either is checked before the first step. Errors raised
+    by a step or query, SvqError or ValueError, are re-raised as StepError
+    carrying the item's index (1-based) and source line.
     """
     cfg = _merge_config(scenario.config, overrides)
+    if not is_valid_tol(cfg.tol):
+        raise SvqError(f"tol must be a finite number in (0, 1), got {cfg.tol!r}")
+    if not 0.0 <= cfg.p_one <= 1.0:
+        raise BadProbability(f"p_one must lie in [0, 1], got {cfg.p_one!r}")
     rng = np.random.default_rng(cfg.seed)
     report = Report(seed=cfg.seed, tolerance=cfg.tol, p_one=cfg.p_one)
 
@@ -283,13 +291,11 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
                 p = cfg.p_one if item.p_one is None else item.p_one
                 samples = []
                 sub_seeds = rng.integers(0, 2**63, size=len(lost)).tolist()
-                for (pid, at0), sub_seed in zip(lost, sub_seeds):
-                    outcome = sample_past_reconstruction(p, sub_seed)
-                    tv = TruthValue.TRUE if outcome.value == 1 else TruthValue.FALSE
+                bits = sample_past_reconstruction(p, sub_seeds)
+                for (pid, at0), sub_seed, bit in zip(lost, sub_seeds, bits):
+                    tv = TruthValue.TRUE if bit else TruthValue.FALSE
                     led = record_valuation(led, at0, pid, tv, now)
-                    samples.append(
-                        {"prop": pid, "at": at0, "value": outcome.value, "seed": sub_seed}
-                    )
+                    samples.append({"prop": pid, "at": at0, "value": bit, "seed": sub_seed})
                 lost.clear()
                 report.steps.append(
                     {
@@ -429,12 +435,92 @@ def _text_report(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(value, newline: str, out: list[str], heads: dict) -> None:
+    """Append the pieces of json.dumps(value, indent=2, allow_nan=False).
+
+    newline is "\n" plus the indentation of the line value starts on. The
+    type tests run in json's order (str, None, True, False, int, float,
+    list or tuple, dict), so subclasses render as json renders them; the
+    exact-type tests inside the loops are shortcuts to the same output.
+    Dict keys must be strings, which is all a report holds.
+    heads caches, per indentation, the text that opens each dict item
+    after the first (comma, newline, indent, quoted key and colon).
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(sep + _quote(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out, heads)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        level = heads.get(inner)
+        if level is None:
+            level = heads[inner] = {}
+        first = True
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if first:
+                out.append(f"{{{inner}{_quote(key)}: ")
+                first = False
+            else:
+                head = level.get(key)
+                if head is None:
+                    head = level[key] = f",{inner}{_quote(key)}: "
+                out.append(head)
+            kind = type(item)
+            if kind is str:
+                out.append(_quote(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(item, inner, out, heads)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    out: list[str] = []
+    _write_json(value, "\n", out, {})
+    return "".join(out)
+
+
 def emit_report(report: Report, format: str = "text") -> bytes:
     """Render a report as bytes; format is "text" or "json".
 
     The JSON schema is stable and versioned: top-level keys are schema,
     seed, tolerance, p_one, steps, valuations, feasibility, violations,
     checks_run and ledger. Gaps render as the string "0/0" in both formats.
+    JSON is rendered by a direct writer whose bytes equal those of
+    ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline; a
+    non-finite float raises ValueError, as it does there.
     """
     if format == "json":
         payload = {
@@ -449,7 +535,7 @@ def emit_report(report: Report, format: str = "text") -> bytes:
             "checks_run": report.checks_run,
             "ledger": ledger_lines(report.ledger),
         }
-        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+        return (_json_text(payload) + "\n").encode("utf-8")
     if format == "text":
         return _text_report(report).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

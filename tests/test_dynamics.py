@@ -163,27 +163,72 @@ def test_orthogonal_blank_exception_keeps_values_determinate():
 
 
 def test_sampling_degenerate_probabilities():
-    assert sample_past_reconstruction(1.0, seed=3).value == 1
-    assert sample_past_reconstruction(0.0, seed=3).value == 0
+    assert sample_past_reconstruction(1.0, [3]) == [1]
+    assert sample_past_reconstruction(0.0, [3]) == [0]
 
 
 def test_sampling_is_deterministic_per_seed():
-    a = sample_past_reconstruction(0.5, seed=42)
-    b = sample_past_reconstruction(0.5, seed=42)
+    a = sample_past_reconstruction(0.5, [42])
+    b = sample_past_reconstruction(0.5, [42])
     assert a == b
-    assert a.p_one == 0.5 and a.p_zero == 0.5
 
 
 def test_sampling_rejects_bad_probability():
     with pytest.raises(BadProbability):
-        sample_past_reconstruction(1.5, seed=0)
+        sample_past_reconstruction(1.5, [0])
     with pytest.raises(BadProbability):
-        sample_past_reconstruction(-0.1, seed=0)
+        sample_past_reconstruction(-0.1, [0])
 
 
 def test_sampling_mean_near_half():
-    values = [sample_past_reconstruction(0.5, seed=k).value for k in range(2000)]
+    values = sample_past_reconstruction(0.5, list(range(2000)))
     assert 0.43 <= float(np.mean(values)) <= 0.57
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+def reference_bits(p, seeds):
+    return [int(np.random.default_rng(s).random() < p) for s in seeds]
+
+
+def test_batched_bits_equal_one_default_rng_per_seed():
+    rng = np.random.default_rng(2024)
+    seeds = EDGE_SEEDS + rng.integers(0, 2**64, size=10_000, dtype=np.uint64).tolist()
+    seeds += rng.integers(0, 2**32, size=1_000).tolist()
+    uniforms = [np.random.default_rng(s).random() for s in seeds]
+    for p in (0.5, 0.25, 0.9):
+        assert sample_past_reconstruction(p, seeds) == [int(u < p) for u in uniforms]
+    # Comparing at p = u for every edge draw u pins each bit to its exact double.
+    edge_uniforms = uniforms[: len(EDGE_SEEDS)]
+    for u in edge_uniforms:
+        assert sample_past_reconstruction(u, EDGE_SEEDS) == [int(v < u) for v in edge_uniforms]
+
+
+def test_batched_bits_at_degenerate_probabilities():
+    seeds = EDGE_SEEDS + list(range(100, 400))
+    assert sample_past_reconstruction(0.0, seeds) == [0] * len(seeds)
+    assert sample_past_reconstruction(1.0, seeds) == [1] * len(seeds)
+
+
+def test_batched_bits_are_python_ints_in_seed_order():
+    seeds = np.random.default_rng(5).integers(0, 2**63, size=64)
+    bits = sample_past_reconstruction(0.5, seeds)
+    assert all(type(bit) is int for bit in bits)
+    assert bits[::-1] == sample_past_reconstruction(0.5, seeds[::-1])
+    assert bits == reference_bits(0.5, seeds.tolist())
+
+
+def test_empty_seeds_give_no_bits():
+    assert sample_past_reconstruction(0.5, []) == []
+    with pytest.raises(BadProbability):
+        sample_past_reconstruction(2.0, [])
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.0, "7", None])
+def test_seeds_outside_uint64_are_rejected(bad):
+    with pytest.raises(ValueError):
+        sample_past_reconstruction(0.5, [0, bad])
 
 
 def test_blackhole_deterministic_given_seed():

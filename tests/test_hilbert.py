@@ -205,3 +205,18 @@ def test_state_vectors_are_immutable():
     s = make_state([1, 0])
     with pytest.raises((ValueError, RuntimeError)):
         s.amplitudes[0] = 5
+
+
+amplitude_lists = st.lists(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    min_size=2,
+    max_size=8,
+).filter(lambda xs: max(abs(x) for x in xs) > 1e-6)
+
+
+@given(amplitude_lists, amplitude_lists)
+def test_tensor_bytes_equal_kron(first, second):
+    # States have dimension 2 and up, so this covers every pair of dims 2..8.
+    a, b = make_state(first), make_state(second)
+    expected = np.kron(a.amplitudes, b.amplitudes)
+    assert tensor(a, b).amplitudes.tobytes() == expected.tobytes()

@@ -2,15 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svq import (
+    BadProbability,
     NotCloneShape,
     StepError,
+    SvqError,
     check_past_unalterability,
     emit_report,
     parse_scenario,
     run_scenario,
 )
+from svq import runner
 
 CLONE_TEXT = """
 state phi = [1, 0]
@@ -293,3 +298,109 @@ def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
     rng = np.random.default_rng(9)
     assert len(seeds) > 2
     assert seeds == [int(rng.integers(0, 2**63)) for _ in seeds]
+
+
+# The JSON writer against json.dumps, which stays here as its oracle.
+
+def dumps(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é✓\U0001f600", "\ud800", "0/0"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert runner._json_text(value) == dumps(value)
+
+
+class LoudInt(int):
+    def __repr__(self):
+        return "loud"
+
+
+class LoudFloat(float):
+    def __repr__(self):
+        return "loud"
+
+
+class Tagged(str):
+    pass
+
+
+def test_json_writer_renders_subclasses_as_json_does():
+    value = {
+        "int": LoudInt(3),
+        "float": LoudFloat(2.5),
+        "str": Tagged("x"),
+        "nested": [LoudInt(1), (LoudFloat(-0.0),), {Tagged("k"): Tagged("y")}],
+        "empty": [{}, [], ()],
+    }
+    assert runner._json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_rejects_non_finite_floats(bad):
+    for value in (bad, [1, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(ValueError):
+            dumps(value)
+        with pytest.raises(ValueError):
+            runner._json_text(value)
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", np.int64(3), {"k": {(1, 2): 3}}])
+def test_json_writer_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        dumps([bad])
+    with pytest.raises(TypeError):
+        runner._json_text([bad])
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None])
+def test_json_writer_accepts_only_string_keys(key):
+    with pytest.raises(TypeError):
+        runner._json_text({"a": {key: 1}})
+
+
+# Overrides are validated before the first step.
+
+INSIDE_Z = "state up = [1, 0]\nprop Z = span([1, 0])\nrecord at 0\nreconstruct\n"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, float("inf")])
+def test_run_rejects_a_tolerance_outside_the_open_unit_interval(tol):
+    # A NaN or negative tol used to record "present Z @0 = 0/0" here.
+    with pytest.raises(SvqError, match="tol") as info:
+        run_text(INSIDE_Z, tol=tol)
+    assert not isinstance(info.value, StepError)
+
+
+@pytest.mark.parametrize("p_one", [1.5, -3, float("nan")])
+def test_run_rejects_p_one_outside_the_unit_interval_with_no_key_lost(p_one):
+    # With no key lost the bad value used to reach the report header.
+    with pytest.raises(BadProbability):
+        run_text(INSIDE_Z, p_one=p_one)
+
+
+def test_run_accepts_boundary_overrides():
+    report = run_text(INSIDE_Z, tol=1e-6, p_one=1)
+    assert (report.tolerance, report.p_one) == (1e-6, 1)
+    assert report.steps[0]["recorded"] == [{"prop": "Z", "at": 0, "truth": "1", "tense": "present"}]
+    assert run_text(INSIDE_Z, p_one=0.0).p_one == 0.0
