@@ -8,7 +8,6 @@ dynamics, an append-only tensed truth ledger with a past-fixity audit, and
 a small scenario language with a CLI (``svq``).
 """
 
-from .config import Config, config
 from .errors import (
     BadProbability,
     DimensionMismatch,
@@ -28,6 +27,7 @@ from .errors import (
     ZeroVector,
 )
 from .hilbert import (
+    DEFAULT_TOL,
     Operator,
     StateVector,
     apply_operator,
@@ -53,6 +53,7 @@ from .lattice import (
     zero_subspace,
 )
 from .formulas import (
+    GAP_CAP,
     And,
     Atom,
     Formula,
@@ -83,7 +84,13 @@ from .ledger import (
     record_valuation,
     tense_view,
 )
-from .scenario import Scenario, ScenarioConfig, format_formula, format_scenario, parse_scenario
+from .scenario import (
+    Scenario,
+    compile_scenario,
+    format_formula,
+    format_scenario,
+    parse_scenario,
+)
 from .runner import Report, emit_report, run_scenario
 
 __version__ = "0.1.0"

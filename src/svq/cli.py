@@ -12,10 +12,10 @@ import math
 import sys
 import traceback
 
-from .config import is_valid_tol
 from .errors import SvqError
-from .runner import emit_report, run_scenario
-from .scenario import parse_scenario
+from .hilbert import DEFAULT_TOL, is_valid_tol
+from .runner import emit_report, run_scenario, valuation_line
+from .scenario import compile_scenario, parse_scenario
 
 
 def _tolerance(text: str) -> float:
@@ -43,21 +43,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="svq",
         description="Run scenarios over three-valued quantum propositions.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file", help="scenario file (.svq)")
+    common.add_argument("--seed", type=_seed, default=0, help="seed for random steps, >= 0")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="numeric tolerance, in (0, 1)")
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="execute a scenario file and print its report")
-    run_p.add_argument("file", help="scenario file (.svq)")
-    run_p.add_argument("--seed", type=_seed, default=None, help="seed for random steps, >= 0")
-    run_p.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance, in (0, 1)")
+    run_p = sub.add_parser("run", parents=[common], help="execute a scenario file and print its report")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
-
-    eval_p = sub.add_parser("eval", help="execute a scenario and print only query results")
-    eval_p.add_argument("file", help="scenario file (.svq)")
-    eval_p.add_argument("--seed", type=_seed, default=None)
-    eval_p.add_argument("--tol", type=_tolerance, default=None)
-
-    check_p = sub.add_parser("check", help="parse and check a scenario without running it")
-    check_p.add_argument("file", help="scenario file (.svq)")
+    sub.add_parser("eval", parents=[common], help="execute a scenario and print only query results")
+    sub.add_parser("check", parents=[common], help="parse and check a scenario without running it")
     return parser
 
 
@@ -68,15 +63,13 @@ def main(argv=None) -> int:
             text = handle.read()
         scenario = parse_scenario(text)
         if args.command == "check":
+            compile_scenario(scenario, args.tol)
             print(f"{args.file}: ok")
             return 0
         report = run_scenario(scenario, {"seed": args.seed, "tol": args.tol})
         if args.command == "eval":
             for entry in report.valuations:
-                if entry["kind"] == "eval":
-                    print(f"eval {entry['state']} in {entry['prop']} = {entry['truth']}")
-                else:
-                    print(f"super {entry['formula']} = {entry['truth']}")
+                print(valuation_line(entry))
             for entry in report.feasibility:
                 verdict = "feasible" if entry["feasible"] else "infeasible"
                 print(f"feasible {entry['first']} {entry['second']} = {verdict}")

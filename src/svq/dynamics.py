@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
 from .errors import BadProbability, DimensionMismatch, NotCloneShape, NotProductState
-from .hilbert import StateVector, haar_state, inner, tensor
+from .hilbert import DEFAULT_TOL, StateVector, haar_state, inner, tensor
 from .lattice import Subspace, TruthValue, membership
 
 
@@ -59,7 +58,7 @@ class FeasibilityReport:
     detail: str
 
 
-def check_cloner_feasibility(a: StateVector, b: StateVector, tol: float | None = None) -> FeasibilityReport:
+def check_cloner_feasibility(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Decide whether a single unitary could copy both a and b.
 
     Unitarity preserves inner products, which forces the overlap of the pair
@@ -68,7 +67,6 @@ def check_cloner_feasibility(a: StateVector, b: StateVector, tol: float | None =
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"feasibility check needs equal dims, got {a.dim} and {b.dim}")
-    tol = resolve_tol(tol)
     overlap = abs(inner(a, b))
     squared = overlap * overlap
     if overlap < tol:
@@ -96,7 +94,7 @@ def ideal_clone(state: ProductState) -> ProductState:
     return ProductState.from_factors(a, a)
 
 
-def ideal_unclone(cloned: ProductState, blank: StateVector, tol: float | None = None) -> ProductState:
+def ideal_unclone(cloned: ProductState, blank: StateVector, tol: float = DEFAULT_TOL) -> ProductState:
     """Reverse of the copy map: (v, v) with a chosen blank becomes (v, blank)."""
     if cloned.factors is None:
         raise NotCloneShape("uncloning needs explicit tensor factors")
@@ -112,7 +110,7 @@ def truth_transition(
     before: StateVector,
     after: StateVector,
     prop: Subspace,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[TruthValue, TruthValue]:
     """Membership verdicts for one proposition before and after an evolution."""
     return membership(before, prop, tol), membership(after, prop, tol)

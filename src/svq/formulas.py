@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .config import config
 from .errors import PrecisificationBlowup, UnknownAtom
 from .lattice import TruthValue
+
+#: The most gap atoms a formula may carry before supervaluation refuses to
+#: evaluate it: the single packed pass holds 2^GAP_CAP bits per live value.
+GAP_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def _gap_columns(k: int) -> list[int]:
 def evaluate_super(
     f: Formula,
     atomics: Mapping[str, TruthValue],
-    cap: int | None = None,
+    cap: int = GAP_CAP,
 ) -> TruthValue:
     """Supervaluational truth value of a formula under a gappy valuation.
 
@@ -149,14 +152,13 @@ def evaluate_super(
 
     Raises UnknownAtom when a leaf is missing from atomics, and
     PrecisificationBlowup, before evaluating anything, when the number of
-    gap atoms exceeds the cap (config.gap_cap by default).
+    gap atoms exceeds the cap.
     """
     names = formula_atoms(f)
     for name in names:
         if name not in atomics:
             raise UnknownAtom(f"atom {name!r} is not in the valuation map")
     gaps = [n for n in names if atomics[n] is TruthValue.GAP]
-    cap = config.gap_cap if cap is None else cap
     if len(gaps) > cap:
         raise PrecisificationBlowup(
             f"{len(gaps)} gap atoms exceed the completion cap of {cap}"

@@ -8,12 +8,23 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
 from .errors import DimensionMismatch, DimensionTooSmall, NormLost, ZeroVector
+
+#: The tolerance every tol parameter defaults to, and the one the class
+#: invariants (unit-norm states, subspace bases and projectors) are checked
+#: against. It is measured against unit-norm quantities, so 1e-9 leaves
+#: several decimal digits of double-precision headroom.
+DEFAULT_TOL = 1e-9
+
+
+def is_valid_tol(tol: float) -> bool:
+    """True for a usable tolerance: a finite number in (0, 1)."""
+    return math.isfinite(tol) and 0 < tol < 1
 
 
 def _frozen_complex_array(data) -> np.ndarray:
@@ -43,7 +54,7 @@ class StateVector:
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > resolve_tol(None):
+        if abs(norm - 1.0) > DEFAULT_TOL:
             raise NormLost(f"state norm {norm!r} deviates from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", arr)
 
@@ -51,11 +62,11 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def same_ray(self, other: "StateVector", tol: float | None = None) -> bool:
+    def same_ray(self, other: "StateVector", tol: float = DEFAULT_TOL) -> bool:
         """True when the two states differ by at most a global phase."""
         if self.dim != other.dim:
             return False
-        return abs(abs(inner(self, other)) - 1.0) <= resolve_tol(tol)
+        return abs(abs(inner(self, other)) - 1.0) <= tol
 
     def __repr__(self) -> str:
         return f"StateVector({self.amplitudes.tolist()!r})"
@@ -93,11 +104,12 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=np.complex128), unitary=True)
 
 
-def make_state(components) -> StateVector:
+def make_state(components, tol: float = DEFAULT_TOL) -> StateVector:
     """Rescale a complex sequence to a unit state, preserving global phase.
 
-    Raises ZeroVector when no component has magnitude above tolerance and
-    DimensionTooSmall for fewer than two components.
+    Raises ZeroVector when no component has magnitude above tol,
+    DimensionTooSmall for fewer than two components and ValueError for a
+    non-finite one.
     """
     arr = np.asarray(components, dtype=np.complex128)
     if arr.ndim != 1:
@@ -106,7 +118,7 @@ def make_state(components) -> StateVector:
         raise DimensionTooSmall(f"a state needs dimension >= 2, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("components must be finite")
-    if float(np.max(np.abs(arr))) <= resolve_tol(None):
+    if float(np.max(np.abs(arr))) <= tol:
         raise ZeroVector("every component is below tolerance; the zero vector is not a state")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(arr)
@@ -117,10 +129,10 @@ def make_state(components) -> StateVector:
     return StateVector(arr / norm)
 
 
-def make_operator(entries, unitary: bool = False, tol: float | None = None) -> Operator:
+def make_operator(entries, unitary: bool = False, tol: float = DEFAULT_TOL) -> Operator:
     """Validating operator factory; checks the unitarity flag when set."""
     op = Operator(entries)
-    if unitary and not is_unitary(op, resolve_tol(tol)):
+    if unitary and not is_unitary(op, tol):
         raise NormLost("matrix flagged unitary fails the adjoint-product identity")
     return Operator(op.entries, unitary=unitary)
 
@@ -142,7 +154,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
-def apply_operator(M: Operator, v: StateVector, tol: float | None = None) -> StateVector:
+def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> StateVector:
     """Apply a matrix to a state.
 
     Flagged-unitary operators must preserve the norm to within tolerance,
@@ -156,16 +168,16 @@ def apply_operator(M: Operator, v: StateVector, tol: float | None = None) -> Sta
         out = M.entries @ v.amplitudes
     if M.unitary:
         norm = float(np.linalg.norm(out))
-        if abs(norm - 1.0) > resolve_tol(tol):
+        if abs(norm - 1.0) > tol:
             raise NormLost(f"operator flagged unitary changed the norm to {norm!r}")
-        if abs(norm - 1.0) > resolve_tol(None):
+        if abs(norm - 1.0) > DEFAULT_TOL:
             # caller accepted a looser tolerance than the state invariant
             out = out / norm
         return StateVector(out)
-    return make_state(out)
+    return make_state(out, tol)
 
 
-def is_unitary(M: Operator, tol: float | None = None) -> bool:
+def is_unitary(M: Operator, tol: float = DEFAULT_TOL) -> bool:
     """True iff the max-abs deviation of M†M from the identity is below tol.
 
     Entries whose products overflow give an infinite or NaN defect, which
@@ -174,7 +186,7 @@ def is_unitary(M: Operator, tol: float | None = None) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         gram = M.entries.conj().T @ M.entries
         defect = np.max(np.abs(gram - np.eye(M.dim)))
-    return float(defect) < resolve_tol(tol)
+    return float(defect) < tol
 
 
 def haar_unitary(dim: int, rng=None) -> Operator:

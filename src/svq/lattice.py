@@ -22,9 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import resolve_tol
 from .errors import DimensionMismatch, EmptySpan
-from .hilbert import StateVector
+from .hilbert import DEFAULT_TOL, StateVector
 
 
 class TruthValue(Enum):
@@ -69,7 +68,7 @@ class Subspace:
 
     def __init__(self, projector):
         arr = np.array(projector, dtype=np.complex128)
-        tol = resolve_tol(None)
+        tol = DEFAULT_TOL
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"projector must be square, got shape {arr.shape}")
         if np.max(np.abs(arr - arr.conj().T), initial=0.0) > tol:
@@ -99,7 +98,7 @@ class Subspace:
         arr.setflags(write=False)
         return arr
 
-    def contains(self, other: "Subspace", tol: float | None = None) -> bool:
+    def contains(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         """Subspace order: other is a subspace of self.
 
         True when every basis vector of other is left unchanged, within
@@ -108,7 +107,7 @@ class Subspace:
         if self.dim != other.dim:
             raise DimensionMismatch("subspace order needs equal dims")
         residual = other.basis - self.basis @ (self._adjoint @ other.basis)
-        return float(np.max(np.abs(residual), initial=0.0)) <= resolve_tol(tol)
+        return float(np.max(np.abs(residual), initial=0.0)) <= tol
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, rank={self.rank})"
@@ -127,7 +126,7 @@ def _from_basis(basis: np.ndarray) -> Subspace:
     sub = object.__new__(Subspace)
     _set_basis(sub, basis)
     gram = sub._adjoint @ sub.basis
-    if np.max(np.abs(gram - np.eye(sub.rank)), initial=0.0) > resolve_tol(None):
+    if np.max(np.abs(gram - np.eye(sub.rank)), initial=0.0) > DEFAULT_TOL:
         raise ValueError("basis columns are not orthonormal within tolerance")
     return sub
 
@@ -150,15 +149,15 @@ def full_space(dim: int) -> Subspace:
     return _from_basis(np.eye(dim))
 
 
-def span_subspace(vectors, dim: int, tol: float | None = None) -> Subspace:
+def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the given vectors.
 
     The spanning set is orthonormalized through a thin SVD, so any two
     spanning sets of the same space give the same subspace up to numerical
     noise. Directions whose relative singular weight falls below tol are
-    treated as noise rather than as extra dimensions.
+    treated as noise rather than as extra dimensions. Raises ValueError
+    for a non-finite component, as make_state does.
     """
-    tol = resolve_tol(tol)
     cols = []
     for v in vectors:
         arr = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -168,13 +167,15 @@ def span_subspace(vectors, dim: int, tol: float | None = None) -> Subspace:
     if not cols:
         raise EmptySpan("no spanning vectors given")
     basis_matrix = np.column_stack(cols)
+    if not np.all(np.isfinite(basis_matrix)):
+        raise ValueError("spanning vectors must be finite")
     if float(np.max(np.abs(basis_matrix))) <= tol:
         raise EmptySpan("every spanning vector is numerically zero")
     u, s, _ = np.linalg.svd(basis_matrix, full_matrices=False)
     return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
 
 
-def membership(state: StateVector, prop: Subspace, tol: float | None = None) -> TruthValue:
+def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> TruthValue:
     """Three-valued membership of a state in a subspace.
 
     Let c be the coordinates of the state's projection in the subspace's
@@ -188,7 +189,6 @@ def membership(state: StateVector, prop: Subspace, tol: float | None = None) -> 
     """
     if state.dim != prop.dim:
         raise DimensionMismatch(f"state dim {state.dim} does not match subspace dim {prop.dim}")
-    tol = resolve_tol(tol)
     psi = state.amplitudes
     coords = prop._adjoint @ psi
     rejected = psi - prop.basis @ coords
@@ -213,7 +213,7 @@ def orthocomplement(prop: Subspace) -> Subspace:
     return _from_basis(q[:, prop.rank:])
 
 
-def meet(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
+def meet(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """The intersection of two subspaces, from their principal angles.
 
     The singular values of Qa^dagger Qb are the cosines of the principal
@@ -226,12 +226,11 @@ def meet(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"meet needs equal dims, got {a.dim} and {b.dim}")
-    tol = resolve_tol(tol)
     u, cosines, _ = np.linalg.svd(a._adjoint @ b.basis, full_matrices=False)
     return _from_basis(a.basis @ u[:, 1.0 - cosines < tol])
 
 
-def join(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
+def join(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the union of two subspaces.
 
     A thin SVD of the stacked bases [Qa Qb]. Its singular values are the
@@ -241,7 +240,6 @@ def join(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"join needs equal dims, got {a.dim} and {b.dim}")
-    tol = resolve_tol(tol)
     u, s, _ = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=False)
     if s.size == 0:
         return zero_subspace(a.dim)

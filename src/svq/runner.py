@@ -2,6 +2,12 @@
 
 Execution model
 ---------------
+run_scenario checks its overrides, compiles the scenario once at the run's
+tolerance (compile_scenario builds every state and subspace), then hands
+each item, in source order, to its entry in one handler table. A
+declaration binds its name when it is reached, so a ``record`` sees only
+the propositions declared above it.
+
 The runner tracks one experimental system: the state that ``record`` steps
 evaluate every declared proposition against. The system starts as the first
 declared state. Steps reference declared, immutable state bindings and
@@ -40,13 +46,12 @@ the run seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 import numpy as np
 
-from .config import is_valid_tol
 from .dynamics import (
     ProductState,
     check_cloner_feasibility,
@@ -56,9 +61,10 @@ from .dynamics import (
     sample_past_reconstruction,
 )
 from .errors import BadProbability, NotCloneShape, StepError, SvqError
-from .formulas import evaluate_super, formula_atoms
-from .hilbert import Operator, StateVector, apply_operator, is_unitary, make_state
-from .lattice import Proposition, TruthValue, membership, span_subspace
+from .formulas import Formula, evaluate_super, formula_atoms
+# make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
+from .hilbert import DEFAULT_TOL, Operator, StateVector, apply_operator, is_unitary, make_state
+from .lattice import Subspace, TruthValue, membership, span_subspace
 from .ledger import Ledger, derive_tense, check_past_unalterability, ledger_lines, record_valuation
 from .scenario import (
     BlackholeStep,
@@ -72,27 +78,11 @@ from .scenario import (
     ReconstructStep,
     RecordStep,
     Scenario,
-    ScenarioConfig,
     StateDecl,
     SuperQuery,
     UncloneStep,
+    compile_scenario,
 )
-
-_STEP_KINDS = {
-    StateDecl: "state",
-    PropDecl: "prop",
-    FormulaDecl: "formula",
-    RecordStep: "record",
-    CloneStep: "clone",
-    UncloneStep: "unclone",
-    BlackholeStep: "blackhole",
-    EvolveStep: "evolve",
-    ReconstructStep: "reconstruct",
-    EvalQuery: "eval",
-    SuperQuery: "super",
-    CheckPastQuery: "check-past",
-    FeasibleQuery: "feasible",
-}
 
 
 @dataclass
@@ -114,11 +104,43 @@ class Report:
         return self.checks_run > 0 and bool(self.violations)
 
 
-def _merge_config(base: ScenarioConfig, overrides: Mapping | None) -> ScenarioConfig:
-    if not overrides:
-        return base
-    fields = {k: v for k, v in dict(overrides).items() if v is not None}
-    return replace(base, **fields)
+class _Run:
+    """The bindings and history of one run, which the handlers update."""
+
+    def __init__(self, report: Report):
+        self.report = report
+        self.tol = report.tolerance
+        self.rng = np.random.default_rng(report.seed)
+        self.states: dict[str, StateVector] = {}
+        self.props: dict[str, Subspace] = {}
+        self.formulas: dict[str, Formula] = {}
+        self.system: StateVector | None = None
+        self.ledger = Ledger()
+        self.audited = self.ledger
+        self.recorded: dict[tuple[str, int], TruthValue] = {}
+        self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
+        self.now = 0
+        self.pending_clone: ProductState | None = None
+
+    def move(self, system: StateVector) -> list[dict]:
+        """Replace the system; return each proposition's truth before and after."""
+        before, self.system = self.system, system
+        if before is None:
+            return []
+        tol = self.tol
+        return [
+            {
+                "prop": pid,
+                "before": str(membership(before, sub, tol)),
+                "after": str(membership(system, sub, tol)),
+            }
+            for pid, sub in self.props.items()
+        ]
+
+    def mark_lost(self) -> None:
+        for key, first_truth in self.recorded.items():
+            if first_truth.is_determinate and key not in self.lost:
+                self.lost[key] = False
 
 
 def _feasibility_entry(feas) -> dict:
@@ -130,218 +152,200 @@ def _feasibility_entry(feas) -> dict:
     }
 
 
+# Handlers: each takes the run, the item and its compiled value, and returns
+# the fields its step adds to the report after index, line and kind, or
+# None for a declaration or query. The library functions they call are
+# looked up in this module's globals at call time.
+
+
+def _state(run: _Run, item: StateDecl, state: StateVector) -> None:
+    run.states[item.name] = state
+    if run.system is None:
+        run.system = state
+
+
+def _prop(run: _Run, item: PropDecl, sub: Subspace) -> None:
+    run.props[item.name] = sub
+
+
+def _formula(run: _Run, item: FormulaDecl, _) -> None:
+    run.formulas[item.name] = item.body
+
+
+def _record(run: _Run, item: RecordStep, _) -> dict:
+    if run.system is None:
+        raise SvqError("record before any state declaration")
+    at, led, lost = item.at, run.ledger, run.lost
+    entries = []
+    for key, gapped in list(lost.items()):
+        if not gapped:
+            pid, at0 = key
+            led = record_valuation(led, at0, pid, TruthValue.GAP, at)
+            lost[key] = True
+            entries.append(
+                {"prop": pid, "at": at0, "truth": str(TruthValue.GAP), "tense": derive_tense(at0, at)}
+            )
+    for pid, sub in run.props.items():
+        tv = membership(run.system, sub, run.tol)
+        led = record_valuation(led, at, pid, tv, at)
+        run.recorded.setdefault((pid, at), tv)
+        entries.append({"prop": pid, "at": at, "truth": str(tv), "tense": "present"})
+    run.ledger = led
+    run.now = at
+    return {"at": at, "recorded": entries}
+
+
+def _clone(run: _Run, item: CloneStep, _) -> dict:
+    src, tgt = run.states[item.source], run.states[item.target]
+    feas = check_cloner_feasibility(src, tgt, run.tol)
+    run.pending_clone = ideal_clone(ProductState.from_factors(src, tgt))
+    if not feas.feasible:
+        run.mark_lost()
+    return {
+        "source": item.source,
+        "target": item.target,
+        "physical": False,
+        "past_lost": not feas.feasible,
+        "feasibility": _feasibility_entry(feas),
+        "transitions": run.move(run.pending_clone.factors[1]),
+    }
+
+
+def _unclone(run: _Run, item: UncloneStep, _) -> dict:
+    if run.pending_clone is None:
+        raise NotCloneShape("unclone without a preceding clone")
+    pair = ProductState.from_factors(run.pending_clone.factors[0], run.states[item.cloned])
+    result = ideal_unclone(pair, run.states[item.blank], run.tol)
+    run.pending_clone = None
+    return {
+        "cloned": item.cloned,
+        "blank": item.blank,
+        "physical": False,
+        "transitions": run.move(result.factors[1]),
+    }
+
+
+def _blackhole(run: _Run, item: BlackholeStep, _) -> dict:
+    sub_seed = int(run.rng.integers(0, 2**63))
+    transitions = run.move(blackhole_evaporate(run.states[item.state], seed=sub_seed))
+    run.mark_lost()
+    return {"state": item.state, "seed": sub_seed, "past_lost": True, "transitions": transitions}
+
+
+def _evolve(run: _Run, item: EvolveStep, _) -> dict:
+    matrix = np.array(item.matrix, dtype=np.complex128)
+    flag = is_unitary(Operator(matrix), run.tol)
+    system = apply_operator(Operator(matrix, unitary=flag), run.states[item.state], run.tol)
+    return {"state": item.state, "unitary": flag, "transitions": run.move(system)}
+
+
+def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
+    p = run.report.p_one if item.p_one is None else item.p_one
+    lost, led = run.lost, run.ledger
+    sub_seeds = run.rng.integers(0, 2**63, size=len(lost)).tolist()
+    bits = sample_past_reconstruction(p, sub_seeds)
+    samples = []
+    for (pid, at0), sub_seed, bit in zip(lost, sub_seeds, bits):
+        led = record_valuation(led, at0, pid, TruthValue.TRUE if bit else TruthValue.FALSE, run.now)
+        samples.append({"prop": pid, "at": at0, "value": bit, "seed": sub_seed})
+    lost.clear()
+    run.ledger = led
+    return {"p_one": float(p), "samples": samples}
+
+
+def _eval(run: _Run, item: EvalQuery, _) -> None:
+    tv = membership(run.states[item.state], run.props[item.prop], run.tol)
+    run.report.valuations.append(
+        {"kind": "eval", "state": item.state, "prop": item.prop, "truth": str(tv)}
+    )
+
+
+def _super(run: _Run, item: SuperQuery, _) -> None:
+    if run.system is None:
+        raise SvqError("super query before any state declaration")
+    body = run.formulas[item.formula]
+    atomics = {
+        name: membership(run.system, run.props[name], run.tol) for name in formula_atoms(body)
+    }
+    tv = evaluate_super(body, atomics)
+    run.report.valuations.append(
+        {
+            "kind": "super",
+            "formula": item.formula,
+            "atoms": {name: str(v) for name, v in atomics.items()},
+            "truth": str(tv),
+        }
+    )
+
+
+def _check_past(run: _Run, item: CheckPastQuery, _) -> None:
+    run.report.checks_run += 1
+    run.audited = run.ledger
+
+
+def _feasible(run: _Run, item: FeasibleQuery, _) -> None:
+    feas = check_cloner_feasibility(run.states[item.first], run.states[item.second], run.tol)
+    run.report.feasibility.append(
+        {"first": item.first, "second": item.second, **_feasibility_entry(feas)}
+    )
+
+
+#: Item type -> (handler, the kind a report and a StepError name it by).
+_HANDLERS = {
+    StateDecl: (_state, "state"),
+    PropDecl: (_prop, "prop"),
+    FormulaDecl: (_formula, "formula"),
+    RecordStep: (_record, "record"),
+    CloneStep: (_clone, "clone"),
+    UncloneStep: (_unclone, "unclone"),
+    BlackholeStep: (_blackhole, "blackhole"),
+    EvolveStep: (_evolve, "evolve"),
+    ReconstructStep: (_reconstruct, "reconstruct"),
+    EvalQuery: (_eval, "eval"),
+    SuperQuery: (_super, "super"),
+    CheckPastQuery: (_check_past, "check-past"),
+    FeasibleQuery: (_feasible, "feasible"),
+}
+
+
+def _new_report(overrides: Mapping | None) -> Report:
+    """An empty report carrying the run's seed, tol and p_one: the
+    defaults, under every override that is not None."""
+    settings = {"seed": 0, "tol": DEFAULT_TOL, "p_one": 0.5}
+    for name, value in (overrides or {}).items():
+        if name not in settings:
+            raise SvqError(f"unknown override {name!r}")
+        if value is not None:
+            settings[name] = value
+    seed, p_one = settings["seed"], settings["p_one"]
+    if type(seed) is not int or seed < 0:
+        raise SvqError(f"seed must be a non-negative integer, got {seed!r}")
+    if not 0.0 <= p_one <= 1.0:
+        raise BadProbability(f"p_one must lie in [0, 1], got {p_one!r}")
+    return Report(seed=seed, tolerance=settings["tol"], p_one=p_one)
+
+
 def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report:
     """Execute a parsed scenario and return its report.
 
-    The merged tolerance must be a finite number in (0, 1) and p_one must
-    lie in [0, 1]; either is checked before the first step. Errors raised
-    by a step or query, SvqError or ValueError, are re-raised as StepError
-    carrying the item's index (1-based) and source line.
+    overrides may set seed (an int >= 0), tol (a finite number in (0, 1))
+    and p_one (in [0, 1]); each is checked, and the scenario compiled at
+    tol, before the first step. Errors raised by a step or query, SvqError
+    or ValueError, are re-raised as StepError carrying the item's index
+    (1-based) and source line.
     """
-    cfg = _merge_config(scenario.config, overrides)
-    if not is_valid_tol(cfg.tol):
-        raise SvqError(f"tol must be a finite number in (0, 1), got {cfg.tol!r}")
-    if not 0.0 <= cfg.p_one <= 1.0:
-        raise BadProbability(f"p_one must lie in [0, 1], got {cfg.p_one!r}")
-    rng = np.random.default_rng(cfg.seed)
-    report = Report(seed=cfg.seed, tolerance=cfg.tol, p_one=cfg.p_one)
-
-    states: dict[str, StateVector] = {}
-    props: dict[str, Proposition] = {}
-    formulas: dict = {}
-    system: StateVector | None = None
-    led = Ledger()
-    audited = led
-    recorded: dict[tuple[str, int], TruthValue] = {}
-    lost: dict[tuple[str, int], bool] = {}
-    now = 0
-    pending_clone: ProductState | None = None
-
-    def valuations_of(state: StateVector) -> dict[str, TruthValue]:
-        return {pid: membership(state, p.subspace, cfg.tol) for pid, p in props.items()}
-
-    def transitions(before: StateVector | None, after: StateVector) -> list[dict]:
-        if before is None:
-            return []
-        pre = valuations_of(before)
-        post = valuations_of(after)
-        return [{"prop": pid, "before": str(pre[pid]), "after": str(post[pid])} for pid in props]
-
-    def mark_lost() -> None:
-        for key, first_truth in recorded.items():
-            if first_truth.is_determinate and key not in lost:
-                lost[key] = False
-
-    for index, item in enumerate(scenario.items, start=1):
-        kind = _STEP_KINDS[type(item)]
+    report = _new_report(overrides)
+    values = compile_scenario(scenario, report.tolerance)
+    run = _Run(report)
+    steps = report.steps
+    for index, (item, value) in enumerate(zip(scenario.items, values), start=1):
+        handle, kind = _HANDLERS[type(item)]
         try:
-            if isinstance(item, StateDecl):
-                states[item.name] = make_state(item.components)
-                if system is None:
-                    system = states[item.name]
-            elif isinstance(item, PropDecl):
-                dim = len(item.vectors[0])
-                sub = span_subspace(item.vectors, dim, cfg.tol)
-                props[item.name] = Proposition(item.name, sub)
-            elif isinstance(item, FormulaDecl):
-                formulas[item.name] = item.body
-            elif isinstance(item, RecordStep):
-                if system is None:
-                    raise SvqError("record before any state declaration")
-                entries = []
-                for (pid, at0), gapped in list(lost.items()):
-                    if not gapped:
-                        led = record_valuation(led, at0, pid, TruthValue.GAP, item.at)
-                        lost[(pid, at0)] = True
-                        entries.append(
-                            {
-                                "prop": pid,
-                                "at": at0,
-                                "truth": str(TruthValue.GAP),
-                                "tense": derive_tense(at0, item.at),
-                            }
-                        )
-                for pid, prop in props.items():
-                    tv = membership(system, prop.subspace, cfg.tol)
-                    led = record_valuation(led, item.at, pid, tv, item.at)
-                    recorded.setdefault((pid, item.at), tv)
-                    entries.append(
-                        {"prop": pid, "at": item.at, "truth": str(tv), "tense": "present"}
-                    )
-                now = item.at
-                report.steps.append(
-                    {"index": index, "line": item.line, "kind": kind, "at": item.at, "recorded": entries}
-                )
-            elif isinstance(item, CloneStep):
-                src, tgt = states[item.source], states[item.target]
-                feas = check_cloner_feasibility(src, tgt, cfg.tol)
-                product = ideal_clone(ProductState.from_factors(src, tgt))
-                pending_clone = product
-                before = system
-                system = product.factors[1]
-                if not feas.feasible:
-                    mark_lost()
-                report.steps.append(
-                    {
-                        "index": index,
-                        "line": item.line,
-                        "kind": kind,
-                        "source": item.source,
-                        "target": item.target,
-                        "physical": False,
-                        "past_lost": not feas.feasible,
-                        "feasibility": _feasibility_entry(feas),
-                        "transitions": transitions(before, system),
-                    }
-                )
-            elif isinstance(item, UncloneStep):
-                if pending_clone is None:
-                    raise NotCloneShape("unclone without a preceding clone")
-                named = states[item.cloned]
-                blank = states[item.blank]
-                pair = ProductState.from_factors(pending_clone.factors[0], named)
-                result = ideal_unclone(pair, blank, cfg.tol)
-                pending_clone = None
-                before = system
-                system = result.factors[1]
-                report.steps.append(
-                    {
-                        "index": index,
-                        "line": item.line,
-                        "kind": kind,
-                        "cloned": item.cloned,
-                        "blank": item.blank,
-                        "physical": False,
-                        "transitions": transitions(before, system),
-                    }
-                )
-            elif isinstance(item, BlackholeStep):
-                sub_seed = int(rng.integers(0, 2**63))
-                before = system
-                system = blackhole_evaporate(states[item.state], seed=sub_seed)
-                mark_lost()
-                report.steps.append(
-                    {
-                        "index": index,
-                        "line": item.line,
-                        "kind": kind,
-                        "state": item.state,
-                        "seed": sub_seed,
-                        "past_lost": True,
-                        "transitions": transitions(before, system),
-                    }
-                )
-            elif isinstance(item, EvolveStep):
-                matrix = np.array(item.matrix, dtype=np.complex128)
-                flag = is_unitary(Operator(matrix), cfg.tol)
-                op = Operator(matrix, unitary=flag)
-                before = system
-                system = apply_operator(op, states[item.state], cfg.tol)
-                report.steps.append(
-                    {
-                        "index": index,
-                        "line": item.line,
-                        "kind": kind,
-                        "state": item.state,
-                        "unitary": flag,
-                        "transitions": transitions(before, system),
-                    }
-                )
-            elif isinstance(item, ReconstructStep):
-                p = cfg.p_one if item.p_one is None else item.p_one
-                samples = []
-                sub_seeds = rng.integers(0, 2**63, size=len(lost)).tolist()
-                bits = sample_past_reconstruction(p, sub_seeds)
-                for (pid, at0), sub_seed, bit in zip(lost, sub_seeds, bits):
-                    tv = TruthValue.TRUE if bit else TruthValue.FALSE
-                    led = record_valuation(led, at0, pid, tv, now)
-                    samples.append({"prop": pid, "at": at0, "value": bit, "seed": sub_seed})
-                lost.clear()
-                report.steps.append(
-                    {
-                        "index": index,
-                        "line": item.line,
-                        "kind": kind,
-                        "p_one": float(p),
-                        "samples": samples,
-                    }
-                )
-            elif isinstance(item, EvalQuery):
-                tv = membership(states[item.state], props[item.prop].subspace, cfg.tol)
-                report.valuations.append(
-                    {"kind": "eval", "state": item.state, "prop": item.prop, "truth": str(tv)}
-                )
-            elif isinstance(item, SuperQuery):
-                if system is None:
-                    raise SvqError("super query before any state declaration")
-                body = formulas[item.formula]
-                atomics = {
-                    name: membership(system, props[name].subspace, cfg.tol)
-                    for name in formula_atoms(body)
-                }
-                tv = evaluate_super(body, atomics)
-                report.valuations.append(
-                    {
-                        "kind": "super",
-                        "formula": item.formula,
-                        "atoms": {name: str(v) for name, v in atomics.items()},
-                        "truth": str(tv),
-                    }
-                )
-            elif isinstance(item, CheckPastQuery):
-                report.checks_run += 1
-                audited = led
-            elif isinstance(item, FeasibleQuery):
-                feas = check_cloner_feasibility(states[item.first], states[item.second], cfg.tol)
-                entry = {"first": item.first, "second": item.second}
-                entry.update(_feasibility_entry(feas))
-                report.feasibility.append(entry)
-            else:
-                raise SvqError(f"unhandled scenario item {item!r}")
-        except StepError:
-            raise
+            fields = handle(run, item, value)
         except (SvqError, ValueError) as err:
             raise StepError(index, item.line, kind, err) from err
+        if fields is not None:
+            steps.append({"index": index, "line": item.line, "kind": kind, **fields})
 
     if report.checks_run:
         report.violations = [
@@ -353,10 +357,47 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
                 "later": str(v.later_truth),
                 "asserted_at": v.later_asserted_at,
             }
-            for v in check_past_unalterability(audited)
+            for v in check_past_unalterability(run.audited)
         ]
-    report.ledger = led
+    report.ledger = run.ledger
     return report
+
+
+def valuation_line(entry: dict) -> str:
+    """One eval or super result as the text report and ``svq eval`` print it."""
+    if entry["kind"] == "eval":
+        return f"eval {entry['state']} in {entry['prop']} = {entry['truth']}"
+    return f"super {entry['formula']} = {entry['truth']}"
+
+
+def _step_head(step: dict) -> str:
+    """What a step's line shows after its kind."""
+    kind = step["kind"]
+    if kind == "record":
+        return f" at {step['at']}"
+    if kind == "clone":
+        feas = step["feasibility"]
+        verdict = "feasible" if feas["feasible"] else "infeasible"
+        return (
+            f" {step['source']} -> {step['target']} [non-physical, {verdict}:"
+            f" overlap {feas['overlap']:.8f} vs squared {feas['overlap_squared']:.8f}]"
+        )
+    if kind == "unclone":
+        return f" {step['cloned']} blank {step['blank']} [non-physical]"
+    if kind == "blackhole":
+        return f" {step['state']} (seed {step['seed']})"
+    if kind == "evolve":
+        return f" {step['state']} [{'unitary' if step['unitary'] else 'renormalized'}]"
+    return f" (p_one {step['p_one']!r})"
+
+
+def _step_body(step: dict) -> list[str]:
+    """The indented lines under a step: its records, samples or transitions."""
+    if step["kind"] == "record":
+        return [f"      {e['tense']} {e['prop']} @{e['at']} = {e['truth']}" for e in step["recorded"]]
+    if step["kind"] == "reconstruct":
+        return [f"      {s['prop']} @{s['at']} := {s['value']}" for s in step["samples"]]
+    return [f"      {tr['prop']}: {tr['before']} -> {tr['after']}" for tr in step["transitions"]]
 
 
 def _text_report(report: Report) -> str:
@@ -366,53 +407,11 @@ def _text_report(report: Report) -> str:
     if report.steps:
         lines.append("steps:")
         for step in report.steps:
-            head = f"  {step['index']} (line {step['line']}) {step['kind']}"
-            if step["kind"] == "record":
-                head += f" at {step['at']}"
-                lines.append(head)
-                for entry in step["recorded"]:
-                    lines.append(
-                        f"      {entry['tense']} {entry['prop']} @{entry['at']} = {entry['truth']}"
-                    )
-            elif step["kind"] == "clone":
-                feas = step["feasibility"]
-                verdict = "feasible" if feas["feasible"] else "infeasible"
-                head += (
-                    f" {step['source']} -> {step['target']} [non-physical, {verdict}:"
-                    f" overlap {feas['overlap']:.8f} vs squared {feas['overlap_squared']:.8f}]"
-                )
-                lines.append(head)
-                for tr in step["transitions"]:
-                    lines.append(f"      {tr['prop']}: {tr['before']} -> {tr['after']}")
-            elif step["kind"] == "unclone":
-                head += f" {step['cloned']} blank {step['blank']} [non-physical]"
-                lines.append(head)
-                for tr in step["transitions"]:
-                    lines.append(f"      {tr['prop']}: {tr['before']} -> {tr['after']}")
-            elif step["kind"] == "blackhole":
-                head += f" {step['state']} (seed {step['seed']})"
-                lines.append(head)
-                for tr in step["transitions"]:
-                    lines.append(f"      {tr['prop']}: {tr['before']} -> {tr['after']}")
-            elif step["kind"] == "evolve":
-                head += f" {step['state']} [{'unitary' if step['unitary'] else 'renormalized'}]"
-                lines.append(head)
-                for tr in step["transitions"]:
-                    lines.append(f"      {tr['prop']}: {tr['before']} -> {tr['after']}")
-            elif step["kind"] == "reconstruct":
-                head += f" (p_one {step['p_one']!r})"
-                lines.append(head)
-                for sample in step["samples"]:
-                    lines.append(
-                        f"      {sample['prop']} @{sample['at']} := {sample['value']}"
-                    )
+            lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{_step_head(step)}")
+            lines += _step_body(step)
     if report.valuations:
         lines.append("valuations:")
-        for entry in report.valuations:
-            if entry["kind"] == "eval":
-                lines.append(f"  eval {entry['state']} in {entry['prop']} = {entry['truth']}")
-            else:
-                lines.append(f"  super {entry['formula']} = {entry['truth']}")
+        lines += ["  " + valuation_line(entry) for entry in report.valuations]
     if report.feasibility:
         lines.append("feasibility:")
         for entry in report.feasibility:

@@ -31,10 +31,12 @@ Numbers are reals (decimals, integer fractions "a/b", or the "a/sqrt(b)"
 sugar) optionally combined with an imaginary literal: "0.5+0.5i", "1i",
 "1/sqrt(2)-0.5i". '#' starts a comment running to end of line.
 
-parse_scenario also performs declaration-time checking: names must be
-declared before use and be unique, vectors must be valid states, and every
-dimension in the scenario must agree. All diagnostics carry a 1-based
-line and column.
+parse_scenario checks what does not depend on the tolerance: names must
+be declared before use and be unique, every dimension in the scenario must
+agree, and a reconstruct probability must lie in [0, 1]. compile_scenario
+then builds every state and subspace once, at the run's tolerance, which
+is where a zero, non-finite or too short vector is rejected. All
+diagnostics of both carry a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .config import config
 from .errors import (
     BadProbability,
     DimensionMismatch,
@@ -53,8 +54,9 @@ from .errors import (
     UnknownIdentifier,
 )
 from .formulas import And, Atom, Formula, Implies, Not, Or, formula_atoms
-from .hilbert import make_state
-from .lattice import span_subspace
+# compile_scenario calls these through this module's globals, where tracers wrap them.
+from .hilbert import DEFAULT_TOL, StateVector, is_valid_tol, make_state
+from .lattice import Subspace, span_subspace
 
 _KEYWORDS = frozenset(
     "state prop formula span record at clone unclone blank blackhole evolve by "
@@ -64,15 +66,6 @@ _KEYWORDS = frozenset(
 
 # ---------------------------------------------------------------------------
 # AST
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Run-time knobs; populated from defaults and CLI overrides."""
-
-    tol: float = config.tol
-    seed: int = 0
-    p_one: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -182,29 +175,6 @@ ScenarioItem = Union[Declaration, Step, Query]
 @dataclass(frozen=True)
 class Scenario:
     items: tuple[ScenarioItem, ...]
-    config: ScenarioConfig = ScenarioConfig()
-
-    @property
-    def declarations(self) -> tuple[Declaration, ...]:
-        return tuple(i for i in self.items if isinstance(i, (StateDecl, PropDecl, FormulaDecl)))
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(
-            i
-            for i in self.items
-            if isinstance(
-                i, (RecordStep, CloneStep, UncloneStep, BlackholeStep, EvolveStep, ReconstructStep)
-            )
-        )
-
-    @property
-    def queries(self) -> tuple[Query, ...]:
-        return tuple(
-            i
-            for i in self.items
-            if isinstance(i, (EvalQuery, SuperQuery, CheckPastQuery, FeasibleQuery))
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +237,24 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("ident", word, word, start_line, start_col))
             bump(end - pos)
             continue
-        if c.isdigit():
+        if c.isdecimal():
             end = pos
-            while end < n and text[end].isdigit():
+            while end < n and text[end].isdecimal():
                 end += 1
             is_float = False
-            if end < n and text[end] == "." and end + 1 < n and text[end + 1].isdigit():
+            if end < n and text[end] == "." and end + 1 < n and text[end + 1].isdecimal():
                 is_float = True
                 end += 1
-                while end < n and text[end].isdigit():
+                while end < n and text[end].isdecimal():
                     end += 1
             if end < n and text[end] in "eE":
                 probe = end + 1
                 if probe < n and text[probe] in "+-":
                     probe += 1
-                if probe < n and text[probe].isdigit():
+                if probe < n and text[probe].isdecimal():
                     is_float = True
                     end = probe
-                    while end < n and text[end].isdigit():
+                    while end < n and text[end].isdecimal():
                         end += 1
             literal = text[pos:end]
             if end < n and text[end] == "i" and (end + 1 >= n or not _is_ident_char(text[end + 1])):
@@ -618,97 +588,69 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Declaration-time checking
+# Checking and compiling
 
 
-def _positioned(err: SvqError, line: int, col: int) -> SvqError:
-    return type(err)(f"{line}:{col}: {err}")
-
-
-def _dimension_error(item: ScenarioItem, got: int, want: int) -> DimensionMismatch:
-    return DimensionMismatch(
-        f"{item.line}:{item.col}: dimension {got} conflicts with scenario dimension {want}"
-    )
+#: The names each step or query reads: (field, what the name must denote).
+_USES = {
+    CloneStep: (("source", "state"), ("target", "state")),
+    UncloneStep: (("cloned", "state"), ("blank", "state")),
+    BlackholeStep: (("state", "state"),),
+    EvolveStep: (("state", "state"),),
+    EvalQuery: (("state", "state"), ("prop", "proposition")),
+    SuperQuery: (("formula", "formula"),),
+    FeasibleQuery: (("first", "state"), ("second", "state")),
+}
 
 
 def _check_scenario(scenario: Scenario) -> None:
-    states: dict[str, int] = {}
-    props: dict[str, int] = {}
-    formulas: set[str] = set()
+    declared: dict[str, str] = {}  # name -> "state", "proposition" or "formula"
     dim: int | None = None
 
-    def declare(name: str, item: ScenarioItem) -> None:
-        if name in states or name in props or name in formulas:
-            raise DuplicateIdentifier(f"{item.line}:{item.col}: {name!r} is already declared")
-
-    def need(table, name: str, what: str, item: ScenarioItem) -> None:
-        if name not in table:
+    def need(name: str, what: str, item: ScenarioItem) -> None:
+        if declared.get(name) != what:
             raise UnknownIdentifier(f"{item.line}:{item.col}: no {what} named {name!r}")
 
+    def declare(item: Declaration, what: str) -> None:
+        if item.name in declared:
+            raise DuplicateIdentifier(f"{item.line}:{item.col}: {item.name!r} is already declared")
+        declared[item.name] = what
+
     for item in scenario.items:
-        if isinstance(item, StateDecl):
-            declare(item.name, item)
-            try:
-                make_state(item.components)
-            except SvqError as err:
-                raise _positioned(err, item.line, item.col) from err
-            if dim is None:
-                dim = len(item.components)
-            elif len(item.components) != dim:
-                raise _dimension_error(item, len(item.components), dim)
-            states[item.name] = dim
-        elif isinstance(item, PropDecl):
-            declare(item.name, item)
-            length = len(item.vectors[0])
+        kind = type(item)
+        for attr, what in _USES.get(kind, ()):
+            need(getattr(item, attr), what, item)
+        lengths: tuple[int, ...] = ()
+        if kind is StateDecl:
+            declare(item, "state")
+            lengths = (len(item.components),)
+        elif kind is PropDecl:
+            declare(item, "proposition")
+            lengths = tuple(map(len, item.vectors))
+        elif kind is FormulaDecl:
+            declare(item, "formula")
+            for atom in formula_atoms(item.body):
+                need(atom, "proposition", item)
+        elif kind is EvolveStep:
+            lengths = (len(item.matrix), *map(len, item.matrix))
+        elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
+            raise BadProbability(f"{item.line}:{item.col}: p must lie in [0, 1], got {item.p_one!r}")
+        for length in lengths:
             if dim is None:
                 dim = length
             elif length != dim:
-                raise _dimension_error(item, length, dim)
-            try:
-                span_subspace(item.vectors, dim)
-            except SvqError as err:
-                raise _positioned(err, item.line, item.col) from err
-            props[item.name] = dim
-        elif isinstance(item, FormulaDecl):
-            declare(item.name, item)
-            for atom in formula_atoms(item.body):
-                need(props, atom, "proposition", item)
-            formulas.add(item.name)
-        elif isinstance(item, CloneStep):
-            need(states, item.source, "state", item)
-            need(states, item.target, "state", item)
-        elif isinstance(item, UncloneStep):
-            need(states, item.cloned, "state", item)
-            need(states, item.blank, "state", item)
-        elif isinstance(item, BlackholeStep):
-            need(states, item.state, "state", item)
-        elif isinstance(item, EvolveStep):
-            need(states, item.state, "state", item)
-            rows = item.matrix
-            if dim is None or len(rows) != dim or any(len(r) != dim for r in rows):
-                raise _dimension_error(item, len(rows), dim if dim is not None else 0)
-        elif isinstance(item, ReconstructStep):
-            if item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
-                raise BadProbability(
-                    f"{item.line}:{item.col}: p must lie in [0, 1], got {item.p_one!r}"
+                raise DimensionMismatch(
+                    f"{item.line}:{item.col}: dimension {length} conflicts with scenario dimension {dim}"
                 )
-        elif isinstance(item, EvalQuery):
-            need(states, item.state, "state", item)
-            need(props, item.prop, "proposition", item)
-        elif isinstance(item, SuperQuery):
-            need(formulas, item.formula, "formula", item)
-        elif isinstance(item, FeasibleQuery):
-            need(states, item.first, "state", item)
-            need(states, item.second, "state", item)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and check scenario text, returning the AST.
 
     Raises ScenarioSyntaxError with position and expected tokens on bad
-    syntax, and the declaration-time errors (UnknownIdentifier,
-    DuplicateIdentifier, DimensionMismatch, ZeroVector, ...) with a
-    line:column prefix on semantic problems.
+    syntax, and UnknownIdentifier, DuplicateIdentifier, DimensionMismatch
+    or BadProbability with a line:column prefix on semantic problems. No
+    check here depends on the tolerance; compile_scenario checks values.
     """
     parser = _Parser(_tokenize(text))
     items: list[ScenarioItem] = []
@@ -717,6 +659,37 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario(tuple(items))
     _check_scenario(scenario)
     return scenario
+
+
+def compile_scenario(
+    scenario: Scenario, tol: float = DEFAULT_TOL
+) -> tuple[StateVector | Subspace | None, ...]:
+    """Build every state and subspace of a parsed scenario, once, at tol.
+
+    Returns one value per item of the scenario: the StateVector of a state
+    declaration, the Subspace of a prop declaration and None for every
+    other item. Raises SvqError unless tol is a finite number in (0, 1). An SvqError
+    from make_state or span_subspace (ZeroVector, EmptySpan,
+    DimensionTooSmall, ...) is re-raised with the same type, and a
+    ValueError (a non-finite component) as a plain SvqError, with the
+    declaration's line:column in front of the message.
+    """
+    if not is_valid_tol(tol):
+        raise SvqError(f"tol must be a finite number in (0, 1), got {tol!r}")
+    values: list[StateVector | Subspace | None] = []
+    for item in scenario.items:
+        kind = type(item)
+        try:
+            if kind is StateDecl:
+                values.append(make_state(item.components, tol))
+            elif kind is PropDecl:
+                values.append(span_subspace(item.vectors, len(item.vectors[0]), tol))
+            else:
+                values.append(None)
+        except (SvqError, ValueError) as err:
+            cls = type(err) if isinstance(err, SvqError) else SvqError
+            raise cls(f"{item.line}:{item.col}: {err}") from err
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

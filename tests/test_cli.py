@@ -136,3 +136,28 @@ def test_overflowing_evolve_prints_only_the_positioned_error(tmp_path, run_cli):
     done = run_cli("run", str(overflow))
     assert done.returncode == 2
     assert done.stderr.decode() == "error: step 2 (evolve, line 2): components must be finite\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_non_finite_span_exits_two_with_its_position(tmp_path, capsys, command):
+    # check used to accept it, and run to print "eval s in P = 0".
+    path = tmp_path / "inf.svq"
+    path.write_text("state s = [1, 0]\nprop P = span([1e999, 0])\neval s in P\n", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 2:1: spanning vectors must be finite")
+
+
+def test_check_compiles_at_the_given_tol(tmp_path, capsys):
+    path = tmp_path / "tiny.svq"
+    path.write_text("state s = [1, 0.01]\nprop P = span([0.01, 0])\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert main(["check", str(path), "--tol", "0.1", "--seed", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: 2:1: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "1"])
+def test_check_rejects_a_tol_outside_the_open_unit_interval(scenario_dir, capsys, tol):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", str(scenario_dir / "valuations.svq"), "--tol", tol])
+    assert exit_info.value.code == 2
+    assert "--tol" in capsys.readouterr().err

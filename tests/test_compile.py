@@ -1,0 +1,531 @@
+"""Compiling once at the run's tolerance, against the runner it replaced.
+
+``reference_run_scenario`` is the runner as it was before scenarios were
+compiled: it built each state and subspace while executing, dispatched on
+an isinstance chain, and read its defaults from a configuration record.
+Its body is kept as it was, except that the defaults are a local record.
+It calls today's library functions, so the differential property below
+compares the runners alone: the same parsed scenario goes through both.
+"""
+
+import contextlib
+import io
+import tempfile
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svq import (
+    DEFAULT_TOL,
+    BadProbability,
+    EmptySpan,
+    NotCloneShape,
+    StepError,
+    SvqError,
+    ZeroVector,
+    compile_scenario,
+    emit_report,
+    parse_scenario,
+    run_scenario,
+)
+from svq.cli import main
+from svq.dynamics import (
+    ProductState,
+    blackhole_evaporate,
+    check_cloner_feasibility,
+    ideal_clone,
+    ideal_unclone,
+    sample_past_reconstruction,
+)
+from svq.formulas import evaluate_super, formula_atoms
+from svq.hilbert import Operator, StateVector, apply_operator, is_unitary, is_valid_tol, make_state
+from svq.lattice import Proposition, TruthValue, membership, span_subspace
+from svq.ledger import Ledger, check_past_unalterability, derive_tense, record_valuation
+from svq.runner import Report
+from svq.scenario import (
+    BlackholeStep,
+    CheckPastQuery,
+    CloneStep,
+    EvalQuery,
+    EvolveStep,
+    FeasibleQuery,
+    FormulaDecl,
+    PropDecl,
+    ReconstructStep,
+    RecordStep,
+    StateDecl,
+    SuperQuery,
+    UncloneStep,
+)
+
+
+@dataclass(frozen=True)
+class ReferenceConfig:
+    tol: float = 1e-9
+    seed: int = 0
+    p_one: float = 0.5
+
+
+REFERENCE_KINDS = {
+    StateDecl: "state",
+    PropDecl: "prop",
+    FormulaDecl: "formula",
+    RecordStep: "record",
+    CloneStep: "clone",
+    UncloneStep: "unclone",
+    BlackholeStep: "blackhole",
+    EvolveStep: "evolve",
+    ReconstructStep: "reconstruct",
+    EvalQuery: "eval",
+    SuperQuery: "super",
+    CheckPastQuery: "check-past",
+    FeasibleQuery: "feasible",
+}
+
+
+def reference_feasibility_entry(feas) -> dict:
+    return {
+        "feasible": feas.feasible,
+        "overlap": float(feas.witness_overlap),
+        "overlap_squared": float(feas.witness_overlap_squared),
+        "detail": feas.detail,
+    }
+
+
+
+def reference_run_scenario(scenario, overrides=None) -> Report:
+    """The runner before compile_scenario, which built values as it went."""
+    cfg = ReferenceConfig()
+    if overrides:
+        cfg = replace(cfg, **{k: v for k, v in dict(overrides).items() if v is not None})
+    if not is_valid_tol(cfg.tol):
+        raise SvqError(f"tol must be a finite number in (0, 1), got {cfg.tol!r}")
+    if not 0.0 <= cfg.p_one <= 1.0:
+        raise BadProbability(f"p_one must lie in [0, 1], got {cfg.p_one!r}")
+    rng = np.random.default_rng(cfg.seed)
+    report = Report(seed=cfg.seed, tolerance=cfg.tol, p_one=cfg.p_one)
+
+    states: dict[str, StateVector] = {}
+    props: dict[str, Proposition] = {}
+    formulas: dict = {}
+    system: StateVector | None = None
+    led = Ledger()
+    audited = led
+    recorded: dict[tuple[str, int], TruthValue] = {}
+    lost: dict[tuple[str, int], bool] = {}
+    now = 0
+    pending_clone: ProductState | None = None
+
+    def valuations_of(state: StateVector) -> dict[str, TruthValue]:
+        return {pid: membership(state, p.subspace, cfg.tol) for pid, p in props.items()}
+
+    def transitions(before: StateVector | None, after: StateVector) -> list[dict]:
+        if before is None:
+            return []
+        pre = valuations_of(before)
+        post = valuations_of(after)
+        return [{"prop": pid, "before": str(pre[pid]), "after": str(post[pid])} for pid in props]
+
+    def mark_lost() -> None:
+        for key, first_truth in recorded.items():
+            if first_truth.is_determinate and key not in lost:
+                lost[key] = False
+
+    for index, item in enumerate(scenario.items, start=1):
+        kind = REFERENCE_KINDS[type(item)]
+        try:
+            if isinstance(item, StateDecl):
+                states[item.name] = make_state(item.components)
+                if system is None:
+                    system = states[item.name]
+            elif isinstance(item, PropDecl):
+                dim = len(item.vectors[0])
+                sub = span_subspace(item.vectors, dim, cfg.tol)
+                props[item.name] = Proposition(item.name, sub)
+            elif isinstance(item, FormulaDecl):
+                formulas[item.name] = item.body
+            elif isinstance(item, RecordStep):
+                if system is None:
+                    raise SvqError("record before any state declaration")
+                entries = []
+                for (pid, at0), gapped in list(lost.items()):
+                    if not gapped:
+                        led = record_valuation(led, at0, pid, TruthValue.GAP, item.at)
+                        lost[(pid, at0)] = True
+                        entries.append(
+                            {
+                                "prop": pid,
+                                "at": at0,
+                                "truth": str(TruthValue.GAP),
+                                "tense": derive_tense(at0, item.at),
+                            }
+                        )
+                for pid, prop in props.items():
+                    tv = membership(system, prop.subspace, cfg.tol)
+                    led = record_valuation(led, item.at, pid, tv, item.at)
+                    recorded.setdefault((pid, item.at), tv)
+                    entries.append(
+                        {"prop": pid, "at": item.at, "truth": str(tv), "tense": "present"}
+                    )
+                now = item.at
+                report.steps.append(
+                    {"index": index, "line": item.line, "kind": kind, "at": item.at, "recorded": entries}
+                )
+            elif isinstance(item, CloneStep):
+                src, tgt = states[item.source], states[item.target]
+                feas = check_cloner_feasibility(src, tgt, cfg.tol)
+                product = ideal_clone(ProductState.from_factors(src, tgt))
+                pending_clone = product
+                before = system
+                system = product.factors[1]
+                if not feas.feasible:
+                    mark_lost()
+                report.steps.append(
+                    {
+                        "index": index,
+                        "line": item.line,
+                        "kind": kind,
+                        "source": item.source,
+                        "target": item.target,
+                        "physical": False,
+                        "past_lost": not feas.feasible,
+                        "feasibility": reference_feasibility_entry(feas),
+                        "transitions": transitions(before, system),
+                    }
+                )
+            elif isinstance(item, UncloneStep):
+                if pending_clone is None:
+                    raise NotCloneShape("unclone without a preceding clone")
+                named = states[item.cloned]
+                blank = states[item.blank]
+                pair = ProductState.from_factors(pending_clone.factors[0], named)
+                result = ideal_unclone(pair, blank, cfg.tol)
+                pending_clone = None
+                before = system
+                system = result.factors[1]
+                report.steps.append(
+                    {
+                        "index": index,
+                        "line": item.line,
+                        "kind": kind,
+                        "cloned": item.cloned,
+                        "blank": item.blank,
+                        "physical": False,
+                        "transitions": transitions(before, system),
+                    }
+                )
+            elif isinstance(item, BlackholeStep):
+                sub_seed = int(rng.integers(0, 2**63))
+                before = system
+                system = blackhole_evaporate(states[item.state], seed=sub_seed)
+                mark_lost()
+                report.steps.append(
+                    {
+                        "index": index,
+                        "line": item.line,
+                        "kind": kind,
+                        "state": item.state,
+                        "seed": sub_seed,
+                        "past_lost": True,
+                        "transitions": transitions(before, system),
+                    }
+                )
+            elif isinstance(item, EvolveStep):
+                matrix = np.array(item.matrix, dtype=np.complex128)
+                flag = is_unitary(Operator(matrix), cfg.tol)
+                op = Operator(matrix, unitary=flag)
+                before = system
+                system = apply_operator(op, states[item.state], cfg.tol)
+                report.steps.append(
+                    {
+                        "index": index,
+                        "line": item.line,
+                        "kind": kind,
+                        "state": item.state,
+                        "unitary": flag,
+                        "transitions": transitions(before, system),
+                    }
+                )
+            elif isinstance(item, ReconstructStep):
+                p = cfg.p_one if item.p_one is None else item.p_one
+                samples = []
+                sub_seeds = rng.integers(0, 2**63, size=len(lost)).tolist()
+                bits = sample_past_reconstruction(p, sub_seeds)
+                for (pid, at0), sub_seed, bit in zip(lost, sub_seeds, bits):
+                    tv = TruthValue.TRUE if bit else TruthValue.FALSE
+                    led = record_valuation(led, at0, pid, tv, now)
+                    samples.append({"prop": pid, "at": at0, "value": bit, "seed": sub_seed})
+                lost.clear()
+                report.steps.append(
+                    {
+                        "index": index,
+                        "line": item.line,
+                        "kind": kind,
+                        "p_one": float(p),
+                        "samples": samples,
+                    }
+                )
+            elif isinstance(item, EvalQuery):
+                tv = membership(states[item.state], props[item.prop].subspace, cfg.tol)
+                report.valuations.append(
+                    {"kind": "eval", "state": item.state, "prop": item.prop, "truth": str(tv)}
+                )
+            elif isinstance(item, SuperQuery):
+                if system is None:
+                    raise SvqError("super query before any state declaration")
+                body = formulas[item.formula]
+                atomics = {
+                    name: membership(system, props[name].subspace, cfg.tol)
+                    for name in formula_atoms(body)
+                }
+                tv = evaluate_super(body, atomics)
+                report.valuations.append(
+                    {
+                        "kind": "super",
+                        "formula": item.formula,
+                        "atoms": {name: str(v) for name, v in atomics.items()},
+                        "truth": str(tv),
+                    }
+                )
+            elif isinstance(item, CheckPastQuery):
+                report.checks_run += 1
+                audited = led
+            elif isinstance(item, FeasibleQuery):
+                feas = check_cloner_feasibility(states[item.first], states[item.second], cfg.tol)
+                entry = {"first": item.first, "second": item.second}
+                entry.update(reference_feasibility_entry(feas))
+                report.feasibility.append(entry)
+            else:
+                raise SvqError(f"unhandled scenario item {item!r}")
+        except StepError:
+            raise
+        except (SvqError, ValueError) as err:
+            raise StepError(index, item.line, kind, err) from err
+
+    if report.checks_run:
+        report.violations = [
+            {
+                "kind": v.kind,
+                "prop": v.prop_id,
+                "at": v.at,
+                "earlier": str(v.earlier_truth),
+                "later": str(v.later_truth),
+                "asserted_at": v.later_asserted_at,
+            }
+            for v in check_past_unalterability(audited)
+        ]
+    report.ledger = led
+    return report
+
+
+
+# Generated scenarios ---------------------------------------------------------
+#
+# Declarations, steps and queries interleave freely, so records run before
+# some props are declared and before any state, clones pair with unclones or
+# do not, and tiny components meet loose tolerances.
+
+COMPONENTS = ["0", "1", "-1", "1/2", "1/sqrt(2)", "0.5i", "1-0.5i", "0.01", "0.000001", "1e-12"]
+ENTRIES = ["0", "1", "-1", "1i", "0.001", "1/sqrt(2)"]
+FORMULAS = ["{a}", "not {a}", "{a} or {b}", "{a} and not {b}", "{a} -> {b}", "({a} or {b}) and {a}"]
+RECONSTRUCTS = ["reconstruct", "reconstruct p 0", "reconstruct p 1", "reconstruct p 0.25"]
+
+
+@st.composite
+def scenario_texts(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+
+    def vector():
+        if draw(st.booleans()):  # a basis vector, so that truth values are often determinate
+            axis = draw(st.integers(0, dim - 1))
+            return "[" + ", ".join("1" if i == axis else "0" for i in range(dim)) + "]"
+        return "[" + ", ".join(pick(COMPONENTS) for _ in range(dim)) + "]"
+
+    def matrix():
+        if pick(["shift", "diagonal"]) == "shift":
+            rows = [["1" if j == (i + 1) % dim else "0" for j in range(dim)] for i in range(dim)]
+        else:
+            rows = [[pick(ENTRIES) if j == i else "0" for j in range(dim)] for i in range(dim)]
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+    lines, states, props, formulas = [], [], [], []
+    tick = 0
+    for _ in range(draw(st.integers(1, 16))):
+        options = ["state", "prop", "record", "reconstruct", "check-past"]
+        if states:
+            options += ["clone", "clone-unclone", "unclone", "blackhole", "evolve", "feasible"]
+        if states and props:
+            options.append("eval")
+        if props:
+            options.append("formula")
+        if formulas:
+            options.append("super")
+        if states:
+            options += ["episode"] * 3
+        kind = pick(options)
+        if len(lines) < 2 and draw(st.integers(0, 3)):
+            kind = "prop" if lines else "state"  # most runs start with a state and a prop
+        if kind == "state":
+            states.append(f"s{len(states)}")
+            lines.append(f"state {states[-1]} = {vector()}")
+        elif kind == "prop":
+            props.append(f"P{len(props)}")
+            spans = ", ".join(vector() for _ in range(draw(st.integers(1, 2))))
+            lines.append(f"prop {props[-1]} = span({spans})")
+        elif kind == "formula":
+            formulas.append(f"f{len(formulas)}")
+            body = pick(FORMULAS).format(a=pick(props), b=pick(props))
+            lines.append(f"formula {formulas[-1]} = {body}")
+        elif kind == "record":
+            at = pick([tick, tick + 1, tick + 2, max(tick - 1, 0)])
+            tick = max(tick, at)
+            lines.append(f"record at {at}")
+        elif kind == "episode":  # record, erase, record, reconstruct and audit
+            erase = pick(["clone", "blackhole"])
+            erase += f" {pick(states)} -> {pick(states)}" if erase == "clone" else f" {pick(states)}"
+            lines += [f"record at {tick}", erase, f"record at {tick + 1}", pick(RECONSTRUCTS), "check-past"]
+            tick += 1
+        elif kind == "reconstruct":
+            lines.append(pick(RECONSTRUCTS))
+        elif kind == "check-past":
+            lines.append("check-past")
+        elif kind == "clone":
+            lines.append(f"clone {pick(states)} -> {pick(states)}")
+        elif kind == "clone-unclone":
+            source = pick(states)
+            lines.append(f"clone {source} -> {pick(states)}")
+            lines.append(f"unclone {source} blank {pick(states)}")
+        elif kind == "unclone":
+            lines.append(f"unclone {pick(states)} blank {pick(states)}")
+        elif kind == "blackhole":
+            lines.append(f"blackhole {pick(states)}")
+        elif kind == "evolve":
+            lines.append(f"evolve {pick(states)} by {matrix()}")
+        elif kind == "feasible":
+            lines.append(f"feasible {pick(states)} {pick(states)}")
+        elif kind == "eval":
+            lines.append(f"eval {pick(states)} in {pick(props)}")
+        else:
+            lines.append(f"super {pick(formulas)}")
+    return "\n".join(lines) + "\n"
+
+
+tolerances = st.one_of(
+    st.none(),
+    st.sampled_from([1e-9, 1e-6, 1e-3, 0.05]),
+    st.floats(min_value=1e-12, max_value=0.3),
+)
+
+
+def compiles(scenario, tol) -> bool:
+    try:
+        compile_scenario(scenario, tol)
+    except SvqError as err:
+        assert str(err).split(" ", 1)[0].count(":") == 2, err  # "line:col:"
+        return False
+    return True
+
+
+def outcome(run, scenario, overrides):
+    try:
+        report = run(scenario, overrides)
+    except StepError as err:
+        return ("step", err.index, err.kind)
+    return ("report", emit_report(report, "json"), emit_report(report, "text"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_texts(), tolerances, st.integers(min_value=0, max_value=2**32))
+def test_runner_matches_the_reference(text, tol, seed):
+    scenario = parse_scenario(text)
+    run_tol = DEFAULT_TOL if tol is None else tol
+    # Before, the values were checked at parse time at the default
+    # tolerance, and the props built again at the run's.
+    before = compiles(scenario, DEFAULT_TOL)
+    after = compiles(scenario, run_tol)
+    if not (before and after):
+        # The one divergence: the builds now use the run's tolerance. A
+        # vector no component of which exceeds it is rejected before the
+        # first step, where a state used to pass and a prop to fail as a
+        # StepError; a tighter tolerance accepts what the default rejected.
+        assert before == after or run_tol != DEFAULT_TOL
+        if before:
+            with pytest.raises((ZeroVector, EmptySpan)) as err:
+                compile_scenario(scenario, run_tol)
+            line = int(str(err.value).split(":", 1)[0])
+            failing = next(i for i, item in enumerate(scenario.items, 1) if item.line == line)
+            if type(scenario.items[failing - 1]) is PropDecl:
+                ref = outcome(reference_run_scenario, scenario, {"seed": seed, "tol": tol})
+                assert ref[0] == "step" and ref[1] <= failing
+                assert ref[1] < failing or ref[2] == "prop"
+        return
+    overrides = {"seed": seed, "tol": tol}
+    assert outcome(run_scenario, scenario, overrides) == outcome(
+        reference_run_scenario, scenario, overrides
+    )
+
+
+def check_exit(text: str, tol: float) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.svq"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["check", str(path), "--tol", repr(tol)])
+
+
+def run_compiles(text: str, tol: float) -> bool:
+    try:
+        run_scenario(parse_scenario(text), {"tol": tol})
+    except StepError:
+        pass
+    except SvqError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_texts(), st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True))
+def test_check_accepts_exactly_what_run_compiles(text, tol):
+    assert check_exit(text, tol) == (0 if run_compiles(text, tol) else 2)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("state s = [0.000001, 0]\n", ZeroVector("1:1: ")),
+        ("state s = [1, 0]\nprop P = span([0.000001, 0])\n", EmptySpan("2:1: ")),
+    ],
+)
+def test_check_and_run_agree_on_tiny_vectors_at_a_loose_tol(text, error, tmp_path, capsys):
+    # check used to accept both at the default tol, while run rejected the
+    # prop as a StepError and accepted the state.
+    assert check_exit(text, 1e-9) == 0
+    assert check_exit(text, 1e-3) == 2
+    assert not run_compiles(text, 1e-3)
+    with pytest.raises(type(error), match=f"^{error}"):
+        run_scenario(parse_scenario(text), {"tol": 1e-3})
+    path = tmp_path / "tiny.svq"
+    path.write_text(text, encoding="utf-8")
+    for command in ("check", "run"):
+        assert main([command, str(path), "--tol", "1e-3"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+def test_compile_builds_each_value_once_at_its_tol():
+    scenario = parse_scenario("state s = [1, 0.01]\nprop P = span([1, 0], [1, 0.01])\nrecord at 0\n")
+    tight, loose = compile_scenario(scenario), compile_scenario(scenario, 0.05)
+    assert len(tight) == len(loose) == len(scenario.items)
+    assert tight[2] is loose[2] is None
+    assert (tight[1].rank, loose[1].rank) == (2, 1)
+    assert np.allclose(tight[0].amplitudes, make_state([1, 0.01]).amplitudes)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1e-3])
+def test_compile_rejects_a_tolerance_outside_the_open_unit_interval(tol):
+    with pytest.raises(SvqError, match="tol"):
+        compile_scenario(parse_scenario("state s = [1, 0]\n"), tol)

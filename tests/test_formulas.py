@@ -19,7 +19,7 @@ from svq import (
     evaluate_super,
     formula_atoms,
 )
-from svq.config import config
+from svq.formulas import GAP_CAP
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
 
@@ -64,7 +64,7 @@ def reference_evaluate_super(f, atomics, cap=None):
         if name not in atomics:
             raise UnknownAtom(f"atom {name!r} is not in the valuation map")
     gaps = [n for n in names if atomics[n] is TruthValue.GAP]
-    cap = config.gap_cap if cap is None else cap
+    cap = GAP_CAP if cap is None else cap
     if len(gaps) > cap:
         raise PrecisificationBlowup(
             f"{len(gaps)} gap atoms exceed the completion cap of {cap}"
@@ -130,7 +130,7 @@ def test_blowup_raises_before_enumerating():
 
 
 def test_tautology_at_the_default_cap_is_fast():
-    atoms = [Atom(f"A{i}") for i in range(config.gap_cap)]
+    atoms = [Atom(f"A{i}") for i in range(GAP_CAP)]
     conjunction = atoms[0]
     for a in atoms[1:]:
         conjunction = And(conjunction, a)

@@ -66,6 +66,14 @@ def test_span_rejects_empty():
         span_subspace([[0, 0], [0, 0]], 2)
 
 
+@pytest.mark.parametrize("bad", [[np.inf, 0], [np.inf, 1], [complex(0, np.inf), 1], [1, np.nan]])
+def test_span_rejects_non_finite_vectors(bad):
+    # An infinite component used to give the zero subspace, and a NaN a
+    # LinAlgError from the SVD.
+    with pytest.raises(ValueError, match="spanning vectors must be finite"):
+        span_subspace([[1, 0], bad], 2)
+
+
 def test_span_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         span_subspace([[1, 0, 0]], 2)

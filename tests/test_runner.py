@@ -404,3 +404,11 @@ def test_run_accepts_boundary_overrides():
     assert (report.tolerance, report.p_one) == (1e-6, 1)
     assert report.steps[0]["recorded"] == [{"prop": "Z", "at": 0, "truth": "1", "tense": "present"}]
     assert run_text(INSIDE_Z, p_one=0.0).p_one == 0.0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_run_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    # -1 used to raise numpy's bare ValueError and 1.5 a TypeError.
+    with pytest.raises(SvqError, match="seed") as info:
+        run_text(INSIDE_Z, seed=seed)
+    assert not isinstance(info.value, StepError)

@@ -14,8 +14,10 @@ from svq import (
     Not,
     Or,
     ScenarioSyntaxError,
+    SvqError,
     UnknownIdentifier,
     ZeroVector,
+    compile_scenario,
     format_formula,
     format_scenario,
     parse_scenario,
@@ -28,12 +30,17 @@ from svq.scenario import (
     EvalQuery,
     EvolveStep,
     FeasibleQuery,
+    FormulaDecl,
     PropDecl,
     ReconstructStep,
     RecordStep,
     StateDecl,
+    SuperQuery,
     UncloneStep,
 )
+
+STEPS = (RecordStep, CloneStep, UncloneStep, BlackholeStep, EvolveStep, ReconstructStep)
+QUERIES = (EvalQuery, SuperQuery, CheckPastQuery, FeasibleQuery)
 
 def test_smallest_valid_program():
     s = parse_scenario("state phi = [1, 0]")
@@ -46,13 +53,13 @@ def test_prop_and_query():
     )
     kinds = [type(i) for i in s.items]
     assert kinds == [StateDecl, PropDecl, EvalQuery]
-    assert s.declarations == s.items[:2]
-    assert s.queries == (EvalQuery("phi", "Zplus"),)
+    assert tuple(i for i in s.items if isinstance(i, (StateDecl, PropDecl, FormulaDecl))) == s.items[:2]
+    assert tuple(i for i in s.items if isinstance(i, QUERIES)) == (EvalQuery("phi", "Zplus"),)
 
 
 def test_zero_vector_diagnostic_carries_position():
     with pytest.raises(ZeroVector) as err:
-        parse_scenario("state ok = [1, 0]\nstate bad = [0, 0]")
+        compile_scenario(parse_scenario("state ok = [1, 0]\nstate bad = [0, 0]"))
     assert str(err.value).startswith("2:1:")
 
 
@@ -148,7 +155,9 @@ check-past
 feasible ups phi
 """
     s = parse_scenario(text)
-    step_types = [type(i) for i in s.steps]
+    steps = [i for i in s.items if isinstance(i, STEPS)]
+    queries = [i for i in s.items if isinstance(i, QUERIES)]
+    step_types = [type(i) for i in steps]
     assert step_types == [
         RecordStep,
         CloneStep,
@@ -158,10 +167,10 @@ feasible ups phi
         ReconstructStep,
         ReconstructStep,
     ]
-    assert s.steps[5].p_one is None
-    assert s.steps[6].p_one == 0.25
-    assert isinstance(s.queries[0], CheckPastQuery)
-    assert s.queries[1] == FeasibleQuery("ups", "phi")
+    assert steps[5].p_one is None
+    assert steps[6].p_one == 0.25
+    assert isinstance(queries[0], CheckPastQuery)
+    assert queries[1] == FeasibleQuery("ups", "phi")
 
 
 def test_evolve_matrix_must_match_dimension():
@@ -282,9 +291,37 @@ def test_every_diagnostic_has_line_and_column():
     ]
     for text in bad_texts:
         try:
-            parse_scenario(text)
+            compile_scenario(parse_scenario(text))
             raise AssertionError(f"no diagnostic for {text!r}")
         except Exception as err:
             head = str(err).split(" ", 1)[0]
             line_col = head.rstrip(":").split(":")
             assert len(line_col) == 2 and all(p.isdigit() for p in line_col), str(err)
+
+
+def test_superscript_digit_is_an_unexpected_character():
+    # str.isdigit accepts "²", which int() then rejected with no position.
+    with pytest.raises(ScenarioSyntaxError, match="unexpected character") as err:
+        parse_scenario("state s = [², 0]")
+    assert (err.value.line, err.value.column) == (1, 12)
+
+
+def test_arabic_indic_digits_are_decimal_numbers():
+    s = parse_scenario("state s = [\u0661, \u0660]\nprop P = span([\u0660.\u0665, \u0661e\u0660])")
+    assert s.items[0].components == (1 + 0j, 0j)
+    assert s.items[1].vectors == ((0.5 + 0j, 1 + 0j),)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("state s = [1e999, 0]", "1:1:"),
+        ("state s = [1, 0]\nprop P = span([1e999, 0])", "2:1:"),
+        ("state s = [1, 0]\nprop P = span([1, 0], [1e999, 1])", "2:1:"),
+    ],
+)
+def test_non_finite_vectors_are_positioned_compile_errors(text, position):
+    scenario = parse_scenario(text)
+    with pytest.raises(SvqError, match="must be finite") as err:
+        compile_scenario(scenario)
+    assert str(err.value).startswith(position)

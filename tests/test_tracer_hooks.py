@@ -1,0 +1,45 @@
+"""The benchmark tracer still sees every layer a scenario runs through.
+
+``bench/tracer.py`` wraps svq functions by module and name. A refactor that
+moves a call behind another name leaves the wrapper in place but uncalled,
+and that layer's counts drop to 0 without any error. This runs shipped
+scenarios through the CLI with the tracer installed and checks that each
+layer they exercise was seen.
+"""
+
+import sys
+from pathlib import Path
+
+import svq
+import svq.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from tracer import Tracer  # noqa: E402
+
+#: A clone with reconstruction, a supervaluation, and a feasibility query.
+SCENARIOS = ("clone_z.svq", "valuations.svq", "clone_orthogonal.svq")
+SEEN = (
+    "lattice.span_subspace.calls",
+    "lattice.membership.calls",
+    "hilbert.make_state.calls",
+    "dynamics.check_cloner_feasibility.calls",
+    "dynamics.sample_past_reconstruction.calls",
+    "formulas.evaluate_super.calls",
+    "ledger.record_valuation.calls",
+)
+
+
+def test_tracer_sees_every_layer(capsys):
+    tracer = Tracer()
+    tracer.install(svq)
+    try:
+        for name in SCENARIOS:
+            svq.cli.main(["run", str(ROOT / "scenarios" / name), "--format", "json"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    values = tracer.per_layer(1, 1.0)
+    assert {name: values[name] for name in SEEN if values[name] <= 0} == {}
+    assert values["trace.errors"] == 0
