@@ -41,7 +41,6 @@ from .hilbert import (
     tensor,
 )
 from .lattice import (
-    Proposition,
     Subspace,
     TruthValue,
     full_space,

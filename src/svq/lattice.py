@@ -16,7 +16,6 @@ lattice operations at O(dk^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -129,14 +128,6 @@ def _from_basis(basis: np.ndarray) -> Subspace:
     if np.max(np.abs(gram - np.eye(sub.rank)), initial=0.0) > DEFAULT_TOL:
         raise ValueError("basis columns are not orthonormal within tolerance")
     return sub
-
-
-@dataclass(frozen=True, eq=False)
-class Proposition:
-    """A named experimental proposition backed by a subspace."""
-
-    id: str
-    subspace: Subspace
 
 
 def zero_subspace(dim: int) -> Subspace:

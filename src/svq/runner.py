@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -320,16 +321,20 @@ def _new_report(overrides: Mapping | None) -> Report:
     seed, p_one = settings["seed"], settings["p_one"]
     if type(seed) is not int or seed < 0:
         raise SvqError(f"seed must be a non-negative integer, got {seed!r}")
+    for name in ("tol", "p_one"):
+        if isinstance(settings[name], bool) or not isinstance(settings[name], Real):
+            raise SvqError(f"{name} must be a real number, got {settings[name]!r}")
     if not 0.0 <= p_one <= 1.0:
         raise BadProbability(f"p_one must lie in [0, 1], got {p_one!r}")
-    return Report(seed=seed, tolerance=settings["tol"], p_one=p_one)
+    return Report(seed=seed, tolerance=settings["tol"], p_one=float(p_one))
 
 
 def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report:
     """Execute a parsed scenario and return its report.
 
-    overrides may set seed (an int >= 0), tol (a finite number in (0, 1))
-    and p_one (in [0, 1]); each is checked, and the scenario compiled at
+    overrides may set seed (an int >= 0), tol (a finite real number in
+    (0, 1)) and p_one (a real number in [0, 1], stored as a float); bool is
+    not a number here. Each is checked, and the scenario compiled at
     tol, before the first step. Errors raised by a step or query, SvqError
     or ValueError, are re-raised as StepError carrying the item's index
     (1-based) and source line.

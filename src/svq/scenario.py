@@ -27,9 +27,12 @@ in source order by the runner. The concrete grammar:
 A formula may nest "not", parentheses and "->" at most MAX_FORMULA_NESTING
 levels deep; deeper nesting is a ScenarioSyntaxError.
 
+Lexical rules: an identifier is a Unicode letter or "_", followed by
+letters, digits or "_"; numbers use Unicode decimal digits; whitespace is
+only space, tab, CR and LF; '#' starts a comment running to end of line.
 Numbers are reals (decimals, integer fractions "a/b", or the "a/sqrt(b)"
 sugar) optionally combined with an imaginary literal: "0.5+0.5i", "1i",
-"1/sqrt(2)-0.5i". '#' starts a comment running to end of line.
+"1/sqrt(2)-0.5i". An integer too large for a float reads as infinity.
 
 parse_scenario checks what does not depend on the tolerance: names must
 be declared before use and be unique, every dimension in the scenario must
@@ -42,8 +45,9 @@ diagnostics of both carry a 1-based line and column.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     BadProbability,
@@ -181,8 +185,7 @@ class Scenario:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     value: object
@@ -190,93 +193,49 @@ class _Token:
     col: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+#: One alternative per token class, tried in order at the current position.
+#: In a str pattern \d is str.isdecimal and \w is isalnum() or "_", the
+#: lexical rules the module docstring states.
+_TOKEN_PATTERN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|#[^\n]*)+)"
+    r"|(?P<punct>check-past(?![\w-])|->|[\[\](),=/+-])"
+    r"|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<imag>i(?!\w))?"
+    r"|(?P<word>\w+)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-
-    def bump(count: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(count):
-            if text[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
+    match = _TOKEN_PATTERN.match
+    pos, line, line_start, n = 0, 1, 0, len(text)
     while pos < n:
-        c = text[pos]
-        if c in " \t\r\n":
-            bump(1)
-            continue
-        if c == "#":
-            while pos < n and text[pos] != "\n":
-                bump(1)
-            continue
-        start_line, start_col = line, col
-        if text.startswith("check-past", pos) and (
-            pos + 10 >= n or not (_is_ident_char(text[pos + 10]) or text[pos + 10] == "-")
-        ):
-            tokens.append(_Token("check-past", "check-past", None, start_line, start_col))
-            bump(10)
-            continue
-        if _is_ident_start(c):
-            end = pos
-            while end < n and _is_ident_char(text[end]):
-                end += 1
-            word = text[pos:end]
-            tokens.append(_Token("ident", word, word, start_line, start_col))
-            bump(end - pos)
-            continue
-        if c.isdecimal():
-            end = pos
-            while end < n and text[end].isdecimal():
-                end += 1
-            is_float = False
-            if end < n and text[end] == "." and end + 1 < n and text[end + 1].isdecimal():
-                is_float = True
-                end += 1
-                while end < n and text[end].isdecimal():
-                    end += 1
-            if end < n and text[end] in "eE":
-                probe = end + 1
-                if probe < n and text[probe] in "+-":
-                    probe += 1
-                if probe < n and text[probe].isdecimal():
-                    is_float = True
-                    end = probe
-                    while end < n and text[end].isdecimal():
-                        end += 1
-            literal = text[pos:end]
-            if end < n and text[end] == "i" and (end + 1 >= n or not _is_ident_char(text[end + 1])):
-                tokens.append(_Token("imag", literal + "i", float(literal), start_line, start_col))
-                bump(end + 1 - pos)
-                continue
-            if is_float:
-                tokens.append(_Token("float", literal, float(literal), start_line, start_col))
-            else:
-                tokens.append(_Token("int", literal, int(literal), start_line, start_col))
-            bump(end - pos)
-            continue
-        if text.startswith("->", pos):
-            tokens.append(_Token("->", "->", None, start_line, start_col))
-            bump(2)
-            continue
-        if c in "[](),=/+-":
-            tokens.append(_Token(c, c, None, start_line, start_col))
-            bump(1)
-            continue
-        raise ScenarioSyntaxError(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(_Token("eof", "", None, line, col))
+        m = match(text, pos)
+        col = pos - line_start + 1
+        # A word may go on with digits and the like, but must start with a
+        # letter or "_": "²" and "½" are \w but start nothing.
+        if m is None or (m.lastgroup == "word" and not (text[pos].isalpha() or text[pos] == "_")):
+            raise ScenarioSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        kind, lexeme, start, pos = m.lastgroup, m.group(), pos, m.end()
+        if kind == "skip":
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+        elif kind == "word":
+            tokens.append(_Token("ident", lexeme, lexeme, line, col))
+        elif kind == "punct":
+            tokens.append(_Token(lexeme, lexeme, None, line, col))
+        elif kind == "imag":
+            tokens.append(_Token("imag", lexeme, float(lexeme[:-1]), line, col))
+        elif lexeme.isdecimal():
+            try:
+                value = int(lexeme)
+            except ValueError:  # beyond the interpreter's int-string digit limit
+                raise ScenarioSyntaxError("integer literal too long", line, col) from None
+            tokens.append(_Token("int", lexeme, value, line, col))
+        else:
+            tokens.append(_Token("float", lexeme, float(lexeme), line, col))
+    tokens.append(_Token("eof", "", None, line, n - line_start + 1))
     return tokens
 
 
@@ -288,6 +247,16 @@ def _tokenize(text: str) -> list[_Token]:
 #: parser recurses once per level, so the limit keeps it well inside
 #: Python's recursion limit.
 MAX_FORMULA_NESTING = 100
+
+
+def _unexpected(tok: _Token, *expected: str) -> ScenarioSyntaxError:
+    what = "end of input" if tok.kind == "eof" else repr(tok.text)
+    return ScenarioSyntaxError(f"unexpected {what}", tok.line, tok.col, expected=expected)
+
+
+def _real(tok: _Token) -> float:
+    """A number token's value as a float; an integer too large for one is inf."""
+    return float(tok.text) if tok.kind == "int" else tok.value
 
 
 class _Parser:
@@ -313,12 +282,7 @@ class _Parser:
     def expect(self, kind: str, expected: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ScenarioSyntaxError(
-                f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=(expected,),
-            )
+            raise _unexpected(tok, expected)
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
@@ -326,14 +290,8 @@ class _Parser:
         return tok.kind == "ident" and tok.text == word
 
     def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
         if not self.at_keyword(word):
-            raise ScenarioSyntaxError(
-                f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=(f"'{word}'",),
-            )
+            raise _unexpected(self.peek(), f"'{word}'")
         return self.advance()
 
     def parse_name(self) -> str:
@@ -355,11 +313,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "imag":
             self.advance()
-            value = float(tok.value)
-            return (-value if negate else value, True)
+            return (-tok.value if negate else tok.value, True)
         if tok.kind in ("int", "float"):
             self.advance()
-            value = float(tok.value)
+            value = _real(tok)
             if tok.kind == "int" and self.peek().kind == "/":
                 self.advance()
                 nxt = self.peek()
@@ -367,7 +324,7 @@ class _Parser:
                     self.advance()
                     if nxt.value == 0:
                         raise ScenarioSyntaxError("zero denominator", nxt.line, nxt.col)
-                    value /= float(nxt.value)
+                    value /= _real(nxt)
                 elif nxt.kind == "ident" and nxt.text == "sqrt":
                     self.advance()
                     self.expect("(", "'('")
@@ -375,21 +332,13 @@ class _Parser:
                     self.expect(")", "')'")
                     if arg.value == 0:
                         raise ScenarioSyntaxError("zero under sqrt", arg.line, arg.col)
-                    value /= math.sqrt(float(arg.value))
+                    value /= math.sqrt(_real(arg))
                 else:
-                    raise ScenarioSyntaxError(
-                        f"unexpected {nxt.text!r}",
-                        nxt.line,
-                        nxt.col,
-                        expected=("integer denominator", "'sqrt('"),
-                    )
+                    raise _unexpected(nxt, "integer denominator", "'sqrt('")
+                if math.isnan(value):  # both integers too large for a float
+                    raise ScenarioSyntaxError("fraction too large to evaluate", tok.line, tok.col)
             return (-value if negate else value, False)
-        raise ScenarioSyntaxError(
-            f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            tok.line,
-            tok.col,
-            expected=("number",),
-        )
+        raise _unexpected(tok, "number")
 
     def parse_number(self) -> complex:
         value, is_imag = self._parse_signed_part()
@@ -467,39 +416,11 @@ class _Parser:
 
     def parse_item(self) -> ScenarioItem:
         tok = self.peek()
-        if tok.kind == "check-past":
-            self.advance()
-            return CheckPastQuery(line=tok.line, col=tok.col)
-        if tok.kind != "ident":
-            raise ScenarioSyntaxError(
-                f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=("declaration", "step", "query"),
-            )
-        handlers = {
-            "state": self._parse_state,
-            "prop": self._parse_prop,
-            "formula": self._parse_formula,
-            "record": self._parse_record,
-            "clone": self._parse_clone,
-            "unclone": self._parse_unclone,
-            "blackhole": self._parse_blackhole,
-            "evolve": self._parse_evolve,
-            "reconstruct": self._parse_reconstruct,
-            "eval": self._parse_eval,
-            "super": self._parse_super,
-            "feasible": self._parse_feasible,
-        }
-        handler = handlers.get(tok.text)
+        # Only an ident or the check-past token can carry a keyword's text.
+        handler = self._ITEM_PARSERS.get(tok.text)
         if handler is None:
-            raise ScenarioSyntaxError(
-                f"unexpected {tok.text!r}",
-                tok.line,
-                tok.col,
-                expected=("declaration", "step", "query"),
-            )
-        return handler()
+            raise _unexpected(tok, "declaration", "step", "query")
+        return handler(self)
 
     def _parse_state(self) -> StateDecl:
         kw = self.advance()
@@ -562,11 +483,9 @@ class _Parser:
             self.advance()
             tok = self.peek()
             if tok.kind not in ("int", "float"):
-                raise ScenarioSyntaxError(
-                    f"unexpected {tok.text!r}", tok.line, tok.col, expected=("probability",)
-                )
+                raise _unexpected(tok, "probability")
             self.advance()
-            p_one = float(tok.value)
+            p_one = _real(tok)
         return ReconstructStep(p_one, line=kw.line, col=kw.col)
 
     def _parse_eval(self) -> EvalQuery:
@@ -585,6 +504,26 @@ class _Parser:
         first = self.parse_name()
         second = self.parse_name()
         return FeasibleQuery(first, second, line=kw.line, col=kw.col)
+
+    def _parse_check_past(self) -> CheckPastQuery:
+        kw = self.advance()
+        return CheckPastQuery(line=kw.line, col=kw.col)
+
+    _ITEM_PARSERS = {
+        "state": _parse_state,
+        "prop": _parse_prop,
+        "formula": _parse_formula,
+        "record": _parse_record,
+        "clone": _parse_clone,
+        "unclone": _parse_unclone,
+        "blackhole": _parse_blackhole,
+        "evolve": _parse_evolve,
+        "reconstruct": _parse_reconstruct,
+        "eval": _parse_eval,
+        "super": _parse_super,
+        "feasible": _parse_feasible,
+        "check-past": _parse_check_past,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +636,9 @@ def compile_scenario(
 
 
 def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):
         return str(int(x))
-    return repr(x)
+    return repr(x).replace("inf", "1e999")  # 1e999 reads back as inf
 
 
 def _fmt_num(z: complex) -> str:

@@ -161,3 +161,24 @@ def test_check_rejects_a_tol_outside_the_open_unit_interval(scenario_dir, capsys
         main(["check", str(scenario_dir / "valuations.svq"), "--tol", tol])
     assert exit_info.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"state s = [{HUGE}, 0]\n", "error: 1:1: components must be finite\n"),
+        ("record at " + "1" * 5000 + "\n", "error: 1:11: integer literal too long\n"),
+    ],
+    ids=["too-large-for-a-float", "beyond-the-digit-limit"],
+)
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_huge_integer_literals_exit_two_with_a_position(tmp_path, capsys, command, text, message):
+    # The first used to exit 2 as an "internal error: OverflowError", the
+    # second with int()'s digit-limit message and no position.
+    path = tmp_path / "huge.svq"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == message

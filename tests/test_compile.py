@@ -43,7 +43,7 @@ from svq.dynamics import (
 )
 from svq.formulas import evaluate_super, formula_atoms
 from svq.hilbert import Operator, StateVector, apply_operator, is_unitary, is_valid_tol, make_state
-from svq.lattice import Proposition, TruthValue, membership, span_subspace
+from svq.lattice import Subspace, TruthValue, membership, span_subspace
 from svq.ledger import Ledger, check_past_unalterability, derive_tense, record_valuation
 from svq.runner import Report
 from svq.scenario import (
@@ -61,6 +61,17 @@ from svq.scenario import (
     SuperQuery,
     UncloneStep,
 )
+
+from scenario_strategies import scenario_texts
+
+
+# The library's former Proposition record; only this reference used it.
+@dataclass(frozen=True, eq=False)
+class Proposition:
+    """A named experimental proposition backed by a subspace."""
+
+    id: str
+    subspace: Subspace
 
 
 @dataclass(frozen=True)
@@ -323,98 +334,6 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
 
 
 
-# Generated scenarios ---------------------------------------------------------
-#
-# Declarations, steps and queries interleave freely, so records run before
-# some props are declared and before any state, clones pair with unclones or
-# do not, and tiny components meet loose tolerances.
-
-COMPONENTS = ["0", "1", "-1", "1/2", "1/sqrt(2)", "0.5i", "1-0.5i", "0.01", "0.000001", "1e-12"]
-ENTRIES = ["0", "1", "-1", "1i", "0.001", "1/sqrt(2)"]
-FORMULAS = ["{a}", "not {a}", "{a} or {b}", "{a} and not {b}", "{a} -> {b}", "({a} or {b}) and {a}"]
-RECONSTRUCTS = ["reconstruct", "reconstruct p 0", "reconstruct p 1", "reconstruct p 0.25"]
-
-
-@st.composite
-def scenario_texts(draw):
-    dim = draw(st.sampled_from([2, 3]))
-    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
-
-    def vector():
-        if draw(st.booleans()):  # a basis vector, so that truth values are often determinate
-            axis = draw(st.integers(0, dim - 1))
-            return "[" + ", ".join("1" if i == axis else "0" for i in range(dim)) + "]"
-        return "[" + ", ".join(pick(COMPONENTS) for _ in range(dim)) + "]"
-
-    def matrix():
-        if pick(["shift", "diagonal"]) == "shift":
-            rows = [["1" if j == (i + 1) % dim else "0" for j in range(dim)] for i in range(dim)]
-        else:
-            rows = [[pick(ENTRIES) if j == i else "0" for j in range(dim)] for i in range(dim)]
-        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
-
-    lines, states, props, formulas = [], [], [], []
-    tick = 0
-    for _ in range(draw(st.integers(1, 16))):
-        options = ["state", "prop", "record", "reconstruct", "check-past"]
-        if states:
-            options += ["clone", "clone-unclone", "unclone", "blackhole", "evolve", "feasible"]
-        if states and props:
-            options.append("eval")
-        if props:
-            options.append("formula")
-        if formulas:
-            options.append("super")
-        if states:
-            options += ["episode"] * 3
-        kind = pick(options)
-        if len(lines) < 2 and draw(st.integers(0, 3)):
-            kind = "prop" if lines else "state"  # most runs start with a state and a prop
-        if kind == "state":
-            states.append(f"s{len(states)}")
-            lines.append(f"state {states[-1]} = {vector()}")
-        elif kind == "prop":
-            props.append(f"P{len(props)}")
-            spans = ", ".join(vector() for _ in range(draw(st.integers(1, 2))))
-            lines.append(f"prop {props[-1]} = span({spans})")
-        elif kind == "formula":
-            formulas.append(f"f{len(formulas)}")
-            body = pick(FORMULAS).format(a=pick(props), b=pick(props))
-            lines.append(f"formula {formulas[-1]} = {body}")
-        elif kind == "record":
-            at = pick([tick, tick + 1, tick + 2, max(tick - 1, 0)])
-            tick = max(tick, at)
-            lines.append(f"record at {at}")
-        elif kind == "episode":  # record, erase, record, reconstruct and audit
-            erase = pick(["clone", "blackhole"])
-            erase += f" {pick(states)} -> {pick(states)}" if erase == "clone" else f" {pick(states)}"
-            lines += [f"record at {tick}", erase, f"record at {tick + 1}", pick(RECONSTRUCTS), "check-past"]
-            tick += 1
-        elif kind == "reconstruct":
-            lines.append(pick(RECONSTRUCTS))
-        elif kind == "check-past":
-            lines.append("check-past")
-        elif kind == "clone":
-            lines.append(f"clone {pick(states)} -> {pick(states)}")
-        elif kind == "clone-unclone":
-            source = pick(states)
-            lines.append(f"clone {source} -> {pick(states)}")
-            lines.append(f"unclone {source} blank {pick(states)}")
-        elif kind == "unclone":
-            lines.append(f"unclone {pick(states)} blank {pick(states)}")
-        elif kind == "blackhole":
-            lines.append(f"blackhole {pick(states)}")
-        elif kind == "evolve":
-            lines.append(f"evolve {pick(states)} by {matrix()}")
-        elif kind == "feasible":
-            lines.append(f"feasible {pick(states)} {pick(states)}")
-        elif kind == "eval":
-            lines.append(f"eval {pick(states)} in {pick(props)}")
-        else:
-            lines.append(f"super {pick(formulas)}")
-    return "\n".join(lines) + "\n"
-
-
 tolerances = st.one_of(
     st.none(),
     st.sampled_from([1e-9, 1e-6, 1e-3, 0.05]),
@@ -439,7 +358,7 @@ def outcome(run, scenario, overrides):
     return ("report", emit_report(report, "json"), emit_report(report, "text"))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(scenario_texts(), tolerances, st.integers(min_value=0, max_value=2**32))
 def test_runner_matches_the_reference(text, tol, seed):
     scenario = parse_scenario(text)
@@ -488,7 +407,7 @@ def run_compiles(text: str, tol: float) -> bool:
     return True
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(scenario_texts(), st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True))
 def test_check_accepts_exactly_what_run_compiles(text, tol):
     assert check_exit(text, tol) == (0 if run_compiles(text, tol) else 2)

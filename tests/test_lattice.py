@@ -383,7 +383,7 @@ def operand_pairs(draw):
     return dim, common, own_a, own_b, draw(kinds), draw(kinds), draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(operand_pairs())
 def test_lattice_matches_projector_oracle(case):
     dim, common, own_a, own_b, kind_a, kind_b, seed = case
@@ -417,7 +417,7 @@ def test_lattice_matches_projector_oracle(case):
             assert membership(state, sub) is reference_membership(state, projector)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(2, 8), st.sampled_from((3e-5, 6e-5, 1e-3)), st.integers(0, 2**32 - 1))
 def test_meet_and_join_near_the_angle_threshold_match_oracle(dim, angle, seed):
     # 1 - cos(angle) is 4.5e-10, 1.8e-9 and 5e-7: shared within tol = 1e-9 or not
@@ -432,7 +432,7 @@ def test_meet_and_join_near_the_angle_threshold_match_oracle(dim, angle, seed):
     assert join(a, b).rank == reference_rank(reference_join(pa, pb)) == 2
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(2, 8), st.integers(1, 7), st.sampled_from((1e-11, 1e-6)), st.integers(0, 2**32 - 1))
 def test_membership_near_the_tolerance_matches_oracle(dim, rank, eps, seed):
     # a state eps away from the subspace or from its complement: TRUE or

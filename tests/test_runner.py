@@ -412,3 +412,22 @@ def test_run_rejects_a_seed_that_is_not_a_non_negative_int(seed):
     with pytest.raises(SvqError, match="seed") as info:
         run_text(INSIDE_Z, seed=seed)
     assert not isinstance(info.value, StepError)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("tol", "0.1"), ("tol", True), ("tol", [0.1]), ("p_one", "x"), ("p_one", True), ("p_one", 1j)],
+)
+def test_run_rejects_a_tol_or_p_one_that_is_not_a_real_number(name, value):
+    # "0.1" and "x" used to raise a bare TypeError, and p_one=True was
+    # accepted and printed as "p_one=True".
+    with pytest.raises(SvqError, match=f"^{name} must be a real number") as info:
+        run_text(INSIDE_Z, **{name: value})
+    assert not isinstance(info.value, StepError)
+
+
+def test_p_one_is_stored_as_a_float():
+    report = run_text(INSIDE_Z, p_one=1)
+    assert type(report.p_one) is float
+    assert "p_one=1.0)" in emit_report(report, "text").decode().splitlines()[0]
+    assert run_text(INSIDE_Z, p_one=np.float32(0.25)).p_one == 0.25

@@ -318,6 +318,8 @@ def test_arabic_indic_digits_are_decimal_numbers():
         ("state s = [1e999, 0]", "1:1:"),
         ("state s = [1, 0]\nprop P = span([1e999, 0])", "2:1:"),
         ("state s = [1, 0]\nprop P = span([1, 0], [1e999, 1])", "2:1:"),
+        # float(int) used to raise a bare OverflowError here.
+        pytest.param("state s = [" + "9" * 400 + ", 0]", "1:1:", id="huge-integer"),
     ],
 )
 def test_non_finite_vectors_are_positioned_compile_errors(text, position):
@@ -325,3 +327,69 @@ def test_non_finite_vectors_are_positioned_compile_errors(text, position):
     with pytest.raises(SvqError, match="must be finite") as err:
         compile_scenario(scenario)
     assert str(err.value).startswith(position)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("state s = [1/", "1:14: unexpected end of input (expected integer denominator or 'sqrt(')"),
+        ("reconstruct p", "1:14: unexpected end of input (expected probability)"),
+    ],
+    ids=["denominator", "probability"],
+)
+def test_end_of_input_reads_the_same_at_every_site(text, message):
+    # These two sites used to report "unexpected ''".
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+HUGE = "9" * 400  # an integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "text, components",
+    [
+        (f"state s = [{HUGE}, 0]", (complex(math.inf, 0), 0j)),
+        (f"state s = [1/sqrt({HUGE}), 1]", (0j, 1 + 0j)),
+        (f"state s = [1/{HUGE}, 1]", (0j, 1 + 0j)),
+        (f"state s = [{HUGE}/2, 1]", (complex(math.inf, 0), 1 + 0j)),
+    ],
+    ids=["component", "sqrt", "denominator", "numerator"],
+)
+def test_integers_too_large_for_a_float_parse(text, components):
+    # Each used to raise a bare OverflowError from float().
+    assert parse_scenario(text).items[0].components == components
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("record at " + "1" * 5000, ScenarioSyntaxError, "1:11: integer literal too long"),
+        (f"state s = [{HUGE}/{HUGE}, 1]", ScenarioSyntaxError, "1:12: fraction too large to evaluate"),
+        (f"state s = [1, 0]\nreconstruct p {HUGE}", BadProbability, "2:1: p must lie in [0, 1], got inf"),
+    ],
+    ids=["digit-limit", "inf-over-inf", "probability"],
+)
+def test_number_literals_that_cannot_be_values_are_positioned_errors(text, error, message):
+    # The first used to fail with int()'s digit-limit ValueError and no
+    # position, the others with a bare OverflowError.
+    with pytest.raises(error) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "state s = [1e999, 0]\n",
+        "state s = [-1e999, 1e999i, 1-1e999i, 1e999+1i]\n",
+        "prop P = span([1e+300, 1e-300])\n",
+    ],
+    ids=["inf", "signed-inf", "extreme"],
+)
+def test_printer_writes_non_finite_and_extreme_components(text):
+    # _fmt_real used to raise OverflowError on inf.
+    scenario = parse_scenario(text)
+    assert format_scenario(scenario) == text
+    assert parse_scenario(format_scenario(scenario)) == scenario
