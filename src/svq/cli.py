@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", parents=[common], help="execute a scenario file and print its report")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_parser("eval", parents=[common], help="execute a scenario and print only query results")
-    sub.add_parser("check", parents=[common], help="parse and check a scenario without running it")
+    sub.add_parser("check", parents=[common], help="parse and compile a scenario without running it")
     return parser
 
 

@@ -3,10 +3,10 @@
 Execution model
 ---------------
 run_scenario checks its overrides, compiles the scenario once at the run's
-tolerance (compile_scenario builds every state and subspace), then hands
-each item, in source order, to its entry in one handler table. A
-declaration binds its name when it is reached, so a ``record`` sees only
-the propositions declared above it.
+tolerance (compile_scenario resolves every name and builds every value),
+then hands each item and its operands, in source order, to its entry in one
+handler table. A prop joins the propositions ``record`` evaluates when it
+is reached, so a ``record`` sees only the propositions declared above it.
 
 The runner tracks one experimental system: the state that ``record`` steps
 evaluate every declared proposition against. The system starts as the first
@@ -24,8 +24,8 @@ replace the system with their output:
   marks stay, which is the whole point.
 * ``blackhole s`` replaces the system with a seeded uniformly random state
   of the same dimension and marks every recorded determinate key lost.
-* ``evolve s by M`` applies the matrix to s. Known, reversible evolution:
-  nothing is marked lost.
+* ``evolve s by M`` applies the matrix to s and renormalizes; M is only
+  labelled unitary or not. Known, reversible evolution: nothing is lost.
 * ``record at t`` first re-asserts every lost key as a gap (a past-tense
   record asserted at t), then appends the present valuation of every
   declared proposition against the system.
@@ -62,9 +62,9 @@ from .dynamics import (
     sample_past_reconstruction,
 )
 from .errors import BadProbability, NotCloneShape, StepError, SvqError
-from .formulas import Formula, evaluate_super, formula_atoms
+from .formulas import evaluate_super
 # make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
-from .hilbert import DEFAULT_TOL, Operator, StateVector, apply_operator, is_unitary, make_state
+from .hilbert import DEFAULT_TOL, StateVector, apply_operator, is_unitary, make_state
 from .lattice import Subspace, TruthValue, membership, span_subspace
 from .ledger import Ledger, derive_tense, check_past_unalterability, ledger_lines, record_valuation
 from .scenario import (
@@ -112,13 +112,11 @@ class _Run:
         self.report = report
         self.tol = report.tolerance
         self.rng = np.random.default_rng(report.seed)
-        self.states: dict[str, StateVector] = {}
-        self.props: dict[str, Subspace] = {}
-        self.formulas: dict[str, Formula] = {}
+        self.props: dict[str, Subspace] = {}  # every prop declared so far, in order
         self.system: StateVector | None = None
         self.ledger = Ledger()
         self.audited = self.ledger
-        self.recorded: dict[tuple[str, int], TruthValue] = {}
+        self.recorded: dict[tuple[str, int], bool] = {}  # key -> some present record is determinate
         self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
         self.now = 0
         self.pending_clone: ProductState | None = None
@@ -139,8 +137,8 @@ class _Run:
         ]
 
     def mark_lost(self) -> None:
-        for key, first_truth in self.recorded.items():
-            if first_truth.is_determinate and key not in self.lost:
+        for key, determinate in self.recorded.items():
+            if determinate and key not in self.lost:
                 self.lost[key] = False
 
 
@@ -153,14 +151,13 @@ def _feasibility_entry(feas) -> dict:
     }
 
 
-# Handlers: each takes the run, the item and its compiled value, and returns
-# the fields its step adds to the report after index, line and kind, or
-# None for a declaration or query. The library functions they call are
-# looked up in this module's globals at call time.
+# Handlers: each takes the run, the item and what compile_scenario built for
+# it, and returns the fields its step adds to the report after index, line
+# and kind, or None for a declaration or query. The library functions they
+# call are looked up in this module's globals at call time.
 
 
 def _state(run: _Run, item: StateDecl, state: StateVector) -> None:
-    run.states[item.name] = state
     if run.system is None:
         run.system = state
 
@@ -169,8 +166,8 @@ def _prop(run: _Run, item: PropDecl, sub: Subspace) -> None:
     run.props[item.name] = sub
 
 
-def _formula(run: _Run, item: FormulaDecl, _) -> None:
-    run.formulas[item.name] = item.body
+def _formula(run: _Run, item: FormulaDecl, formula) -> None:
+    """Nothing to bind: a super query receives the compiled formula."""
 
 
 def _record(run: _Run, item: RecordStep, _) -> dict:
@@ -189,15 +186,15 @@ def _record(run: _Run, item: RecordStep, _) -> dict:
     for pid, sub in run.props.items():
         tv = membership(run.system, sub, run.tol)
         led = record_valuation(led, at, pid, tv, at)
-        run.recorded.setdefault((pid, at), tv)
+        run.recorded[pid, at] = run.recorded.get((pid, at), False) or tv.is_determinate
         entries.append({"prop": pid, "at": at, "truth": str(tv), "tense": "present"})
     run.ledger = led
     run.now = at
     return {"at": at, "recorded": entries}
 
 
-def _clone(run: _Run, item: CloneStep, _) -> dict:
-    src, tgt = run.states[item.source], run.states[item.target]
+def _clone(run: _Run, item: CloneStep, operands) -> dict:
+    src, tgt = operands
     feas = check_cloner_feasibility(src, tgt, run.tol)
     run.pending_clone = ideal_clone(ProductState.from_factors(src, tgt))
     if not feas.feasible:
@@ -212,11 +209,12 @@ def _clone(run: _Run, item: CloneStep, _) -> dict:
     }
 
 
-def _unclone(run: _Run, item: UncloneStep, _) -> dict:
+def _unclone(run: _Run, item: UncloneStep, operands) -> dict:
     if run.pending_clone is None:
         raise NotCloneShape("unclone without a preceding clone")
-    pair = ProductState.from_factors(run.pending_clone.factors[0], run.states[item.cloned])
-    result = ideal_unclone(pair, run.states[item.blank], run.tol)
+    cloned, blank = operands
+    pair = ProductState.from_factors(run.pending_clone.factors[0], cloned)
+    result = ideal_unclone(pair, blank, run.tol)
     run.pending_clone = None
     return {
         "cloned": item.cloned,
@@ -226,17 +224,18 @@ def _unclone(run: _Run, item: UncloneStep, _) -> dict:
     }
 
 
-def _blackhole(run: _Run, item: BlackholeStep, _) -> dict:
+def _blackhole(run: _Run, item: BlackholeStep, operands) -> dict:
+    (state,) = operands
     sub_seed = int(run.rng.integers(0, 2**63))
-    transitions = run.move(blackhole_evaporate(run.states[item.state], seed=sub_seed))
+    transitions = run.move(blackhole_evaporate(state, seed=sub_seed))
     run.mark_lost()
     return {"state": item.state, "seed": sub_seed, "past_lost": True, "transitions": transitions}
 
 
-def _evolve(run: _Run, item: EvolveStep, _) -> dict:
-    matrix = np.array(item.matrix, dtype=np.complex128)
-    flag = is_unitary(Operator(matrix), run.tol)
-    system = apply_operator(Operator(matrix, unitary=flag), run.states[item.state], run.tol)
+def _evolve(run: _Run, item: EvolveStep, operands) -> dict:
+    state, op = operands
+    flag = is_unitary(op, run.tol)  # only a label: op is unflagged, so its output is renormalized
+    system = apply_operator(op, state, run.tol)
     return {"state": item.state, "unitary": flag, "transitions": run.move(system)}
 
 
@@ -254,20 +253,19 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
     return {"p_one": float(p), "samples": samples}
 
 
-def _eval(run: _Run, item: EvalQuery, _) -> None:
-    tv = membership(run.states[item.state], run.props[item.prop], run.tol)
+def _eval(run: _Run, item: EvalQuery, operands) -> None:
+    state, sub = operands
+    tv = membership(state, sub, run.tol)
     run.report.valuations.append(
         {"kind": "eval", "state": item.state, "prop": item.prop, "truth": str(tv)}
     )
 
 
-def _super(run: _Run, item: SuperQuery, _) -> None:
+def _super(run: _Run, item: SuperQuery, operands) -> None:
     if run.system is None:
         raise SvqError("super query before any state declaration")
-    body = run.formulas[item.formula]
-    atomics = {
-        name: membership(run.system, run.props[name], run.tol) for name in formula_atoms(body)
-    }
+    ((body, atoms),) = operands
+    atomics = {name: membership(run.system, sub, run.tol) for name, sub in atoms}
     tv = evaluate_super(body, atomics)
     run.report.valuations.append(
         {
@@ -284,8 +282,8 @@ def _check_past(run: _Run, item: CheckPastQuery, _) -> None:
     run.audited = run.ledger
 
 
-def _feasible(run: _Run, item: FeasibleQuery, _) -> None:
-    feas = check_cloner_feasibility(run.states[item.first], run.states[item.second], run.tol)
+def _feasible(run: _Run, item: FeasibleQuery, operands) -> None:
+    feas = check_cloner_feasibility(*operands, run.tol)
     run.report.feasibility.append(
         {"first": item.first, "second": item.second, **_feasibility_entry(feas)}
     )
@@ -340,13 +338,13 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     (1-based) and source line.
     """
     report = _new_report(overrides)
-    values = compile_scenario(scenario, report.tolerance)
+    compiled = compile_scenario(scenario, report.tolerance)
     run = _Run(report)
     steps = report.steps
-    for index, (item, value) in enumerate(zip(scenario.items, values), start=1):
+    for index, (item, operands) in enumerate(zip(scenario.items, compiled), start=1):
         handle, kind = _HANDLERS[type(item)]
         try:
-            fields = handle(run, item, value)
+            fields = handle(run, item, operands)
         except (SvqError, ValueError) as err:
             raise StepError(index, item.line, kind, err) from err
         if fields is not None:

@@ -1,4 +1,4 @@
-"""Scenario DSL: parsing, declaration-time checking and pretty-printing.
+"""Scenario DSL: parsing, compiling and pretty-printing.
 
 A scenario is a flat sequence of declarations, steps and queries, executed
 in source order by the runner. The concrete grammar:
@@ -34,12 +34,11 @@ Numbers are reals (decimals, integer fractions "a/b", or the "a/sqrt(b)"
 sugar) optionally combined with an imaginary literal: "0.5+0.5i", "1i",
 "1/sqrt(2)-0.5i". An integer too large for a float reads as infinity.
 
-parse_scenario checks what does not depend on the tolerance: names must
-be declared before use and be unique, every dimension in the scenario must
-agree, and a reconstruct probability must lie in [0, 1]. compile_scenario
-then builds every state and subspace once, at the run's tolerance, which
-is where a zero, non-finite or too short vector is rejected. All
-diagnostics of both carry a 1-based line and column.
+parse_scenario is syntax only. compile_scenario, one pass in source order,
+checks names (declared above their use, unique, of the right kind), that
+every dimension agrees and a reconstruct probability lies in [0, 1], and
+builds every state, subspace and evolve operator at the run's tolerance.
+All diagnostics of both carry a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ from .errors import (
 )
 from .formulas import And, Atom, Formula, Implies, Not, Or, formula_atoms
 # compile_scenario calls these through this module's globals, where tracers wrap them.
-from .hilbert import DEFAULT_TOL, StateVector, is_valid_tol, make_state
-from .lattice import Subspace, span_subspace
+from .hilbert import DEFAULT_TOL, Operator, is_valid_tol, make_state
+from .lattice import span_subspace
 
 _KEYWORDS = frozenset(
     "state prop formula span record at clone unclone blank blackhole evolve by "
@@ -527,10 +526,14 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Checking and compiling
+# Compiling
 
 
-#: The names each step or query reads: (field, what the name must denote).
+#: What each declaration binds its name to.
+_DECLARES = {StateDecl: "state", PropDecl: "proposition", FormulaDecl: "formula"}
+
+#: The names each step or query reads, in operand order: (field, what the
+#: name must denote).
 _USES = {
     CloneStep: (("source", "state"), ("target", "state")),
     UncloneStep: (("cloned", "state"), ("blank", "state")),
@@ -542,92 +545,78 @@ _USES = {
 }
 
 
-def _check_scenario(scenario: Scenario) -> None:
-    declared: dict[str, str] = {}  # name -> "state", "proposition" or "formula"
-    dim: int | None = None
-
-    def need(name: str, what: str, item: ScenarioItem) -> None:
-        if declared.get(name) != what:
-            raise UnknownIdentifier(f"{item.line}:{item.col}: no {what} named {name!r}")
-
-    def declare(item: Declaration, what: str) -> None:
-        if item.name in declared:
-            raise DuplicateIdentifier(f"{item.line}:{item.col}: {item.name!r} is already declared")
-        declared[item.name] = what
-
-    for item in scenario.items:
-        kind = type(item)
-        for attr, what in _USES.get(kind, ()):
-            need(getattr(item, attr), what, item)
-        lengths: tuple[int, ...] = ()
-        if kind is StateDecl:
-            declare(item, "state")
-            lengths = (len(item.components),)
-        elif kind is PropDecl:
-            declare(item, "proposition")
-            lengths = tuple(map(len, item.vectors))
-        elif kind is FormulaDecl:
-            declare(item, "formula")
-            for atom in formula_atoms(item.body):
-                need(atom, "proposition", item)
-        elif kind is EvolveStep:
-            lengths = (len(item.matrix), *map(len, item.matrix))
-        elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
-            raise BadProbability(f"{item.line}:{item.col}: p must lie in [0, 1], got {item.p_one!r}")
-        for length in lengths:
-            if dim is None:
-                dim = length
-            elif length != dim:
-                raise DimensionMismatch(
-                    f"{item.line}:{item.col}: dimension {length} conflicts with scenario dimension {dim}"
-                )
-
-
 def parse_scenario(text: str) -> Scenario:
-    """Parse and check scenario text, returning the AST.
+    """Parse scenario text into its AST; syntax only.
 
-    Raises ScenarioSyntaxError with position and expected tokens on bad
-    syntax, and UnknownIdentifier, DuplicateIdentifier, DimensionMismatch
-    or BadProbability with a line:column prefix on semantic problems. No
-    check here depends on the tolerance; compile_scenario checks values.
+    Raises ScenarioSyntaxError, with position and expected tokens, on bad
+    syntax. Names, dimensions and values are checked by compile_scenario.
     """
     parser = _Parser(_tokenize(text))
     items: list[ScenarioItem] = []
     while parser.peek().kind != "eof":
         items.append(parser.parse_item())
-    scenario = Scenario(tuple(items))
-    _check_scenario(scenario)
-    return scenario
+    return Scenario(tuple(items))
 
 
-def compile_scenario(
-    scenario: Scenario, tol: float = DEFAULT_TOL
-) -> tuple[StateVector | Subspace | None, ...]:
-    """Build every state and subspace of a parsed scenario, once, at tol.
+def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[object, ...]:
+    """Resolve every name of a parsed scenario and build its values at tol.
 
-    Returns one value per item of the scenario: the StateVector of a state
-    declaration, the Subspace of a prop declaration and None for every
-    other item. Raises SvqError unless tol is a finite number in (0, 1). An SvqError
-    from make_state or span_subspace (ZeroVector, EmptySpan,
-    DimensionTooSmall, ...) is re-raised with the same type, and a
-    ValueError (a non-finite component) as a plain SvqError, with the
-    declaration's line:column in front of the message.
+    Returns one value per item: the StateVector of a state, the Subspace of
+    a prop, (body, ((atom, Subspace), ...)) of a formula, the operands of a
+    step or query in _USES order (an evolve's Operator last), else None.
+    Raises SvqError unless tol is a finite number in (0, 1). Otherwise the
+    first error in source order is raised with the item's line:column:
+    UnknownIdentifier, DuplicateIdentifier, DimensionMismatch,
+    BadProbability, an SvqError from make_state or span_subspace with its
+    type, or a ValueError (a non-finite entry) as a plain SvqError.
     """
     if not is_valid_tol(tol):
         raise SvqError(f"tol must be a finite number in (0, 1), got {tol!r}")
-    values: list[StateVector | Subspace | None] = []
+    table: dict[str, tuple[str, object]] = {}  # name -> (what it denotes, its value)
+    dim: int | None = None
+
+    def resolve(name: str, what: str, at: str) -> object:
+        denotes, value = table.get(name, (None, None))
+        if denotes != what:
+            raise UnknownIdentifier(f"{at} no {what} named {name!r}")
+        return value
+
+    values: list[object] = []
     for item in scenario.items:
-        kind = type(item)
+        kind, at = type(item), f"{item.line}:{item.col}:"
+        if kind in _DECLARES and item.name in table:
+            raise DuplicateIdentifier(f"{at} {item.name!r} is already declared")
+        value = tuple(resolve(getattr(item, a), what, at) for a, what in _USES.get(kind, ())) or None
+        lengths: tuple[int, ...] = ()
+        if kind is StateDecl:
+            lengths = (len(item.components),)
+        elif kind is PropDecl:
+            lengths = tuple(map(len, item.vectors))
+        elif kind is EvolveStep:
+            lengths = (len(item.matrix), *map(len, item.matrix))
+        elif kind is FormulaDecl:
+            atoms = formula_atoms(item.body)
+            value = (item.body, tuple((atom, resolve(atom, "proposition", at)) for atom in atoms))
+        elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
+            raise BadProbability(f"{at} p must lie in [0, 1], got {item.p_one!r}")
+        for length in lengths:
+            if dim is None:
+                dim = length
+            elif length != dim:
+                raise DimensionMismatch(f"{at} dimension {length} conflicts with scenario dimension {dim}")
         try:
             if kind is StateDecl:
-                values.append(make_state(item.components, tol))
+                value = make_state(item.components, tol)
             elif kind is PropDecl:
-                values.append(span_subspace(item.vectors, len(item.vectors[0]), tol))
-            else:
-                values.append(None)
+                value = span_subspace(item.vectors, dim, tol)
+            elif kind is EvolveStep:
+                value = (*value, Operator(item.matrix))
         except (SvqError, ValueError) as err:
             cls = type(err) if isinstance(err, SvqError) else SvqError
-            raise cls(f"{item.line}:{item.col}: {err}") from err
+            raise cls(f"{at} {err}") from err
+        if kind in _DECLARES:
+            table[item.name] = (_DECLARES[kind], value)
+        values.append(value)
     return tuple(values)
 
 

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from svq import NormLost, Operator, apply_operator, is_unitary, make_state
 from svq.cli import main
 
 
@@ -182,3 +184,53 @@ def test_huge_integer_literals_exit_two_with_a_position(tmp_path, capsys, comman
     path.write_text(text, encoding="utf-8")
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_non_finite_evolve_matrix_exits_two_with_its_position(tmp_path, capsys, command):
+    # check used to print "ok", and run to fail with an unpositioned step error.
+    path = tmp_path / "inf.svq"
+    path.write_text("state s = [1, 0]\nevolve s by [[1e999, 0], [0, 1]]\n", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: 2:1: operator entries must be finite\n"
+
+
+def test_a_determinate_value_recorded_after_a_gap_can_be_lost(tmp_path, capsys):
+    # Z @0 is first recorded as 0/0 and then as 1. Only the first record
+    # used to count, so the second clone erased nothing and the run passed.
+    path = tmp_path / "gap_first.svq"
+    path.write_text(
+        "state a = [1, 1]\nstate b = [1, 0]\nprop Z = span([1, 0])\nrecord at 0\n"
+        "clone b -> a\nrecord at 0\nclone a -> b\nrecord at 1\ncheck-past\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "violations (1):\n  loss Z @0: 1 -> 0/0 (asserted at 1)\n" in out
+
+
+def near_unitary(eps: float) -> list[list[float]]:
+    """sqrt(I + eps (J - I)) in dimension 4, J the all-ones matrix.
+
+    M^dagger M - I is eps (J - I), whose largest entry is eps, but M
+    stretches [1, 1, 1, 1] by sqrt(1 + 3 eps)."""
+    a = math.sqrt(1 - eps)
+    b = (math.sqrt(1 + 3 * eps) - a) / 4
+    return [[a + b if i == j else b for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("eps, tol", [(0.9e-9, "1e-09"), (0.045, "0.05")])
+def test_evolve_applies_a_matrix_it_labels_unitary(tmp_path, capsys, eps, tol):
+    matrix = near_unitary(eps)
+    op, psi = Operator(matrix), make_state([1, 1, 1, 1])
+    assert is_unitary(op, float(tol))
+    with pytest.raises(NormLost):  # what the flagged application used to raise
+        apply_operator(Operator(matrix, unitary=True), psi, float(tol))
+    rows = ", ".join("[" + ", ".join(map(repr, row)) + "]" for row in matrix)
+    path = tmp_path / "near_unitary.svq"
+    path.write_text(
+        f"state s = [1, 1, 1, 1]\nprop P = span([1, 1, 1, 1])\nevolve s by [{rows}]\n", encoding="utf-8"
+    )
+    assert main(["run", str(path), "--tol", tol]) == 0
+    out = capsys.readouterr().out
+    assert "  3 (line 3) evolve s [unitary]\n      P: 1 -> 1\n" in out

@@ -1,31 +1,42 @@
-"""Compiling once at the run's tolerance, against the runner it replaced.
+"""Compiling once at the run's tolerance, against the code it replaced.
 
 ``reference_run_scenario`` is the runner as it was before scenarios were
 compiled: it built each state and subspace while executing, dispatched on
 an isinstance chain, and read its defaults from a configuration record.
-Its body is kept as it was, except that the defaults are a local record.
-It calls today's library functions, so the differential property below
-compares the runners alone: the same parsed scenario goes through both.
+Its body is kept as it was, except that the defaults are a local record
+and that a key's first determinate present record, not its first record,
+makes it erasable. It calls today's library functions, so the differential
+property below compares the runners alone: the same parsed scenario goes
+through both.
+
+``reference_compile`` is the two passes that the one semantic pass of
+``compile_scenario`` replaced: the parser's name, dimension and
+probability check, then the build of every state and subspace, verbatim.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svq import (
     DEFAULT_TOL,
     BadProbability,
+    DimensionMismatch,
+    DuplicateIdentifier,
     EmptySpan,
     NotCloneShape,
+    ScenarioSyntaxError,
     StepError,
     SvqError,
+    UnknownIdentifier,
     ZeroVector,
     compile_scenario,
     emit_report,
@@ -62,7 +73,7 @@ from svq.scenario import (
     UncloneStep,
 )
 
-from scenario_strategies import scenario_texts
+from scenario_strategies import mutated_texts, scenario_texts
 
 
 # The library's former Proposition record; only this reference used it.
@@ -178,7 +189,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                 for pid, prop in props.items():
                     tv = membership(system, prop.subspace, cfg.tol)
                     led = record_valuation(led, item.at, pid, tv, item.at)
-                    recorded.setdefault((pid, item.at), tv)
+                    recorded[pid, item.at] = tv if tv.is_determinate else recorded.get((pid, item.at), tv)
                     entries.append(
                         {"prop": pid, "at": item.at, "truth": str(tv), "tense": "present"}
                     )
@@ -358,8 +369,15 @@ def outcome(run, scenario, overrides):
     return ("report", emit_report(report, "json"), emit_report(report, "text"))
 
 
+GAP_FIRST = (
+    "state a = [1, 1]\nstate b = [1, 0]\nprop Z = span([1, 0])\nrecord at 0\n"
+    "clone b -> a\nrecord at 0\nclone a -> b\nrecord at 1\ncheck-past\n"
+)
+
+
 @settings(max_examples=200)
 @given(scenario_texts(), tolerances, st.integers(min_value=0, max_value=2**32))
+@example(GAP_FIRST, None, 0)
 def test_runner_matches_the_reference(text, tol, seed):
     scenario = parse_scenario(text)
     run_tol = DEFAULT_TOL if tol is None else tol
@@ -448,3 +466,129 @@ def test_compile_builds_each_value_once_at_its_tol():
 def test_compile_rejects_a_tolerance_outside_the_open_unit_interval(tol):
     with pytest.raises(SvqError, match="tol"):
         compile_scenario(parse_scenario("state s = [1, 0]\n"), tol)
+
+
+REFERENCE_USES = {
+    CloneStep: (("source", "state"), ("target", "state")),
+    UncloneStep: (("cloned", "state"), ("blank", "state")),
+    BlackholeStep: (("state", "state"),),
+    EvolveStep: (("state", "state"),),
+    EvalQuery: (("state", "state"), ("prop", "proposition")),
+    SuperQuery: (("formula", "formula"),),
+    FeasibleQuery: (("first", "state"), ("second", "state")),
+}
+
+
+def reference_check_scenario(scenario) -> None:
+    declared: dict[str, str] = {}  # name -> "state", "proposition" or "formula"
+    dim: int | None = None
+
+    def need(name: str, what: str, item) -> None:
+        if declared.get(name) != what:
+            raise UnknownIdentifier(f"{item.line}:{item.col}: no {what} named {name!r}")
+
+    def declare(item, what: str) -> None:
+        if item.name in declared:
+            raise DuplicateIdentifier(f"{item.line}:{item.col}: {item.name!r} is already declared")
+        declared[item.name] = what
+
+    for item in scenario.items:
+        kind = type(item)
+        for attr, what in REFERENCE_USES.get(kind, ()):
+            need(getattr(item, attr), what, item)
+        lengths: tuple[int, ...] = ()
+        if kind is StateDecl:
+            declare(item, "state")
+            lengths = (len(item.components),)
+        elif kind is PropDecl:
+            declare(item, "proposition")
+            lengths = tuple(map(len, item.vectors))
+        elif kind is FormulaDecl:
+            declare(item, "formula")
+            for atom in formula_atoms(item.body):
+                need(atom, "proposition", item)
+        elif kind is EvolveStep:
+            lengths = (len(item.matrix), *map(len, item.matrix))
+        elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
+            raise BadProbability(f"{item.line}:{item.col}: p must lie in [0, 1], got {item.p_one!r}")
+        for length in lengths:
+            if dim is None:
+                dim = length
+            elif length != dim:
+                raise DimensionMismatch(
+                    f"{item.line}:{item.col}: dimension {length} conflicts with scenario dimension {dim}"
+                )
+
+
+def reference_compile(scenario, tol: float = DEFAULT_TOL):
+    """The former parse-time check, then the former compile_scenario."""
+    reference_check_scenario(scenario)
+    if not is_valid_tol(tol):
+        raise SvqError(f"tol must be a finite number in (0, 1), got {tol!r}")
+    values: list[StateVector | Subspace | None] = []
+    for item in scenario.items:
+        kind = type(item)
+        try:
+            if kind is StateDecl:
+                values.append(make_state(item.components, tol))
+            elif kind is PropDecl:
+                values.append(span_subspace(item.vectors, len(item.vectors[0]), tol))
+            else:
+                values.append(None)
+        except (SvqError, ValueError) as err:
+            cls = type(err) if isinstance(err, SvqError) else SvqError
+            raise cls(f"{item.line}:{item.col}: {err}") from err
+    return tuple(values)
+
+
+def compiled_or_error(compile, scenario, tol):
+    try:
+        return compile(scenario, tol)
+    except SvqError as err:
+        return err
+
+
+@settings(max_examples=300)
+@given(st.one_of(scenario_texts(), mutated_texts()), st.sampled_from([DEFAULT_TOL, 1e-3, 0.05]))
+@example("state s = [1, 0]\nevolve s by [[1e999, 0], [0, 1]]\n", DEFAULT_TOL)
+@example("state s = [1, 0]\nevolve s by [[1, 0], [0, 1]]\nevolve s by [[1, 0], [0, 1e999]]\n", 0.05)
+@example("state s = [0, 0]\neval s in P\nstate s = [1]\n", DEFAULT_TOL)
+@example("state s = [1, 0]\nstate s = [0, 1]\n", DEFAULT_TOL)
+@example("prop s = span([1, 0])\nstate t = [1, 0]\nclone t -> s\n", DEFAULT_TOL)
+@example("state s = [1, 0, 0]\nstate t = [1, 0]\n", DEFAULT_TOL)
+@example("state s = [1, 0]\nformula f = P\nprop P = span([1, 0])\n", DEFAULT_TOL)
+@example("state s = [1, 0]\nreconstruct p 1.5\n", DEFAULT_TOL)
+def test_one_pass_accepts_what_check_then_compile_accepted(text, tol):
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioSyntaxError:
+        return
+    new = compiled_or_error(compile_scenario, scenario, tol)
+    old = compiled_or_error(reference_compile, scenario, tol)
+    if isinstance(new, SvqError):
+        assert re.match(r"\d+:\d+: ", str(new)), str(new)
+        if not isinstance(old, SvqError):
+            # The one difference: an evolve operator is now built when the
+            # scenario is compiled, where a non-finite entry is an error.
+            assert re.match(r"\d+:\d+: operator entries must be finite$", str(new)), str(new)
+        return
+    assert not isinstance(old, SvqError), old
+    bound = {}  # name -> what the new pass built for its declaration
+    for item, value, ref in zip(scenario.items, new, old):
+        kind = type(item)
+        if kind is StateDecl:
+            assert value.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        elif kind is PropDecl:
+            assert value.basis.tobytes() == ref.basis.tobytes()
+        elif kind is FormulaDecl:
+            atoms = tuple((atom, bound[atom]) for atom in formula_atoms(item.body))
+            assert value[0] is item.body and value[1] == atoms
+        elif kind in REFERENCE_USES:
+            names = tuple(getattr(item, attr) for attr, _ in REFERENCE_USES[kind])
+            assert value[: len(names)] == tuple(bound[name] for name in names)
+            if kind is EvolveStep:
+                assert value[1].entries.tobytes() == np.array(item.matrix, dtype=np.complex128).tobytes()
+        else:
+            assert value is None
+        if kind in (StateDecl, PropDecl, FormulaDecl):
+            bound[item.name] = value

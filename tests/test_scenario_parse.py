@@ -80,23 +80,23 @@ def test_unknown_top_level_word():
 
 def test_unknown_identifier_in_query():
     with pytest.raises(UnknownIdentifier) as err:
-        parse_scenario("state phi = [1, 0]\nprop Z = span([1, 0])\neval ghost in Z")
+        compile_scenario(parse_scenario("state phi = [1, 0]\nprop Z = span([1, 0])\neval ghost in Z"))
     assert str(err.value).startswith("3:1:")
 
 
 def test_category_is_checked_not_just_existence():
     with pytest.raises(UnknownIdentifier):
-        parse_scenario("state phi = [1, 0]\nstate psi = [0, 1]\neval phi in psi")
+        compile_scenario(parse_scenario("state phi = [1, 0]\nstate psi = [0, 1]\neval phi in psi"))
 
 
 def test_duplicate_identifier():
     with pytest.raises(DuplicateIdentifier):
-        parse_scenario("state phi = [1, 0]\nstate phi = [0, 1]")
+        compile_scenario(parse_scenario("state phi = [1, 0]\nstate phi = [0, 1]"))
 
 
 def test_dimension_mismatch_across_declarations():
     with pytest.raises(DimensionMismatch) as err:
-        parse_scenario("state phi = [1, 0]\nstate big = [1, 0, 0]")
+        compile_scenario(parse_scenario("state phi = [1, 0]\nstate big = [1, 0, 0]"))
     assert str(err.value).startswith("2:1:")
 
 
@@ -107,12 +107,12 @@ def test_reserved_words_cannot_be_names():
 
 def test_forward_reference_is_rejected():
     with pytest.raises(UnknownIdentifier):
-        parse_scenario("eval phi in Z\nstate phi = [1, 0]\nprop Z = span([1, 0])")
+        compile_scenario(parse_scenario("eval phi in Z\nstate phi = [1, 0]\nprop Z = span([1, 0])"))
 
 
 def test_bad_reconstruct_probability():
     with pytest.raises(BadProbability):
-        parse_scenario("state phi = [1, 0]\nreconstruct p 1.5")
+        compile_scenario(parse_scenario("state phi = [1, 0]\nreconstruct p 1.5"))
 
 
 def test_number_forms():
@@ -175,7 +175,7 @@ feasible ups phi
 
 def test_evolve_matrix_must_match_dimension():
     with pytest.raises(DimensionMismatch):
-        parse_scenario("state phi = [1, 0]\nevolve phi by [[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+        compile_scenario(parse_scenario("state phi = [1, 0]\nevolve phi by [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"))
 
 
 def test_formula_precedence():
@@ -375,7 +375,7 @@ def test_number_literals_that_cannot_be_values_are_positioned_errors(text, error
     # The first used to fail with int()'s digit-limit ValueError and no
     # position, the others with a bare OverflowError.
     with pytest.raises(error) as err:
-        parse_scenario(text)
+        compile_scenario(parse_scenario(text))
     assert str(err.value) == message
 
 

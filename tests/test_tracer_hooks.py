@@ -18,16 +18,28 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from tracer import Tracer  # noqa: E402
 
-#: A clone with reconstruction, a supervaluation, and a feasibility query.
-SCENARIOS = ("clone_z.svq", "valuations.svq", "clone_orthogonal.svq")
+#: A clone with reconstruction and an audit, a supervaluation, a
+#: feasibility query, an evolve, and a black hole.
+SCENARIOS = (
+    "clone_z.svq",
+    "valuations.svq",
+    "clone_orthogonal.svq",
+    "no_clone_control.svq",
+    "blackhole.svq",
+)
 SEEN = (
+    "scenario.parse_scenario.calls",
     "lattice.span_subspace.calls",
     "lattice.membership.calls",
     "hilbert.make_state.calls",
+    "hilbert.is_unitary.ms",
+    "hilbert.apply_operator.ms",
     "dynamics.check_cloner_feasibility.calls",
     "dynamics.sample_past_reconstruction.calls",
+    "dynamics.blackhole_evaporate.ms",
     "formulas.evaluate_super.calls",
     "ledger.record_valuation.calls",
+    "ledger.check_past_unalterability.calls",
 )
 
 
