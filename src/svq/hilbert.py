@@ -77,8 +77,9 @@ class Operator:
     """A square complex matrix, optionally flagged as unitary.
 
     The flag is trusted at construction time; make_operator is the
-    validating factory, and apply_operator re-checks norm preservation on
-    every application of a flagged operator.
+    validating factory, and apply_operator re-checks norm preservation, to
+    within what is_unitary allows, on every application of a flagged
+    operator.
     """
 
     entries: np.ndarray
@@ -157,9 +158,10 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> StateVector:
     """Apply a matrix to a state.
 
-    Flagged-unitary operators must preserve the norm to within tolerance,
-    else NormLost is raised. Unflagged operators have their output
-    re-validated through make_state, which renormalizes and rejects
+    A flagged-unitary operator may move the squared norm by at most
+    dim * tol, as much as is_unitary(M, tol) allows, else NormLost is
+    raised; its output is renormalized. Unflagged operators have their
+    output re-validated through make_state, which renormalizes and rejects
     annihilated vectors.
     """
     if M.dim != v.dim:
@@ -168,10 +170,11 @@ def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> Sta
         out = M.entries @ v.amplitudes
     if M.unitary:
         norm = float(np.linalg.norm(out))
-        if abs(norm - 1.0) > tol:
+        # |v^dagger (M^dagger M - I) v| < dim * tol when every entry is below tol
+        if not 0 < norm or abs(norm * norm - 1.0) > M.dim * tol:
             raise NormLost(f"operator flagged unitary changed the norm to {norm!r}")
         if abs(norm - 1.0) > DEFAULT_TOL:
-            # caller accepted a looser tolerance than the state invariant
+            # within is_unitary's allowance, but past the state invariant
             out = out / norm
         return StateVector(out)
     return make_state(out, tol)

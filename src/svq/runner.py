@@ -24,8 +24,9 @@ replace the system with their output:
   marks stay, which is the whole point.
 * ``blackhole s`` replaces the system with a seeded uniformly random state
   of the same dimension and marks every recorded determinate key lost.
-* ``evolve s by M`` applies the matrix to s and renormalizes; M is only
-  labelled unitary or not. Known, reversible evolution: nothing is lost.
+* ``evolve s by M`` applies the matrix to s and renormalizes, flagged
+  unitary when is_unitary accepts M at the run's tol. Known, reversible
+  evolution: nothing is marked lost.
 * ``record at t`` first re-asserts every lost key as a gap (a past-tense
   record asserted at t), then appends the present valuation of every
   declared proposition against the system.
@@ -46,7 +47,7 @@ the run seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote
 from numbers import Real
 from typing import Mapping
@@ -234,8 +235,8 @@ def _blackhole(run: _Run, item: BlackholeStep, operands) -> dict:
 
 def _evolve(run: _Run, item: EvolveStep, operands) -> dict:
     state, op = operands
-    flag = is_unitary(op, run.tol)  # only a label: op is unflagged, so its output is renormalized
-    system = apply_operator(op, state, run.tol)
+    flag = is_unitary(op, run.tol)
+    system = apply_operator(replace(op, unitary=flag), state, run.tol)
     return {"state": item.state, "unitary": flag, "transitions": run.move(system)}
 
 

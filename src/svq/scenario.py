@@ -558,6 +558,11 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(tuple(items))
 
 
+def _at(item: ScenarioItem) -> str:
+    """The line:column prefix of an error in item."""
+    return f"{item.line}:{item.col}:"
+
+
 def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[object, ...]:
     """Resolve every name of a parsed scenario and build its values at tol.
 
@@ -575,18 +580,19 @@ def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[obje
     table: dict[str, tuple[str, object]] = {}  # name -> (what it denotes, its value)
     dim: int | None = None
 
-    def resolve(name: str, what: str, at: str) -> object:
+    def resolve(name: str, what: str, item: ScenarioItem) -> object:
         denotes, value = table.get(name, (None, None))
         if denotes != what:
-            raise UnknownIdentifier(f"{at} no {what} named {name!r}")
+            raise UnknownIdentifier(f"{_at(item)} no {what} named {name!r}")
         return value
 
     values: list[object] = []
     for item in scenario.items:
-        kind, at = type(item), f"{item.line}:{item.col}:"
+        kind = type(item)
         if kind in _DECLARES and item.name in table:
-            raise DuplicateIdentifier(f"{at} {item.name!r} is already declared")
-        value = tuple(resolve(getattr(item, a), what, at) for a, what in _USES.get(kind, ())) or None
+            raise DuplicateIdentifier(f"{_at(item)} {item.name!r} is already declared")
+        uses = _USES.get(kind)
+        value = tuple([resolve(getattr(item, a), what, item) for a, what in uses]) if uses else None
         lengths: tuple[int, ...] = ()
         if kind is StateDecl:
             lengths = (len(item.components),)
@@ -596,14 +602,14 @@ def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[obje
             lengths = (len(item.matrix), *map(len, item.matrix))
         elif kind is FormulaDecl:
             atoms = formula_atoms(item.body)
-            value = (item.body, tuple((atom, resolve(atom, "proposition", at)) for atom in atoms))
+            value = (item.body, tuple([(atom, resolve(atom, "proposition", item)) for atom in atoms]))
         elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
-            raise BadProbability(f"{at} p must lie in [0, 1], got {item.p_one!r}")
+            raise BadProbability(f"{_at(item)} p must lie in [0, 1], got {item.p_one!r}")
         for length in lengths:
             if dim is None:
                 dim = length
             elif length != dim:
-                raise DimensionMismatch(f"{at} dimension {length} conflicts with scenario dimension {dim}")
+                raise DimensionMismatch(f"{_at(item)} dimension {length} conflicts with scenario dimension {dim}")
         try:
             if kind is StateDecl:
                 value = make_state(item.components, tol)
@@ -613,7 +619,7 @@ def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[obje
                 value = (*value, Operator(item.matrix))
         except (SvqError, ValueError) as err:
             cls = type(err) if isinstance(err, SvqError) else SvqError
-            raise cls(f"{at} {err}") from err
+            raise cls(f"{_at(item)} {err}") from err
         if kind in _DECLARES:
             table[item.name] = (_DECLARES[kind], value)
         values.append(value)

@@ -541,6 +541,14 @@ def reference_compile(scenario, tol: float = DEFAULT_TOL):
     return tuple(values)
 
 
+#: What the former parse-time check raised.
+CHECK_ERRORS = (UnknownIdentifier, DuplicateIdentifier, DimensionMismatch, BadProbability)
+
+
+def check_only(scenario, tol):
+    return reference_check_scenario(scenario)
+
+
 def compiled_or_error(compile, scenario, tol):
     try:
         return compile(scenario, tol)
@@ -566,11 +574,27 @@ def test_one_pass_accepts_what_check_then_compile_accepted(text, tol):
     new = compiled_or_error(compile_scenario, scenario, tol)
     old = compiled_or_error(reference_compile, scenario, tol)
     if isinstance(new, SvqError):
-        assert re.match(r"\d+:\d+: ", str(new)), str(new)
+        where = re.match(r"(\d+):(\d+): ", str(new))
+        assert where, str(new)
+        # The one difference: an evolve operator is now built when the
+        # scenario is compiled, where a non-finite entry is an error.
+        non_finite_operator = re.match(r"\d+:\d+: operator entries must be finite$", str(new))
         if not isinstance(old, SvqError):
-            # The one difference: an evolve operator is now built when the
-            # scenario is compiled, where a non-finite entry is an error.
-            assert re.match(r"\d+:\d+: operator entries must be finite$", str(new)), str(new)
+            assert non_finite_operator, str(new)
+            return
+        # The first error in source order now wins: the new pass stops at
+        # the rejected item, or at an earlier value that fails to build.
+        old_where = re.match(r"(\d+):(\d+): ", str(old))
+        new_at, old_at = tuple(map(int, where.groups())), tuple(map(int, old_where.groups()))
+        if new_at == old_at:
+            assert (type(new), str(new)) == (type(old), str(old))
+        else:
+            assert new_at < old_at, (str(new), str(old))
+            assert type(new) not in CHECK_ERRORS, str(new)
+            if compiled_or_error(check_only, scenario, tol) is None:
+                # The reference failed in its build step, which builds
+                # everything the new pass builds but evolve operators.
+                assert non_finite_operator, (str(new), str(old))
         return
     assert not isinstance(old, SvqError), old
     bound = {}  # name -> what the new pass built for its declaration

@@ -130,6 +130,17 @@ def test_apply_norm_lost_when_flag_is_a_lie():
         apply_operator(bad, make_state([0, 1]))
 
 
+@pytest.mark.parametrize("eps, tol", [(0.9e-9, 1e-9), (0.045, 0.05)])
+def test_apply_accepts_every_operator_make_operator_accepts(eps, tol):
+    # a I + b J with M^dagger M - I = eps (J - I): each entry is below tol,
+    # but [1, 1, 1, 1] is stretched by sqrt(1 + 3 eps), past 1 + tol.
+    a = np.sqrt(1 - eps)
+    b = (np.sqrt(1 + 3 * eps) - a) / 4
+    op = make_operator(a * np.eye(4) + b * np.ones((4, 4)), unitary=True, tol=tol)
+    out = apply_operator(op, make_state([1, 1, 1, 1]), tol)
+    assert np.allclose(out.amplitudes, 0.5, atol=1e-12)
+
+
 def test_apply_unflagged_operator_renormalizes():
     stretch = Operator(np.array([[2, 0], [0, 2]], dtype=complex))
     out = apply_operator(stretch, make_state([1, 1]))

@@ -26,7 +26,7 @@ from svq.scenario import FeasibleQuery, StateDecl, format_item
 
 from scenario_strategies import scenario_texts
 
-tolerances = st.sampled_from([1e-9, 1e-6, 1e-3, 0.05])
+tolerances = st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.5])
 seeds = st.integers(min_value=0, max_value=2**32)
 
 
