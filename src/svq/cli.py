@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 when a past-fixity check found violations
-(so CI can assert the past stayed fixed), 2 on any error, including an
-unexpected one, which is reported with an "internal error:" prefix.
+Exit codes: 0 on success; 1 only from `svq run`, when a past-fixity check
+found violations (so CI can assert the past stayed fixed; `svq eval`
+prints valuations and exits 0 whatever the audit found); 2 on any error,
+including an unexpected one, reported with an "internal error:" prefix.
 """
 
 from __future__ import annotations

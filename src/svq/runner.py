@@ -14,14 +14,16 @@ declared state. Steps reference declared, immutable state bindings and
 replace the system with their output:
 
 * ``clone src -> tgt`` applies the idealized copy map to the pair
-  (src, tgt); the register that held tgt now holds src, so the system
-  becomes src's state. The pair's cloning feasibility is checked and
-  reported. An infeasible pair (partial overlap) means the copy erased
-  unrecoverable history: every valuation key recorded so far with a
-  determinate value is marked lost.
+  (src, tgt), on its factors alone (no joint state of d² amplitudes is
+  built): the register that held tgt now holds src, so the system becomes
+  src's state. The pair's cloning feasibility is checked and reported. An
+  infeasible pair (partial overlap) means the copy erased unrecoverable
+  history: every valuation key recorded so far with a determinate value
+  is marked lost.
 * ``unclone cloned blank b`` reverses the most recent clone onto the named
-  blank; the system becomes b's state. The state round-trips but the lost
-  marks stay, which is the whole point.
+  blank; cloned must lie on the clone's source ray, and the system becomes
+  b's state. The state round-trips but the lost marks stay, which is the
+  whole point.
 * ``blackhole s`` replaces the system with a seeded uniformly random state
   of the same dimension and marks every recorded determinate key lost.
 * ``evolve s by M`` applies the matrix to s and renormalizes, flagged
@@ -54,14 +56,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import (
-    ProductState,
-    check_cloner_feasibility,
-    blackhole_evaporate,
-    ideal_clone,
-    ideal_unclone,
-    sample_past_reconstruction,
-)
+from .dynamics import check_cloner_feasibility, blackhole_evaporate, sample_past_reconstruction
 from .errors import BadProbability, NotCloneShape, StepError, SvqError
 from .formulas import evaluate_super
 # make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
@@ -69,6 +64,7 @@ from .hilbert import DEFAULT_TOL, StateVector, apply_operator, is_unitary, make_
 from .lattice import Subspace, TruthValue, membership, span_subspace
 from .ledger import Ledger, derive_tense, check_past_unalterability, ledger_lines, record_valuation
 from .scenario import (
+    KIND,
     BlackholeStep,
     CheckPastQuery,
     CloneStep,
@@ -120,7 +116,7 @@ class _Run:
         self.recorded: dict[tuple[str, int], bool] = {}  # key -> some present record is determinate
         self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
         self.now = 0
-        self.pending_clone: ProductState | None = None
+        self.pending_clone: StateVector | None = None  # the source of the last clone
 
     def move(self, system: StateVector) -> list[dict]:
         """Replace the system; return each proposition's truth before and after."""
@@ -197,7 +193,7 @@ def _record(run: _Run, item: RecordStep, _) -> dict:
 def _clone(run: _Run, item: CloneStep, operands) -> dict:
     src, tgt = operands
     feas = check_cloner_feasibility(src, tgt, run.tol)
-    run.pending_clone = ideal_clone(ProductState.from_factors(src, tgt))
+    run.pending_clone = src
     if not feas.feasible:
         run.mark_lost()
     return {
@@ -206,7 +202,7 @@ def _clone(run: _Run, item: CloneStep, operands) -> dict:
         "physical": False,
         "past_lost": not feas.feasible,
         "feasibility": _feasibility_entry(feas),
-        "transitions": run.move(run.pending_clone.factors[1]),
+        "transitions": run.move(src),
     }
 
 
@@ -214,15 +210,10 @@ def _unclone(run: _Run, item: UncloneStep, operands) -> dict:
     if run.pending_clone is None:
         raise NotCloneShape("unclone without a preceding clone")
     cloned, blank = operands
-    pair = ProductState.from_factors(run.pending_clone.factors[0], cloned)
-    result = ideal_unclone(pair, blank, run.tol)
+    if not run.pending_clone.same_ray(cloned, run.tol):
+        raise NotCloneShape("factors differ beyond tolerance; not the output of a clone")
     run.pending_clone = None
-    return {
-        "cloned": item.cloned,
-        "blank": item.blank,
-        "physical": False,
-        "transitions": run.move(result.factors[1]),
-    }
+    return {"cloned": item.cloned, "blank": item.blank, "physical": False, "transitions": run.move(blank)}
 
 
 def _blackhole(run: _Run, item: BlackholeStep, operands) -> dict:
@@ -290,21 +281,21 @@ def _feasible(run: _Run, item: FeasibleQuery, operands) -> None:
     )
 
 
-#: Item type -> (handler, the kind a report and a StepError name it by).
+#: Item type -> its handler. Reports and StepErrors name an item by its KIND.
 _HANDLERS = {
-    StateDecl: (_state, "state"),
-    PropDecl: (_prop, "prop"),
-    FormulaDecl: (_formula, "formula"),
-    RecordStep: (_record, "record"),
-    CloneStep: (_clone, "clone"),
-    UncloneStep: (_unclone, "unclone"),
-    BlackholeStep: (_blackhole, "blackhole"),
-    EvolveStep: (_evolve, "evolve"),
-    ReconstructStep: (_reconstruct, "reconstruct"),
-    EvalQuery: (_eval, "eval"),
-    SuperQuery: (_super, "super"),
-    CheckPastQuery: (_check_past, "check-past"),
-    FeasibleQuery: (_feasible, "feasible"),
+    StateDecl: _state,
+    PropDecl: _prop,
+    FormulaDecl: _formula,
+    RecordStep: _record,
+    CloneStep: _clone,
+    UncloneStep: _unclone,
+    BlackholeStep: _blackhole,
+    EvolveStep: _evolve,
+    ReconstructStep: _reconstruct,
+    EvalQuery: _eval,
+    SuperQuery: _super,
+    CheckPastQuery: _check_past,
+    FeasibleQuery: _feasible,
 }
 
 
@@ -343,7 +334,7 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     run = _Run(report)
     steps = report.steps
     for index, (item, operands) in enumerate(zip(scenario.items, compiled), start=1):
-        handle, kind = _HANDLERS[type(item)]
+        handle, kind = _HANDLERS[type(item)], KIND[type(item)]
         try:
             fields = handle(run, item, operands)
         except (SvqError, ValueError) as err:

@@ -1,22 +1,15 @@
 """Scenario DSL: parsing, compiling and pretty-printing.
 
 A scenario is a flat sequence of declarations, steps and queries, executed
-in source order by the runner. The concrete grammar:
+in source order by the runner. The table SYNTAX states each item's grammar,
+its keyword and the pieces after it, and it alone: one loop parses every
+item from it, one prints every item, and the compiler reads from it which
+fields name a declared state, proposition or formula. The pieces:
 
-    scenario  := (decl | step | query)*
-    decl      := "state" NAME "=" vector
-               | "prop" NAME "=" "span" "(" vector ("," vector)* ")"
-               | "formula" NAME "=" boolexpr
-    step      := "record" "at" INT
-               | "clone" NAME "->" NAME
-               | "unclone" NAME "blank" NAME
-               | "blackhole" NAME
-               | "evolve" NAME "by" matrix
-               | "reconstruct" ["p" NUMBER]
-    query     := "eval" NAME "in" NAME
-               | "super" NAME
-               | "check-past"
-               | "feasible" NAME NAME
+    name      := NAME     (also state, proposition and formula)
+    tick      := INT
+    p         := ("p" NUMBER)?
+    span      := "span" "(" vector ("," vector)* ")"
     vector    := "[" num ("," num)* "]"
     matrix    := "[" vector ("," vector)* "]"
     boolexpr  := or ("->" boolexpr)?          right associative
@@ -45,8 +38,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import (
     BadProbability,
@@ -61,123 +54,119 @@ from .formulas import And, Atom, Formula, Implies, Not, Or, formula_atoms
 from .hilbert import DEFAULT_TOL, Operator, is_valid_tol, make_state
 from .lattice import span_subspace
 
-_KEYWORDS = frozenset(
-    "state prop formula span record at clone unclone blank blackhole evolve by "
-    "reconstruct eval in super feasible not and or sqrt".split()
-)
-
-
 # ---------------------------------------------------------------------------
 # AST
 
 
 @dataclass(frozen=True)
-class StateDecl:
+class ScenarioItem:
+    """A declaration, step or query; line and col are its keyword's position."""
+
+    line: int = field(default=0, compare=False, kw_only=True)
+    col: int = field(default=0, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class StateDecl(ScenarioItem):
     name: str
     components: tuple[complex, ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class PropDecl:
+class PropDecl(ScenarioItem):
     name: str
     vectors: tuple[tuple[complex, ...], ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class FormulaDecl:
+class FormulaDecl(ScenarioItem):
     name: str
     body: Formula
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class RecordStep:
+class RecordStep(ScenarioItem):
     at: int
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class CloneStep:
+class CloneStep(ScenarioItem):
     source: str
     target: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class UncloneStep:
+class UncloneStep(ScenarioItem):
     cloned: str
     blank: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class BlackholeStep:
+class BlackholeStep(ScenarioItem):
     state: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class EvolveStep:
+class EvolveStep(ScenarioItem):
     state: str
     matrix: tuple[tuple[complex, ...], ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class ReconstructStep:
+class ReconstructStep(ScenarioItem):
     p_one: float | None = None
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class EvalQuery:
+class EvalQuery(ScenarioItem):
     state: str
     prop: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class SuperQuery:
+class SuperQuery(ScenarioItem):
     formula: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class CheckPastQuery:
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class CheckPastQuery(ScenarioItem):
+    pass
 
 
 @dataclass(frozen=True)
-class FeasibleQuery:
+class FeasibleQuery(ScenarioItem):
     first: str
     second: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
-
-
-Declaration = Union[StateDecl, PropDecl, FormulaDecl]
-Step = Union[RecordStep, CloneStep, UncloneStep, BlackholeStep, EvolveStep, ReconstructStep]
-Query = Union[EvalQuery, SuperQuery, CheckPastQuery, FeasibleQuery]
-ScenarioItem = Union[Declaration, Step, Query]
 
 
 @dataclass(frozen=True)
 class Scenario:
     items: tuple[ScenarioItem, ...]
+
+
+#: Every item's grammar: keyword -> (AST class, the pieces after the
+#: keyword). A field piece (a key of _PIECES) fills the class's next field:
+#: "name" is a declared name; "state", "proposition" and "formula" name one
+#: declared above; "vector", "matrix", "span", "boolexpr" and "tick" are
+#: values; "p" is an optional "p NUMBER". Any other piece is a literal.
+SYNTAX = {
+    "state": (StateDecl, ("name", "=", "vector")),
+    "prop": (PropDecl, ("name", "=", "span")),
+    "formula": (FormulaDecl, ("name", "=", "boolexpr")),
+    "record": (RecordStep, ("at", "tick")),
+    "clone": (CloneStep, ("state", "->", "state")),
+    "unclone": (UncloneStep, ("state", "blank", "state")),
+    "blackhole": (BlackholeStep, ("state",)),
+    "evolve": (EvolveStep, ("state", "by", "matrix")),
+    "reconstruct": (ReconstructStep, ("p",)),
+    "eval": (EvalQuery, ("state", "in", "proposition")),
+    "super": (SuperQuery, ("formula",)),
+    "check-past": (CheckPastQuery, ()),
+    "feasible": (FeasibleQuery, ("state", "state")),
+}
+
+#: Item class -> its keyword, the kind a report and a StepError name it by.
+KIND = {cls: keyword for keyword, (cls, _) in SYNTAX.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +290,7 @@ class _Parser:
             )
         return tok.text
 
-    # numbers -------------------------------------------------------------
+    # numbers and values --------------------------------------------------
 
     def _parse_signed_part(self) -> tuple[float, bool]:
         negate = False
@@ -350,21 +339,36 @@ class _Parser:
             return complex(value, imag if sign.kind == "+" else -imag)
         return complex(value, 0.0)
 
-    def parse_vector(self) -> tuple[complex, ...]:
-        self.expect("[", "'['")
-        numbers = [self.parse_number()]
+    def _parse_list(self, parse_element, open_: str, close: str) -> tuple:
+        self.expect(open_, f"'{open_}'")
+        elements = [parse_element()]
         while self.accept(","):
-            numbers.append(self.parse_number())
-        self.expect("]", "']' or ','")
-        return tuple(numbers)
+            elements.append(parse_element())
+        self.expect(close, f"'{close}' or ','")
+        return tuple(elements)
+
+    def parse_vector(self) -> tuple[complex, ...]:
+        return self._parse_list(self.parse_number, "[", "]")
 
     def parse_matrix(self) -> tuple[tuple[complex, ...], ...]:
-        self.expect("[", "'['")
-        rows = [self.parse_vector()]
-        while self.accept(","):
-            rows.append(self.parse_vector())
-        self.expect("]", "']' or ','")
-        return tuple(rows)
+        return self._parse_list(self.parse_vector, "[", "]")
+
+    def parse_span(self) -> tuple[tuple[complex, ...], ...]:
+        self.expect_keyword("span")
+        return self._parse_list(self.parse_vector, "(", ")")
+
+    def parse_tick(self) -> int:
+        return int(self.expect("int", "integer tick").value)
+
+    def parse_p(self) -> float | None:
+        if not self.at_keyword("p"):
+            return None
+        self.advance()
+        tok = self.peek()
+        if tok.kind not in ("int", "float"):
+            raise _unexpected(tok, "probability")
+        self.advance()
+        return _real(tok)
 
     # formulas ------------------------------------------------------------
 
@@ -414,115 +418,21 @@ class _Parser:
     # items ---------------------------------------------------------------
 
     def parse_item(self) -> ScenarioItem:
-        tok = self.peek()
+        kw = self.peek()
         # Only an ident or the check-past token can carry a keyword's text.
-        handler = self._ITEM_PARSERS.get(tok.text)
-        if handler is None:
-            raise _unexpected(tok, "declaration", "step", "query")
-        return handler(self)
-
-    def _parse_state(self) -> StateDecl:
-        kw = self.advance()
-        name = self.parse_name()
-        self.expect("=", "'='")
-        return StateDecl(name, self.parse_vector(), line=kw.line, col=kw.col)
-
-    def _parse_prop(self) -> PropDecl:
-        kw = self.advance()
-        name = self.parse_name()
-        self.expect("=", "'='")
-        self.expect_keyword("span")
-        self.expect("(", "'('")
-        vectors = [self.parse_vector()]
-        while self.accept(","):
-            vectors.append(self.parse_vector())
-        self.expect(")", "')' or ','")
-        return PropDecl(name, tuple(vectors), line=kw.line, col=kw.col)
-
-    def _parse_formula(self) -> FormulaDecl:
-        kw = self.advance()
-        name = self.parse_name()
-        self.expect("=", "'='")
-        return FormulaDecl(name, self.parse_boolexpr(), line=kw.line, col=kw.col)
-
-    def _parse_record(self) -> RecordStep:
-        kw = self.advance()
-        self.expect_keyword("at")
-        tick = self.expect("int", "integer tick")
-        return RecordStep(int(tick.value), line=kw.line, col=kw.col)
-
-    def _parse_clone(self) -> CloneStep:
-        kw = self.advance()
-        source = self.parse_name()
-        self.expect("->", "'->'")
-        target = self.parse_name()
-        return CloneStep(source, target, line=kw.line, col=kw.col)
-
-    def _parse_unclone(self) -> UncloneStep:
-        kw = self.advance()
-        cloned = self.parse_name()
-        self.expect_keyword("blank")
-        blank = self.parse_name()
-        return UncloneStep(cloned, blank, line=kw.line, col=kw.col)
-
-    def _parse_blackhole(self) -> BlackholeStep:
-        kw = self.advance()
-        return BlackholeStep(self.parse_name(), line=kw.line, col=kw.col)
-
-    def _parse_evolve(self) -> EvolveStep:
-        kw = self.advance()
-        name = self.parse_name()
-        self.expect_keyword("by")
-        return EvolveStep(name, self.parse_matrix(), line=kw.line, col=kw.col)
-
-    def _parse_reconstruct(self) -> ReconstructStep:
-        kw = self.advance()
-        p_one: float | None = None
-        if self.at_keyword("p"):
-            self.advance()
-            tok = self.peek()
-            if tok.kind not in ("int", "float"):
-                raise _unexpected(tok, "probability")
-            self.advance()
-            p_one = _real(tok)
-        return ReconstructStep(p_one, line=kw.line, col=kw.col)
-
-    def _parse_eval(self) -> EvalQuery:
-        kw = self.advance()
-        state = self.parse_name()
-        self.expect_keyword("in")
-        prop = self.parse_name()
-        return EvalQuery(state, prop, line=kw.line, col=kw.col)
-
-    def _parse_super(self) -> SuperQuery:
-        kw = self.advance()
-        return SuperQuery(self.parse_name(), line=kw.line, col=kw.col)
-
-    def _parse_feasible(self) -> FeasibleQuery:
-        kw = self.advance()
-        first = self.parse_name()
-        second = self.parse_name()
-        return FeasibleQuery(first, second, line=kw.line, col=kw.col)
-
-    def _parse_check_past(self) -> CheckPastQuery:
-        kw = self.advance()
-        return CheckPastQuery(line=kw.line, col=kw.col)
-
-    _ITEM_PARSERS = {
-        "state": _parse_state,
-        "prop": _parse_prop,
-        "formula": _parse_formula,
-        "record": _parse_record,
-        "clone": _parse_clone,
-        "unclone": _parse_unclone,
-        "blackhole": _parse_blackhole,
-        "evolve": _parse_evolve,
-        "reconstruct": _parse_reconstruct,
-        "eval": _parse_eval,
-        "super": _parse_super,
-        "feasible": _parse_feasible,
-        "check-past": _parse_check_past,
-    }
+        if kw.text not in SYNTAX:
+            raise _unexpected(kw, "declaration", "step", "query")
+        self.advance()
+        cls, pieces = SYNTAX[kw.text]
+        values = []
+        for piece in pieces:
+            if piece in _PIECES:
+                values.append(_PIECES[piece][0](self))
+            elif self.peek().text == piece:  # a literal: only its own token has its text
+                self.advance()
+            else:
+                raise _unexpected(self.peek(), f"'{piece}'")
+        return cls(*values, line=kw.line, col=kw.col)
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +441,6 @@ class _Parser:
 
 #: What each declaration binds its name to.
 _DECLARES = {StateDecl: "state", PropDecl: "proposition", FormulaDecl: "formula"}
-
-#: The names each step or query reads, in operand order: (field, what the
-#: name must denote).
-_USES = {
-    CloneStep: (("source", "state"), ("target", "state")),
-    UncloneStep: (("cloned", "state"), ("blank", "state")),
-    BlackholeStep: (("state", "state"),),
-    EvolveStep: (("state", "state"),),
-    EvalQuery: (("state", "state"), ("prop", "proposition")),
-    SuperQuery: (("formula", "formula"),),
-    FeasibleQuery: (("first", "state"), ("second", "state")),
-}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -682,39 +580,67 @@ def format_formula(f: Formula) -> str:
 
 
 def format_item(item: ScenarioItem) -> str:
-    if isinstance(item, StateDecl):
-        return f"state {item.name} = {_fmt_vector(item.components)}"
-    if isinstance(item, PropDecl):
-        vectors = ", ".join(_fmt_vector(v) for v in item.vectors)
-        return f"prop {item.name} = span({vectors})"
-    if isinstance(item, FormulaDecl):
-        return f"formula {item.name} = {format_formula(item.body)}"
-    if isinstance(item, RecordStep):
-        return f"record at {item.at}"
-    if isinstance(item, CloneStep):
-        return f"clone {item.source} -> {item.target}"
-    if isinstance(item, UncloneStep):
-        return f"unclone {item.cloned} blank {item.blank}"
-    if isinstance(item, BlackholeStep):
-        return f"blackhole {item.state}"
-    if isinstance(item, EvolveStep):
-        rows = ", ".join(_fmt_vector(r) for r in item.matrix)
-        return f"evolve {item.state} by [{rows}]"
-    if isinstance(item, ReconstructStep):
-        if item.p_one is None:
-            return "reconstruct"
-        return f"reconstruct p {_fmt_real(item.p_one)}"
-    if isinstance(item, EvalQuery):
-        return f"eval {item.state} in {item.prop}"
-    if isinstance(item, SuperQuery):
-        return f"super {item.formula}"
-    if isinstance(item, CheckPastQuery):
-        return "check-past"
-    if isinstance(item, FeasibleQuery):
-        return f"feasible {item.first} {item.second}"
-    raise TypeError(f"not a scenario item: {item!r}")
+    """An item's canonical text: its keyword, then each piece SYNTAX lists."""
+    keyword = KIND.get(type(item))
+    if keyword is None:
+        raise TypeError(f"not a scenario item: {item!r}")
+    words = [keyword]
+    for piece, attr in _SHAPES[type(item)]:
+        words.append(piece if attr is None else _PIECES[piece][1](getattr(item, attr)))
+    return " ".join(filter(None, words))
 
 
 def format_scenario(scenario: Scenario) -> str:
     """Canonical text for a scenario; parse(format(s)) equals s."""
     return "\n".join(format_item(item) for item in scenario.items) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Field pieces and the tables derived from SYNTAX
+
+
+def _fmt_p(p_one: float | None) -> str:
+    return "" if p_one is None else f"p {_fmt_real(p_one)}"
+
+
+def _fmt_rows(rows: tuple[tuple[complex, ...], ...]) -> str:
+    return ", ".join(map(_fmt_vector, rows))
+
+
+#: Field piece -> (how the parser reads it, how format_item writes it; an
+#: empty text is left out).
+_PIECES = {
+    "name": (_Parser.parse_name, str),
+    "state": (_Parser.parse_name, str),
+    "proposition": (_Parser.parse_name, str),
+    "formula": (_Parser.parse_name, str),
+    "vector": (_Parser.parse_vector, _fmt_vector),
+    "matrix": (_Parser.parse_matrix, lambda rows: f"[{_fmt_rows(rows)}]"),
+    "span": (_Parser.parse_span, lambda vectors: f"span({_fmt_rows(vectors)})"),
+    "boolexpr": (_Parser.parse_boolexpr, format_formula),
+    "tick": (_Parser.parse_tick, str),
+    "p": (_Parser.parse_p, _fmt_p),
+}
+
+
+def _shape(cls: type, pieces: tuple[str, ...]) -> tuple[tuple[str, str | None], ...]:
+    """Each piece with the field it fills, None for a literal."""
+    attrs = iter([f.name for f in fields(cls) if not f.kw_only])
+    return tuple((piece, next(attrs) if piece in _PIECES else None) for piece in pieces)
+
+
+_SHAPES = {cls: _shape(cls, pieces) for cls, pieces in SYNTAX.values()}
+
+#: The names each step or query reads, in operand order: (field, what the
+#: name must denote).
+_USES = {
+    cls: tuple((attr, piece) for piece, attr in shape if piece in ("state", "proposition", "formula"))
+    for cls, shape in _SHAPES.items()
+}
+
+#: Words no name may be: the keywords and word literals of SYNTAX, and the
+#: words the pieces' own grammar uses.
+_KEYWORDS = frozenset(SYNTAX).union(
+    [piece for _, pieces in SYNTAX.values() for piece in pieces if piece.isalpha() and piece not in _PIECES],
+    ["span", "not", "and", "or", "sqrt"],
+)

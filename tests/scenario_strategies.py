@@ -1,14 +1,68 @@
 """Hypothesis strategies for scenario text, shared by the test modules.
 
 ``scenario_texts`` draws well-formed scenarios from the grammar in
-``svq.scenario``. ``mutated_texts`` then breaks them at the token level:
+``svq.scenario``, with formula bodies drawn by ``formula_texts``. ``mutated_texts`` then breaks them at the token level:
 it deletes, duplicates and swaps tokens and splices in characters and
 literals the lexer and the number parser must reject or survive.
 """
 
+import functools
+
 from hypothesis import strategies as st
 
+from svq import And, Atom, Implies, Not, Or
 from svq.scenario import _tokenize
+
+
+# Formulas ----------------------------------------------------------------------
+
+
+@functools.lru_cache
+def formula_trees(atoms: tuple[str, ...]):
+    """Formula ASTs over the named atoms, with not-chains drawn as often as
+    single negations. Cached: a new recursive strategy per draw would cost
+    more than the draw."""
+    return st.recursive(
+        st.sampled_from(atoms).map(Atom),
+        lambda kids: st.one_of(
+            kids.map(Not),
+            kids.map(lambda f: Not(Not(f))),
+            st.tuples(kids, kids).map(lambda t: And(*t)),
+            st.tuples(kids, kids).map(lambda t: Or(*t)),
+            st.tuples(kids, kids).map(lambda t: Implies(*t)),
+        ),
+        max_leaves=12,
+    )
+
+
+#: node type -> (its precedence, the least precedence its left and right
+#: operands may have bare), as format_formula parenthesises.
+_PRECEDENCE = {Not: (4, None, 4), And: (3, 3, 4), Or: (2, 2, 3), Implies: (1, 2, 1)}
+_OPERATORS = {And: " and ", Or: " or ", Implies: " -> "}
+
+
+@st.composite
+def formula_texts(draw, atoms):
+    """A formula tree and a text the parser reads back as that tree: the
+    parentheses format_formula writes plus, now and then, redundant ones."""
+    tree = draw(formula_trees(atoms))
+    redundant = draw(st.randoms(use_true_random=False))  # one draw, not one per node
+
+    def render(node, min_prec):
+        if isinstance(node, Atom):
+            text, prec = node.name, 5
+        else:
+            prec, left, right = _PRECEDENCE[type(node)]
+            if isinstance(node, Not):
+                text = "not " + render(node.operand, right)
+            else:
+                text = render(node.left, left) + _OPERATORS[type(node)] + render(node.right, right)
+        if prec < min_prec or redundant.random() < 0.15:
+            return f"({text})"
+        return text
+
+    return tree, render(tree, 0)
+
 
 # Generated scenarios ---------------------------------------------------------
 #
@@ -18,7 +72,6 @@ from svq.scenario import _tokenize
 
 COMPONENTS = ["0", "1", "-1", "1/2", "1/sqrt(2)", "0.5i", "1-0.5i", "0.01", "0.000001", "1e-12"]
 ENTRIES = ["0", "1", "-1", "1i", "0.001", "1/sqrt(2)"]
-FORMULAS = ["{a}", "not {a}", "{a} or {b}", "{a} and not {b}", "{a} -> {b}", "({a} or {b}) and {a}"]
 RECONSTRUCTS = ["reconstruct", "reconstruct p 0", "reconstruct p 1", "reconstruct p 0.25"]
 
 
@@ -66,8 +119,7 @@ def scenario_texts(draw):
             lines.append(f"prop {props[-1]} = span({spans})")
         elif kind == "formula":
             formulas.append(f"f{len(formulas)}")
-            body = pick(FORMULAS).format(a=pick(props), b=pick(props))
-            lines.append(f"formula {formulas[-1]} = {body}")
+            lines.append(f"formula {formulas[-1]} = {draw(formula_texts(tuple(props)))[1]}")
         elif kind == "record":
             at = pick([tick, tick + 1, tick + 2, max(tick - 1, 0)])
             tick = max(tick, at)

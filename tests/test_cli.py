@@ -15,6 +15,13 @@ def test_run_clone_scenario_exits_one(scenario_dir, capsys):
     assert any(v["kind"] == "loss" for v in payload["violations"])
 
 
+def test_eval_exits_zero_although_the_audit_finds_violations(scenario_dir, capsys):
+    # Exit 1 is svq run's alone: eval prints valuations, not the audit.
+    assert main(["run", str(scenario_dir / "clone_z.svq"), "--seed", "0"]) == 1
+    capsys.readouterr()
+    assert main(["eval", str(scenario_dir / "clone_z.svq"), "--seed", "0"]) == 0
+
+
 def test_run_control_scenario_exits_zero(scenario_dir, capsys):
     code = main(["run", str(scenario_dir / "no_clone_control.svq"), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ unclone phi blank phi
     with pytest.raises(StepError) as err:
         run_text(text)
     assert isinstance(err.value.cause, NotCloneShape)
+    assert str(err.value.cause) == "factors differ beyond tolerance; not the output of a clone"
+
+
+def test_clone_and_unclone_build_no_joint_state():
+    # A joint state of d = 2048 holds d² complex amplitudes, 64 MiB; the
+    # copy map acts on the pair's factors, so the run stays near the size
+    # of its three states.
+    dim = 2048
+    text = "".join(
+        f"state {name} = [" + ", ".join("1" if i == axis else "0" for i in range(dim)) + "]\n"
+        for axis, name in enumerate("abc")
+    )
+    scenario = parse_scenario(text + "clone a -> b\nunclone a blank b\n")
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [step["kind"] for step in report.steps] == ["clone", "unclone"]
+    assert peak < 32 * 2**20
 
 
 def test_record_before_any_state_is_a_step_error():

@@ -2,7 +2,6 @@ import math
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from svq import (
     And,
@@ -39,6 +38,9 @@ from svq.scenario import (
     UncloneStep,
 )
 
+from scenario_strategies import formula_texts, formula_trees
+
+ATOMS = ("A", "B", "C")
 STEPS = (RecordStep, CloneStep, UncloneStep, BlackholeStep, EvolveStep, ReconstructStep)
 QUERIES = (EvalQuery, SuperQuery, CheckPastQuery, FeasibleQuery)
 
@@ -218,29 +220,22 @@ def test_round_trip_fixed_point_for_corpus(scenario_dir):
         assert format_scenario(second) == printed, path.name
 
 
-@st.composite
-def formula_trees(draw):
-    return draw(
-        st.recursive(
-            st.sampled_from(("A", "B", "C")).map(Atom),
-            lambda kids: st.one_of(
-                kids.map(Not),
-                st.tuples(kids, kids).map(lambda t: And(*t)),
-                st.tuples(kids, kids).map(lambda t: Or(*t)),
-                st.tuples(kids, kids).map(lambda t: Implies(*t)),
-            ),
-            max_leaves=12,
-        )
-    )
-
-
-@given(formula_trees())
+@given(formula_trees(ATOMS))
 def test_formula_printer_round_trips(f):
     text = (
         "prop A = span([1, 0])\nprop B = span([0, 1])\nprop C = span([1, 1])\n"
         f"formula f = {format_formula(f)}"
     )
     s = parse_scenario(text)
+    assert s.items[3].body == f
+
+
+@given(formula_texts(ATOMS))
+def test_redundant_parentheses_and_not_chains_parse_as_the_tree(drawn):
+    f, text = drawn
+    s = parse_scenario(
+        f"prop A = span([1, 0])\nprop B = span([0, 1])\nprop C = span([1, 1])\nformula f = {text}"
+    )
     assert s.items[3].body == f
 
 
@@ -263,7 +258,7 @@ def reference_format_formula(f):
     return go(f, 0)
 
 
-@given(formula_trees())
+@given(formula_trees(ATOMS))
 def test_formula_printer_matches_the_recursive_reference(f):
     assert format_formula(f) == reference_format_formula(f)
 
