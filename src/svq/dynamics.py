@@ -45,7 +45,13 @@ class ProductState:
 
     @classmethod
     def from_factors(cls, a: StateVector, b: StateVector) -> "ProductState":
-        return cls(tensor(a, b), (a.dim, b.dim), (a, b))
+        """The product state of a and b; its joint state is formed once and
+        not checked against the factors it is built from."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "joint", tensor(a, b))
+        object.__setattr__(state, "factor_dims", (a.dim, b.dim))
+        object.__setattr__(state, "factors", (a, b))
+        return state
 
 
 @dataclass(frozen=True)

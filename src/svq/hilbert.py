@@ -33,6 +33,20 @@ def _frozen_complex_array(data) -> np.ndarray:
     return arr
 
 
+def _unit_amplitudes(arr: np.ndarray) -> np.ndarray:
+    """arr, once it is checked to hold the amplitudes of a state."""
+    if arr.ndim != 1:
+        raise DimensionMismatch(f"amplitudes must be one-dimensional, got shape {arr.shape}")
+    if arr.shape[0] < 2:
+        raise DimensionTooSmall(f"a state needs dimension >= 2, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("amplitudes must be finite")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > DEFAULT_TOL:
+        raise NormLost(f"state norm {norm!r} deviates from 1 beyond tolerance")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A unit vector of complex amplitudes.
@@ -46,17 +60,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_complex_array(self.amplitudes)
-        if arr.ndim != 1:
-            raise DimensionMismatch(f"amplitudes must be one-dimensional, got shape {arr.shape}")
-        if arr.shape[0] < 2:
-            raise DimensionTooSmall(f"a state needs dimension >= 2, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > DEFAULT_TOL:
-            raise NormLost(f"state norm {norm!r} deviates from 1 beyond tolerance")
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(_frozen_complex_array(self.amplitudes)))
 
     @property
     def dim(self) -> int:
@@ -152,7 +156,13 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     first factor is the major index. This ordering is a convention of this
     library and is relied on by the product-state helpers.
     """
-    return StateVector(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
+    # The product is a new array that nothing else holds, so the state
+    # takes it as it is, without the copy the constructor makes.
+    joint = np.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    joint.setflags(write=False)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "amplitudes", _unit_amplitudes(joint))
+    return state
 
 
 def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> StateVector:

@@ -2,6 +2,8 @@
 
 Every recorded valuation pairs the tick it is about with the tick it was
 asserted at; the tense (past, present, future) is derived from the two.
+Records and violations are NamedTuples: they unpack, and compare equal to
+plain tuples of their fields.
 Ledgers are persistent values: appending returns a new ledger and never
 touches the old one, so any previously held ledger stays valid. Appends
 must not regress in assertion time.
@@ -21,9 +23,8 @@ flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NonMonotoneAssertion
 from .lattice import TruthValue
@@ -41,8 +42,7 @@ def derive_tense(at: int, asserted_at: int) -> str:
     return FUTURE
 
 
-@dataclass(frozen=True)
-class TensedRecord:
+class TensedRecord(NamedTuple):
     at: int
     prop_id: str
     tense: str
@@ -81,8 +81,7 @@ class Ledger:
         return f"Ledger(records={self.records!r})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A past valuation that failed to stay fixed."""
 
     prop_id: str
@@ -111,10 +110,16 @@ def record_valuation(
     Returns a new ledger; the input ledger is unchanged. O(1) amortised
     when the input is the newest version of its list; an older input is
     forked by copying its records. Raises NonMonotoneAssertion when
-    asserted_at is earlier than the last record's.
+    asserted_at is earlier than the last record's, ValueError unless both
+    ticks are non-negative integers and TypeError unless truth is a
+    TruthValue.
     """
-    _check_tick("at", at)
-    _check_tick("asserted_at", asserted_at)
+    if not (type(at) is int and at >= 0):
+        _check_tick("at", at)
+    if not (type(asserted_at) is int and asserted_at >= 0):
+        _check_tick("asserted_at", asserted_at)
+    if type(truth) is not TruthValue:
+        raise TypeError(f"truth must be a TruthValue, got {truth!r}")
     log, size = ledger._log, ledger._size
     if size and asserted_at < log[size - 1].asserted_at:
         raise NonMonotoneAssertion(
@@ -147,26 +152,18 @@ def check_past_unalterability(ledger: Ledger) -> tuple[Violation, ...]:
     records are predictions, not history: one never serves as a baseline,
     so a prediction that fails to come true is not an alteration.
     """
-    groups: dict[tuple[str, int], list[TensedRecord]] = {}
-    for rec in ledger:
-        groups.setdefault((rec.prop_id, rec.at), []).append(rec)
-    violations: list[Violation] = []
-    for (prop_id, at), recs in groups.items():
-        baseline_index = next(
-            (i for i, r in enumerate(recs) if r.truth.is_determinate and r.tense != FUTURE),
-            None,
-        )
-        if baseline_index is None:
-            continue
-        baseline = recs[baseline_index].truth
-        for later in recs[baseline_index + 1:]:
-            if later.truth is baseline:
-                continue
-            kind = "loss" if later.truth is TruthValue.GAP else "flip"
-            violations.append(
-                Violation(prop_id, at, baseline, later.truth, later.asserted_at, kind)
-            )
-    return tuple(violations)
+    baselines: dict[tuple[str, int], TruthValue | None] = {}  # in first-appearance order
+    found: dict[tuple[str, int], list[Violation]] = {}
+    gap = TruthValue.GAP
+    for at, prop_id, tense, truth, asserted_at in ledger:
+        key = (prop_id, at)
+        baseline = baselines.get(key)
+        if baseline is None:
+            baselines[key] = truth if truth is not gap and tense != FUTURE else None
+        elif truth is not baseline:
+            kind = "loss" if truth is gap else "flip"
+            found.setdefault(key, []).append(Violation(prop_id, at, baseline, truth, asserted_at, kind))
+    return tuple(v for key in baselines if key in found for v in found[key])
 
 
 def tense_view(ledger: Ledger, now: int) -> tuple[tuple[str, int, str, TruthValue], ...]:
@@ -182,7 +179,8 @@ def tense_view(ledger: Ledger, now: int) -> tuple[tuple[str, int, str, TruthValu
 
 def ledger_lines(ledger: Ledger) -> list[str]:
     """Line-delimited serialization: tick, prop id, tense, truth, asserted tick."""
+    # truth._value_ is str(truth), read without two Python-level calls.
     return [
-        f"{rec.at}\t{rec.prop_id}\t{rec.tense}\t{rec.truth}\t{rec.asserted_at}"
-        for rec in ledger
+        f"{at}\t{prop_id}\t{tense}\t{truth._value_}\t{asserted_at}"
+        for at, prop_id, tense, truth, asserted_at in ledger
     ]

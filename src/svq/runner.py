@@ -41,6 +41,14 @@ replace the system with their output:
   that ledger is a persistent value, so it is audited once, after the last
   step, however many checks the scenario runs.
 
+Every truth value the runner reports for the system comes from one row
+per system state: the membership of that state in each declared
+proposition, in declaration order, computed once and extended when a later
+``prop`` is declared. ``membership`` is pure and states are immutable, so
+the row is exact. Rows are kept, by object identity, for the declared
+states and for the current system only: the output of a ``blackhole`` or
+``evolve`` step loses its row, and is freed, once the system moves on.
+
 Reports are deterministic for a fixed scenario, seed and tolerance;
 sub-seeds for random steps are drawn from a single generator seeded with
 the run seed.
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from numbers import Real
 from typing import Mapping
@@ -102,6 +111,14 @@ class Report:
         return self.checks_run > 0 and bool(self.violations)
 
 
+_GAP = TruthValue.GAP
+_GAP_TEXT = str(_GAP)
+_BITS = (TruthValue.FALSE, TruthValue.TRUE)
+
+#: A valuation row: (prop, truth, str(truth)) per declared prop, in order.
+_Row = list[tuple[str, TruthValue, str]]
+
+
 class _Run:
     """The bindings and history of one run, which the handlers update."""
 
@@ -111,6 +128,8 @@ class _Run:
         self.rng = np.random.default_rng(report.seed)
         self.props: dict[str, Subspace] = {}  # every prop declared so far, in order
         self.system: StateVector | None = None
+        self.rows: dict[int, tuple[StateVector, _Row]] = {}  # id(declared state) -> it and its row
+        self.loose: tuple[StateVector, _Row] | None = None  # an undeclared system and its row
         self.ledger = Ledger()
         self.audited = self.ledger
         self.recorded: dict[tuple[str, int], bool] = {}  # key -> some present record is determinate
@@ -118,19 +137,31 @@ class _Run:
         self.now = 0
         self.pending_clone: StateVector | None = None  # the source of the last clone
 
+    def row(self, state: StateVector) -> _Row:
+        """The valuation row of a declared state or of the system."""
+        entry = self.rows.get(id(state))
+        if entry is None:
+            entry = self.loose
+            if entry is None or entry[0] is not state:
+                entry = self.loose = (state, [])
+        row, props = entry[1], self.props
+        if len(row) < len(props):
+            for pid, sub in islice(props.items(), len(row), None):
+                tv = membership(state, sub, self.tol)
+                row.append((pid, tv, str(tv)))
+        return row
+
     def move(self, system: StateVector) -> list[dict]:
         """Replace the system; return each proposition's truth before and after."""
         before, self.system = self.system, system
         if before is None:
             return []
-        tol = self.tol
+        old, new = self.row(before), self.row(system)
+        if self.loose is not None and self.loose[0] is not system:
+            self.loose = None  # the replaced system was undeclared: free it
         return [
-            {
-                "prop": pid,
-                "before": str(membership(before, sub, tol)),
-                "after": str(membership(system, sub, tol)),
-            }
-            for pid, sub in self.props.items()
+            {"prop": pid, "before": was, "after": now}
+            for (pid, _, was), (_, _, now) in zip(old, new)
         ]
 
     def mark_lost(self) -> None:
@@ -155,6 +186,7 @@ def _feasibility_entry(feas) -> dict:
 
 
 def _state(run: _Run, item: StateDecl, state: StateVector) -> None:
+    run.rows[id(state)] = (state, [])
     if run.system is None:
         run.system = state
 
@@ -170,21 +202,18 @@ def _formula(run: _Run, item: FormulaDecl, formula) -> None:
 def _record(run: _Run, item: RecordStep, _) -> dict:
     if run.system is None:
         raise SvqError("record before any state declaration")
-    at, led, lost = item.at, run.ledger, run.lost
+    at, led, lost, recorded = item.at, run.ledger, run.lost, run.recorded
     entries = []
-    for key, gapped in list(lost.items()):
+    for key, gapped in lost.items():
         if not gapped:
             pid, at0 = key
-            led = record_valuation(led, at0, pid, TruthValue.GAP, at)
+            led = record_valuation(led, at0, pid, _GAP, at)
             lost[key] = True
-            entries.append(
-                {"prop": pid, "at": at0, "truth": str(TruthValue.GAP), "tense": derive_tense(at0, at)}
-            )
-    for pid, sub in run.props.items():
-        tv = membership(run.system, sub, run.tol)
+            entries.append({"prop": pid, "at": at0, "truth": _GAP_TEXT, "tense": derive_tense(at0, at)})
+    for pid, tv, text in run.row(run.system):
         led = record_valuation(led, at, pid, tv, at)
-        run.recorded[pid, at] = run.recorded.get((pid, at), False) or tv.is_determinate
-        entries.append({"prop": pid, "at": at, "truth": str(tv), "tense": "present"})
+        recorded[pid, at] = tv is not _GAP or recorded.get((pid, at), False)
+        entries.append({"prop": pid, "at": at, "truth": text, "tense": "present"})
     run.ledger = led
     run.now = at
     return {"at": at, "recorded": entries}
@@ -238,7 +267,7 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
     bits = sample_past_reconstruction(p, sub_seeds)
     samples = []
     for (pid, at0), sub_seed, bit in zip(lost, sub_seeds, bits):
-        led = record_valuation(led, at0, pid, TruthValue.TRUE if bit else TruthValue.FALSE, run.now)
+        led = record_valuation(led, at0, pid, _BITS[bit], run.now)
         samples.append({"prop": pid, "at": at0, "value": bit, "seed": sub_seed})
     lost.clear()
     run.ledger = led
@@ -345,14 +374,14 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     if report.checks_run:
         report.violations = [
             {
-                "kind": v.kind,
-                "prop": v.prop_id,
-                "at": v.at,
-                "earlier": str(v.earlier_truth),
-                "later": str(v.later_truth),
-                "asserted_at": v.later_asserted_at,
+                "kind": kind,
+                "prop": pid,
+                "at": at,
+                "earlier": earlier._value_,  # str(earlier), without the Python-level call
+                "later": later._value_,
+                "asserted_at": asserted_at,
             }
-            for v in check_past_unalterability(run.audited)
+            for pid, at, earlier, later, asserted_at, kind in check_past_unalterability(run.audited)
         ]
     report.ledger = run.ledger
     return report
@@ -429,13 +458,61 @@ def _text_report(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The report's bulk rows, each rendered by one template: record entries,
+# reconstruct samples and violations. A template takes the row's inner and
+# closing indentation and its values, and returns None unless every value
+# has its exact expected type, so that bool, str and int subclasses, floats
+# and anything else go through _write_json.
+
+
+def _record_row(i: str, n: str, prop, at, truth, tense) -> str | None:
+    if type(prop) is str and type(at) is int and type(truth) is str and type(tense) is str:
+        return (
+            f'{{{i}"prop": {_quote(prop)},{i}"at": {at},{i}"truth": {_quote(truth)},'
+            f'{i}"tense": {_quote(tense)}{n}}}'
+        )
+    return None
+
+
+def _sample_row(i: str, n: str, prop, at, value, seed) -> str | None:
+    if type(prop) is str and type(at) is int and type(value) is int and type(seed) is int:
+        return f'{{{i}"prop": {_quote(prop)},{i}"at": {at},{i}"value": {value},{i}"seed": {seed}{n}}}'
+    return None
+
+
+def _violation_row(i: str, n: str, kind, prop, at, earlier, later, asserted_at) -> str | None:
+    if (
+        type(kind) is str
+        and type(prop) is str
+        and type(at) is int
+        and type(earlier) is str
+        and type(later) is str
+        and type(asserted_at) is int
+    ):
+        return (
+            f'{{{i}"kind": {_quote(kind)},{i}"prop": {_quote(prop)},{i}"at": {at},'
+            f'{i}"earlier": {_quote(earlier)},{i}"later": {_quote(later)},'
+            f'{i}"asserted_at": {asserted_at}{n}}}'
+        )
+    return None
+
+
+#: Key tuple of a row, in order -> its template.
+_ROW_TEMPLATES = {
+    ("prop", "at", "truth", "tense"): _record_row,
+    ("prop", "at", "value", "seed"): _sample_row,
+    ("kind", "prop", "at", "earlier", "later", "asserted_at"): _violation_row,
+}
+
+
 def _write_json(value, newline: str, out: list[str], heads: dict) -> None:
     """Append the pieces of json.dumps(value, indent=2, allow_nan=False).
 
     newline is "\n" plus the indentation of the line value starts on. The
     type tests run in json's order (str, None, True, False, int, float,
     list or tuple, dict), so subclasses render as json renders them; the
-    exact-type tests inside the loops are shortcuts to the same output.
+    exact-type tests inside the loops, and the row templates a list's dict
+    items are tried against, are shortcuts to the same output.
     Dict keys must be strings, which is all a report holds.
     heads caches, per indentation, the text that opens each dict item
     after the first (comma, newline, indent, quoted key and colon).
@@ -459,13 +536,20 @@ def _write_json(value, newline: str, out: list[str], heads: dict) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        row_inner = inner + "  "
         sep = "[" + inner
         for item in value:
-            if type(item) is str:
+            kind = type(item)
+            if kind is str:
                 out.append(sep + _quote(item))
             else:
-                out.append(sep)
-                _write_json(item, inner, out, heads)
+                template = _ROW_TEMPLATES.get(tuple(item)) if kind is dict else None
+                row = template and template(row_inner, inner, *item.values())
+                if row is None:
+                    out.append(sep)
+                    _write_json(item, inner, out, heads)
+                else:
+                    out.append(sep + row)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,26 @@ def test_ideal_clone_needs_factors():
 def test_product_state_rejects_mismatched_factors():
     with pytest.raises(NotProductState):
         ProductState(tensor(UP, UP), (2, 2), (UP, DOWN))
+
+
+def test_from_factors_forms_the_joint_state_once():
+    # At d = 2048 the joint state holds d² complex amplitudes, 64 MiB. It
+    # used to be formed twice, and copied once more, to check the factors
+    # it had just been built from.
+    dim = 2048
+    a = make_state(np.arange(dim) == 0)
+    b = make_state(np.ones(dim))
+    tracemalloc.start()
+    try:
+        state = ProductState.from_factors(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert state.factors == (a, b) and state.factor_dims == (dim, dim)
+    amplitudes = state.joint.amplitudes
+    assert not amplitudes.flags.writeable
+    assert amplitudes[0] == b.amplitudes[0] and amplitudes[dim] == 0
 
 
 def test_ideal_unclone_restores_blank():

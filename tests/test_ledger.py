@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from svq import (
     Ledger,
     NonMonotoneAssertion,
+    TensedRecord,
     TruthValue,
+    Violation,
     check_past_unalterability,
     derive_tense,
     ledger_lines,
@@ -214,3 +216,87 @@ def test_appending_to_an_older_ledger_forks(entries, data):
     assert (fork == again) == (fork.records == again.records)
     assert (older == ledgers[-1]) == (older.records == ledgers[-1].records)
     assert fork != older
+
+
+def test_records_and_violations_are_named_tuples():
+    led = record_valuation(Ledger(), 0, "Zplus", T, 0)
+    led = record_valuation(led, 0, "Zplus", G, 4)
+    assert led.records == ((0, "Zplus", "present", T, 0), (0, "Zplus", "past", G, 4))
+    at, prop_id, tense, truth, asserted_at = led.records[1]
+    assert led.records[1] == TensedRecord(at, prop_id, tense, truth, asserted_at)
+    assert check_past_unalterability(led) == (("Zplus", 0, T, G, 4, "loss"),)
+    assert Violation._fields == (
+        "prop_id", "at", "earlier_truth", "later_truth", "later_asserted_at", "kind"
+    )
+
+
+@pytest.mark.parametrize("tick", [-1, True, 1.0, "1"])
+def test_record_valuation_rejects_a_tick_that_is_not_a_non_negative_int(tick):
+    for at, asserted_at, name in ((tick, 0, "at"), (0, tick, "asserted_at")):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got"):
+            record_valuation(Ledger(), at, "Zplus", T, asserted_at)
+
+
+def test_record_valuation_rejects_a_truth_that_is_not_a_truth_value():
+    # The audit compares truths by identity; "1" used to be appended and
+    # then crash the audit.
+    with pytest.raises(TypeError, match="^truth must be a TruthValue"):
+        record_valuation(Ledger(), 0, "Zplus", "1", 0)
+
+
+# The audit as it was before it became one pass over the ledger, kept as
+# its oracle.
+
+
+def reference_check_past_unalterability(ledger):
+    groups = {}
+    for rec in ledger:
+        groups.setdefault((rec.prop_id, rec.at), []).append(rec)
+    violations = []
+    for (prop_id, at), recs in groups.items():
+        baseline_index = next(
+            (i for i, r in enumerate(recs) if r.truth.is_determinate and r.tense != "future"),
+            None,
+        )
+        if baseline_index is None:
+            continue
+        baseline = recs[baseline_index].truth
+        for later in recs[baseline_index + 1:]:
+            if later.truth is baseline:
+                continue
+            kind = "loss" if later.truth is TruthValue.GAP else "flip"
+            violations.append(
+                Violation(prop_id, at, baseline, later.truth, later.asserted_at, kind)
+            )
+    return tuple(violations)
+
+
+ledger_entries = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from(("P", "Q")),
+        st.sampled_from((T, F, G)),
+        st.integers(0, 5),
+    ),
+    max_size=30,
+)
+
+
+@given(ledger_entries, st.data())
+def test_audit_matches_the_reference_on_newest_and_forked_ledgers(entries, data):
+    # at > asserted_at draws future-tense records as well as past and present.
+    entries = sorted(entries, key=lambda e: e[3])
+    ledgers = [Ledger()]
+    for at, pid, truth, asserted in entries:
+        ledgers.append(record_valuation(ledgers[-1], at, pid, truth, asserted))
+    older = ledgers[data.draw(st.integers(0, len(ledgers) - 1))]
+    tick = max((rec.asserted_at for rec in older), default=0)
+    fork = older
+    for at, pid, truth in data.draw(
+        st.lists(st.tuples(st.integers(0, 6), st.sampled_from(("P", "R")), st.sampled_from((T, F, G))), max_size=6)
+    ):
+        fork = record_valuation(fork, at, pid, truth, tick)
+    for led in (ledgers[-1], older, fork):
+        found = check_past_unalterability(led)
+        assert found == reference_check_past_unalterability(led)
+        assert all(type(v) is Violation for v in found)

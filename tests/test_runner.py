@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svq import (
@@ -180,6 +180,75 @@ def test_clone_and_unclone_build_no_joint_state():
     assert peak < 32 * 2**20
 
 
+# The runner keeps one valuation row per system state. The library calls
+# stay visible under the runner's module globals, where the benchmark
+# tracer counts them.
+
+MEMO_STATES = {"up": "[1, 0]", "down": "[0, 1]", "plus": "[1, 1]", "tilt": "[2, 1]"}
+
+memo_ticks = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(MEMO_STATES)),
+        st.sampled_from(sorted(MEMO_STATES)),
+        st.sampled_from(["", "blackhole up", "evolve plus by [[0, 1], [1, 0]]", "prop Y = span([1, 2])"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def memo_scenario(ticks):
+    lines = [f"state {name} = {vector}" for name, vector in MEMO_STATES.items()]
+    lines += ["prop Z = span([1, 0])", "prop X = span([1, 1])"]
+    for tick, (src, tgt, extra) in enumerate(ticks):
+        if extra.startswith("prop") and extra in lines:  # Y is declared once
+            extra = ""
+        lines += [f"record at {2 * tick}", f"clone {src} -> {tgt}", extra, f"record at {2 * tick + 1}"]
+        lines += ["reconstruct", "check-past"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30)
+@given(memo_ticks)
+def test_membership_runs_once_per_state_and_prop_and_every_record_is_appended(ticks):
+    calls = {"membership": 0, "record_valuation": 0}
+    pairs, states = set(), []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "membership":
+                pairs.add((id(args[0]), id(args[1])))
+                states.append(args[0])  # keeps every id distinct
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(runner, name, counting(name, getattr(runner, name)))
+        report = run_text(memo_scenario(ticks), seed=4)
+    assert 0 < calls["membership"] <= len(pairs)
+    assert calls["record_valuation"] == len(report.ledger)
+
+
+def test_the_row_memo_keeps_no_replaced_state():
+    # Each black hole emits a new state of d = 4096 amplitudes, 64 KiB; a
+    # memo that kept every system it had seen would hold all 100 of them.
+    dim = 4096
+    vector = "[" + ", ".join("1" if i == 0 else "0" for i in range(dim)) + "]"
+    steps = "".join(f"blackhole s\nrecord at {tick}\n" for tick in range(100))
+    scenario = parse_scenario(f"state s = {vector}\nprop P = span({vector})\n" + steps)
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.ledger) == 100
+    assert peak < 3 * 2**20
+
+
 def test_record_before_any_state_is_a_step_error():
     with pytest.raises(StepError) as err:
         run_text("prop Z = span([1, 0])\nrecord at 0")
@@ -337,8 +406,45 @@ json_scalars = st.one_of(
     st.text(),
     st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é✓\U0001f600", "\ud800", "0/0"]),
 )
+
+
+class Tagged(str):
+    pass
+
+
+class LoudInt(int):
+    def __repr__(self):
+        return "loud"
+
+
+# Dicts with exactly the key tuple of a report row, which the writer renders
+# from a template when every value has its exact expected type. Each row
+# holds values of those types, except that one slot, or none, holds a value
+# from json_scalars or a str or int subclass instead, so that every type
+# guard of every template is tried on its own.
+ROW_KEYS = {
+    ("prop", "at", "truth", "tense"): (str, int, str, str),
+    ("prop", "at", "value", "seed"): (str, int, int, int),
+    ("kind", "prop", "at", "earlier", "later", "asserted_at"): (str, str, int, str, str, int),
+}
+exact_values = {str: st.text(), int: st.integers()}
+odd_values = st.one_of(json_scalars, st.text().map(Tagged), st.integers().map(LoudInt))
+
+
+def report_rows(keys, kinds):
+    def build(values, slot, odd):
+        values = list(values)
+        if slot < len(values):
+            values[slot] = odd
+        return dict(zip(keys, values))
+
+    exact = st.tuples(*(exact_values[kind] for kind in kinds))
+    return st.builds(build, exact, st.integers(0, len(keys)), odd_values)
+
+
+json_rows = st.one_of([report_rows(keys, kinds) for keys, kinds in ROW_KEYS.items()])
 json_values = st.recursive(
-    json_scalars,
+    json_scalars | json_rows,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -353,18 +459,33 @@ def test_json_writer_matches_json_dumps(value):
     assert runner._json_text(value) == dumps(value)
 
 
-class LoudInt(int):
-    def __repr__(self):
-        return "loud"
+@given(st.lists(json_rows, max_size=8))
+def test_json_writer_renders_report_rows_as_json_does(rows):
+    value = {"rows": rows}
+    assert runner._json_text(value) == dumps(value)
+
+
+def test_json_writer_renders_rows_by_their_templates_as_json_does():
+    rows = [
+        {"prop": "Z", "at": 3, "truth": "0/0", "tense": "past"},
+        {"prop": "Z", "at": True, "truth": "1", "tense": "present"},
+        {"prop": "Z", "at": 3, "value": 1, "seed": 2**63 - 1},
+        {"prop": "Z", "at": 3, "value": 1.0, "seed": 5},
+        {"kind": "loss", "prop": "é\n", "at": 0, "earlier": "1", "later": "0/0", "asserted_at": 4},
+        {"kind": "flip", "prop": Tagged("Z"), "at": 0, "earlier": "1", "later": "0", "asserted_at": 4},
+        {"at": 3, "prop": "Z", "truth": "1", "tense": "present"},
+    ]
+    templates = runner._ROW_TEMPLATES
+    assert [templates[tuple(row)](" ", "", *row.values()) is None for row in rows[:-1]] == [
+        False, True, False, True, False, True,
+    ]
+    assert tuple(rows[-1]) not in templates
+    assert runner._json_text([rows, {"rows": rows}]) == dumps([rows, {"rows": rows}])
 
 
 class LoudFloat(float):
     def __repr__(self):
         return "loud"
-
-
-class Tagged(str):
-    pass
 
 
 def test_json_writer_renders_subclasses_as_json_does():
