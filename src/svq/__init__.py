@@ -81,7 +81,6 @@ from .ledger import (
     derive_tense,
     ledger_lines,
     record_valuation,
-    tense_view,
 )
 from .scenario import (
     Scenario,

@@ -47,6 +47,14 @@ def _unit_amplitudes(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _adopt(arr: np.ndarray) -> "StateVector":
+    """A state of arr, a new array that nothing else holds, without the copy the constructor makes."""
+    arr.setflags(write=False)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "amplitudes", _unit_amplitudes(arr))
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A unit vector of complex amplitudes.
@@ -131,7 +139,7 @@ def make_state(components, tol: float = DEFAULT_TOL) -> StateVector:
         # The sum of squares overflowed: bring the largest part to 1 first.
         arr = arr / np.max(np.maximum(np.abs(arr.real), np.abs(arr.imag)))
         norm = np.linalg.norm(arr)
-    return StateVector(arr / norm)
+    return _adopt(arr / norm)
 
 
 def make_operator(entries, unitary: bool = False, tol: float = DEFAULT_TOL) -> Operator:
@@ -156,13 +164,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     first factor is the major index. This ordering is a convention of this
     library and is relied on by the product-state helpers.
     """
-    # The product is a new array that nothing else holds, so the state
-    # takes it as it is, without the copy the constructor makes.
-    joint = np.outer(a.amplitudes, b.amplitudes).reshape(-1)
-    joint.setflags(write=False)
-    state = object.__new__(StateVector)
-    object.__setattr__(state, "amplitudes", _unit_amplitudes(joint))
-    return state
+    return _adopt(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> StateVector:
@@ -186,7 +188,7 @@ def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> Sta
         if abs(norm - 1.0) > DEFAULT_TOL:
             # within is_unitary's allowance, but past the state invariant
             out = out / norm
-        return StateVector(out)
+        return _adopt(out)
     return make_state(out, tol)
 
 

@@ -8,11 +8,16 @@ Ledgers are persistent values: appending returns a new ledger and never
 touches the old one, so any previously held ledger stays valid. Appends
 must not regress in assertion time.
 
-Versions of a ledger share one list of records, and each version sees the
-prefix of its own length. Appending to the newest version extends that
-list in place, so building a ledger of n records costs O(n) in all.
-Appending to an older version is a fork: it copies the older version's
-prefix into a new list first, and every version keeps the records it had.
+A ledger is stored in columns (``_cols``): a dict that interns each prop
+id as its position in it, then one list per field, of each row's prop
+index, at, truth and asserted_at (ticks are unbounded ints). A TensedRecord
+is built only when a row is read through iteration or ``records``; the
+audit, ``ledger_lines`` and the report renderer read the columns. Versions
+of a ledger share its columns, and each version sees the rows of its own
+length. Appending to the newest version extends the columns in place, so
+building a ledger of n records costs O(n) in all. Appending to an older
+version is a fork: it copies the older version's rows into new columns
+first, and every version keeps the records it had.
 
 The audit treats the earliest determinate truth recorded for a given
 (proposition, tick) pair as fixed. A later determinate record that
@@ -23,7 +28,6 @@ flagged.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import NonMonotoneAssertion
@@ -53,21 +57,34 @@ class TensedRecord(NamedTuple):
 class Ledger:
     """An immutable sequence of tensed records; equal when the records are."""
 
-    __slots__ = ("_log", "_size")
+    __slots__ = ("_cols", "_size")
 
     def __init__(self, records: Iterable[TensedRecord] = ()):
-        self._log = list(records)
-        self._size = len(self._log)
+        self._cols, self._size = ({}, [], [], [], []), 0
+        for at, prop_id, tense, truth, asserted_at in records:
+            appended = record_valuation(self, at, prop_id, truth, asserted_at)
+            if tense != derive_tense(at, asserted_at):
+                raise ValueError(f"tense {tense!r} disagrees with at {at} and asserted_at {asserted_at}")
+            self._cols, self._size = appended._cols, appended._size
+
+    def columns(self, start: int = 0):
+        """The interned prop ids, then the prop index (into them), at, truth
+        and asserted_at columns of the rows from start on, as lists."""
+        index, props, ats, truths, asserted = self._cols
+        n = self._size
+        return list(index), props[start:n], ats[start:n], truths[start:n], asserted[start:n]
 
     @property
     def records(self) -> tuple[TensedRecord, ...]:
-        return tuple(islice(self._log, self._size))
+        return tuple(self)
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self):
-        return islice(self._log, self._size)
+        names, props, ats, truths, asserted = self.columns()
+        tenses = map(derive_tense, ats, asserted)
+        return map(TensedRecord, ats, map(names.__getitem__, props), tenses, truths, asserted)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ledger):
@@ -95,7 +112,7 @@ class Violation(NamedTuple):
 def _check_tick(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def record_valuation(
@@ -108,35 +125,43 @@ def record_valuation(
     """Append one valuation, deriving its tense from (at, asserted_at).
 
     Returns a new ledger; the input ledger is unchanged. O(1) amortised
-    when the input is the newest version of its list; an older input is
-    forked by copying its records. Raises NonMonotoneAssertion when
+    when the input is the newest version of its columns; an older input is
+    forked by copying its rows. Raises NonMonotoneAssertion when
     asserted_at is earlier than the last record's, ValueError unless both
-    ticks are non-negative integers and TypeError unless truth is a
-    TruthValue.
+    ticks are non-negative integers (an int subclass is stored as a plain
+    int) and TypeError unless truth is a TruthValue.
     """
     if not (type(at) is int and at >= 0):
-        _check_tick("at", at)
+        at = _check_tick("at", at)
     if not (type(asserted_at) is int and asserted_at >= 0):
-        _check_tick("asserted_at", asserted_at)
+        asserted_at = _check_tick("asserted_at", asserted_at)
     if type(truth) is not TruthValue:
         raise TypeError(f"truth must be a TruthValue, got {truth!r}")
-    log, size = ledger._log, ledger._size
-    if size and asserted_at < log[size - 1].asserted_at:
-        raise NonMonotoneAssertion(
-            f"asserted_at {asserted_at} regresses behind {log[size - 1].asserted_at}"
-        )
-    rec = TensedRecord(at, prop_id, derive_tense(at, asserted_at), truth, asserted_at)
-    # Extend the shared list only when this is its newest version, and keep
-    # the extension only if rec landed right after this version's prefix:
-    # list.append is atomic, so a concurrent append to the same version
-    # makes one of the two fork instead of seeing the other's record.
-    if len(log) == size:
-        log.append(rec)
-    if log[size] is not rec:
-        log = log[:size]
-        log.append(rec)
+    cols, size = ledger._cols, ledger._size
+    index, props, ats, truths, asserted = cols
+    if size and asserted_at < asserted[size - 1]:
+        raise NonMonotoneAssertion(f"asserted_at {asserted_at} regresses behind {asserted[size - 1]}")
     appended = Ledger.__new__(Ledger)
-    appended._log = log
+    # Claim row size with one atomic list.append of a new object (a small int
+    # is shared and cannot tell appends apart), kept only if it landed there:
+    # of two concurrent appends to one version, one forks and never sees the
+    # other's row.
+    if len(asserted) == size:
+        asserted.append(appended)
+    if asserted[size] is appended:
+        asserted[size] = asserted_at
+    else:  # a fork: this version's rows, copied into new columns
+        props, ats, truths, asserted = props[:size], ats[:size], truths[:size], asserted[:size]
+        asserted.append(asserted_at)
+        index = dict(index)
+        cols = (index, props, ats, truths, asserted)
+    p = index.get(prop_id)
+    if p is None:
+        p = index[prop_id] = len(index)
+    props.append(p)
+    ats.append(at)
+    truths.append(truth)
+    appended._cols = cols
     appended._size = size + 1
     return appended
 
@@ -152,35 +177,27 @@ def check_past_unalterability(ledger: Ledger) -> tuple[Violation, ...]:
     records are predictions, not history: one never serves as a baseline,
     so a prediction that fails to come true is not an alteration.
     """
-    baselines: dict[tuple[str, int], TruthValue | None] = {}  # in first-appearance order
-    found: dict[tuple[str, int], list[Violation]] = {}
+    names, props, ats, truths, asserted = ledger.columns()
+    width = len(names)  # a (prop, at) key is the int at * width + prop index
+    baselines: dict[int, TruthValue | None] = {}  # in first-appearance order
+    found: dict[int, list[Violation]] = {}
     gap = TruthValue.GAP
-    for at, prop_id, tense, truth, asserted_at in ledger:
-        key = (prop_id, at)
+    for p, at, truth, asserted_at in zip(props, ats, truths, asserted):
+        key = at * width + p
         baseline = baselines.get(key)
         if baseline is None:
-            baselines[key] = truth if truth is not gap and tense != FUTURE else None
+            baselines[key] = truth if truth is not gap and at <= asserted_at else None
         elif truth is not baseline:
             kind = "loss" if truth is gap else "flip"
-            found.setdefault(key, []).append(Violation(prop_id, at, baseline, truth, asserted_at, kind))
+            found.setdefault(key, []).append(Violation(names[p], at, baseline, truth, asserted_at, kind))
     return tuple(v for key in baselines if key in found for v in found[key])
-
-
-def tense_view(ledger: Ledger, now: int) -> tuple[tuple[str, int, str, TruthValue], ...]:
-    """Relabel every record's tense relative to the supplied present moment.
-
-    Pure view: recorded truths come back unchanged and the ledger itself is
-    untouched."""
-    _check_tick("now", now)
-    return tuple(
-        (rec.prop_id, rec.at, derive_tense(rec.at, now), rec.truth) for rec in ledger
-    )
 
 
 def ledger_lines(ledger: Ledger) -> list[str]:
     """Line-delimited serialization: tick, prop id, tense, truth, asserted tick."""
-    # truth._value_ is str(truth), read without two Python-level calls.
+    names, props, ats, truths, asserted = ledger.columns()
+    # The tense and str(truth), without a Python-level call per row.
     return [
-        f"{at}\t{prop_id}\t{tense}\t{truth._value_}\t{asserted_at}"
-        for at, prop_id, tense, truth, asserted_at in ledger
+        f"{at}\t{names[p]}\t{PAST if at < a else PRESENT if at == a else FUTURE}\t{truth._value_}\t{a}"
+        for p, at, truth, a in zip(props, ats, truths, asserted)
     ]

@@ -49,6 +49,11 @@ the row is exact. Rows are kept, by object identity, for the declared
 states and for the current system only: the output of a ``blackhole`` or
 ``evolve`` step loses its row, and is freed, once the system moves on.
 
+The report keeps each ledger row once. A record step keeps the range of
+ledger rows it appended, a reconstruct step its range and sub-seeds, and
+the violations are the audit's tuples: each is a read-only view that reads
+as the list of dicts it stands for, and emit_report renders it from there.
+
 Reports are deterministic for a fixed scenario, seed and tolerance;
 sub-seeds for random steps are drawn from a single generator seeded with
 the run seed.
@@ -57,8 +62,9 @@ the run seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _quote
 from numbers import Real
 from typing import Mapping
@@ -71,7 +77,8 @@ from .formulas import evaluate_super
 # make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
 from .hilbert import DEFAULT_TOL, StateVector, apply_operator, is_unitary, make_state
 from .lattice import Subspace, TruthValue, membership, span_subspace
-from .ledger import Ledger, derive_tense, check_past_unalterability, ledger_lines, record_valuation
+from .ledger import FUTURE, PAST, PRESENT, Ledger, derive_tense, check_past_unalterability, ledger_lines
+from .ledger import record_valuation
 from .scenario import (
     KIND,
     BlackholeStep,
@@ -94,7 +101,11 @@ from .scenario import (
 
 @dataclass
 class Report:
-    """Everything a run produced, in emission-ready plain data."""
+    """Everything a run produced, in emission-ready data: plain lists and
+    dicts, except that a record step's ``recorded``, a reconstruct step's
+    ``samples`` and, once a check ran, ``violations`` are read-only views
+    that iterate, index, take len and compare equal as the lists of dicts
+    they stand for, and build each dict only when it is read."""
 
     seed: int
     tolerance: float
@@ -102,7 +113,7 @@ class Report:
     steps: list[dict] = field(default_factory=list)
     valuations: list[dict] = field(default_factory=list)
     feasibility: list[dict] = field(default_factory=list)
-    violations: list[dict] = field(default_factory=list)
+    violations: Sequence[dict] = field(default_factory=list)
     checks_run: int = 0
     ledger: Ledger = field(default_factory=Ledger)
 
@@ -111,8 +122,113 @@ class Report:
         return self.checks_run > 0 and bool(self.violations)
 
 
+class _Rows(Sequence):
+    """A read-only report view: _values() gives its rows as tuples in
+    FIELDS order, and _json_rows(head, sep, close) renders each row's JSON,
+    from the comma before it to its closing brace, with head before the
+    first field and sep between fields. A prop id goes through _quote once;
+    truths, tenses and kinds are library constants that need no escaping."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __iter__(self):
+        return map(dict, map(zip, repeat(self.FIELDS), self._values()))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, _Rows)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def json(self, newline: str, out: list[str]) -> None:
+        """Append what json.dumps(list(self), indent=2) writes from newline on."""
+        inner = newline + "  "
+        rows = self._json_rows(f",{inner}{{{inner}  ", f",{inner}  ", inner + "}")
+        if not rows:
+            out.append("[]")
+            return
+        rows[0] = "[" + rows[0][1:]
+        out += rows
+        out.append(newline + "]")
+
+
+class _RecordRows(_Rows):
+    """The ledger rows a record step appended: those of ledger from start on."""
+
+    __slots__ = ("ledger", "start")
+    FIELDS = ("prop", "at", "truth", "tense")
+
+    def __init__(self, ledger: Ledger, start: int):
+        self.ledger, self.start = ledger, start
+
+    def __len__(self) -> int:
+        return len(self.ledger) - self.start
+
+    def _values(self):
+        names, props, ats, truths, asserted = self.ledger.columns(self.start)
+        return zip(map(names.__getitem__, props), ats, map(str, truths), map(derive_tense, ats, asserted))
+
+    def _json_rows(self, h, i, n):
+        names, props, ats, truths, asserted = self.ledger.columns(self.start)
+        names = list(map(_quote, names))
+        return [
+            f'{h}"prop": {names[p]}{i}"at": {at}{i}"truth": "{truth._value_}"'
+            f'{i}"tense": "{PAST if at < a else PRESENT if at == a else FUTURE}"{n}'
+            for p, at, truth, a in zip(props, ats, truths, asserted)
+        ]
+
+
+class _SampleRows(_RecordRows):
+    """The ledger rows a reconstruct step appended, with their sub-seeds."""
+
+    __slots__ = ("seeds",)
+    FIELDS = ("prop", "at", "value", "seed")
+
+    def __init__(self, ledger: Ledger, start: int, seeds: list[int]):
+        super().__init__(ledger, start)
+        self.seeds = seeds
+
+    def _values(self):
+        names, props, ats, truths, _ = self.ledger.columns(self.start)
+        return zip(map(names.__getitem__, props), ats, map(_BITS.index, truths), self.seeds)
+
+    def _json_rows(self, h, i, n):
+        names, props, ats, truths, _ = self.ledger.columns(self.start)
+        names = list(map(_quote, names))
+        return [  # a bit's truth text is the bit, "0" or "1"
+            f'{h}"prop": {names[p]}{i}"at": {at}{i}"value": {truth._value_}{i}"seed": {seed}{n}'
+            for p, at, truth, seed in zip(props, ats, truths, self.seeds)
+        ]
+
+
+class _ViolationRows(_Rows):
+    """The audit's Violation tuples, as report rows."""
+
+    __slots__ = ("found",)
+    FIELDS = ("kind", "prop", "at", "earlier", "later", "asserted_at")
+
+    def __init__(self, found: tuple):
+        self.found = found
+
+    def __len__(self) -> int:
+        return len(self.found)
+
+    def _values(self):
+        return [(kind, pid, at, str(was), str(now), a) for pid, at, was, now, a, kind in self.found]
+
+    def _json_rows(self, h, i, n):
+        quoted = {pid: _quote(pid) for pid in {v[0] for v in self.found}}
+        return [
+            f'{h}"kind": "{kind}"{i}"prop": {quoted[pid]}{i}"at": {at}{i}"earlier": "{was._value_}"'
+            f'{i}"later": "{now._value_}"{i}"asserted_at": {a}{n}'
+            for pid, at, was, now, a, kind in self.found
+        ]
+
+
 _GAP = TruthValue.GAP
-_GAP_TEXT = str(_GAP)
 _BITS = (TruthValue.FALSE, TruthValue.TRUE)
 
 #: A valuation row: (prop, truth, str(truth)) per declared prop, in order.
@@ -203,20 +319,18 @@ def _record(run: _Run, item: RecordStep, _) -> dict:
     if run.system is None:
         raise SvqError("record before any state declaration")
     at, led, lost, recorded = item.at, run.ledger, run.lost, run.recorded
-    entries = []
+    start = len(led)
     for key, gapped in lost.items():
         if not gapped:
             pid, at0 = key
             led = record_valuation(led, at0, pid, _GAP, at)
             lost[key] = True
-            entries.append({"prop": pid, "at": at0, "truth": _GAP_TEXT, "tense": derive_tense(at0, at)})
-    for pid, tv, text in run.row(run.system):
+    for pid, tv, _ in run.row(run.system):
         led = record_valuation(led, at, pid, tv, at)
         recorded[pid, at] = tv is not _GAP or recorded.get((pid, at), False)
-        entries.append({"prop": pid, "at": at, "truth": text, "tense": "present"})
     run.ledger = led
     run.now = at
-    return {"at": at, "recorded": entries}
+    return {"at": at, "recorded": _RecordRows(led, start)}
 
 
 def _clone(run: _Run, item: CloneStep, operands) -> dict:
@@ -263,15 +377,14 @@ def _evolve(run: _Run, item: EvolveStep, operands) -> dict:
 def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
     p = run.report.p_one if item.p_one is None else item.p_one
     lost, led = run.lost, run.ledger
+    start = len(led)
     sub_seeds = run.rng.integers(0, 2**63, size=len(lost)).tolist()
     bits = sample_past_reconstruction(p, sub_seeds)
-    samples = []
-    for (pid, at0), sub_seed, bit in zip(lost, sub_seeds, bits):
+    for (pid, at0), bit in zip(lost, bits):
         led = record_valuation(led, at0, pid, _BITS[bit], run.now)
-        samples.append({"prop": pid, "at": at0, "value": bit, "seed": sub_seed})
     lost.clear()
     run.ledger = led
-    return {"p_one": float(p), "samples": samples}
+    return {"p_one": float(p), "samples": _SampleRows(led, start, sub_seeds)}
 
 
 def _eval(run: _Run, item: EvalQuery, operands) -> None:
@@ -372,17 +485,7 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
             steps.append({"index": index, "line": item.line, "kind": kind, **fields})
 
     if report.checks_run:
-        report.violations = [
-            {
-                "kind": kind,
-                "prop": pid,
-                "at": at,
-                "earlier": earlier._value_,  # str(earlier), without the Python-level call
-                "later": later._value_,
-                "asserted_at": asserted_at,
-            }
-            for pid, at, earlier, later, asserted_at, kind in check_past_unalterability(run.audited)
-        ]
+        report.violations = _ViolationRows(check_past_unalterability(run.audited))
     report.ledger = run.ledger
     return report
 
@@ -415,13 +518,22 @@ def _step_head(step: dict) -> str:
     return f" (p_one {step['p_one']!r})"
 
 
-def _step_body(step: dict) -> list[str]:
-    """The indented lines under a step: its records, samples or transitions."""
-    if step["kind"] == "record":
-        return [f"      {e['tense']} {e['prop']} @{e['at']} = {e['truth']}" for e in step["recorded"]]
-    if step["kind"] == "reconstruct":
-        return [f"      {s['prop']} @{s['at']} := {s['value']}" for s in step["samples"]]
-    return [f"      {tr['prop']}: {tr['before']} -> {tr['after']}" for tr in step["transitions"]]
+#: Step kind -> the key of its row list and the text of one row, which
+#: str.format fills from the row's fields.
+_STEP_ROWS = {
+    "record": ("recorded", "      {tense} {prop} @{at} = {truth}"),
+    "reconstruct": ("samples", "      {prop} @{at} := {value}"),
+}
+_TRANSITION_ROWS = ("transitions", "      {prop}: {before} -> {after}")
+_VIOLATION_ROW = "  {kind} {prop} @{at}: {earlier} -> {later} (asserted at {asserted_at})"
+
+
+def _text_rows(rows, template: str) -> list[str]:
+    """Each row through template, a str.format string over its fields."""
+    if isinstance(rows, _Rows):
+        template = template.format_map({name: f"{{{i}}}" for i, name in enumerate(rows.FIELDS)})
+        return list(starmap(template.format, rows._values()))
+    return [template.format_map(row) for row in rows]
 
 
 def _text_report(report: Report) -> str:
@@ -432,7 +544,8 @@ def _text_report(report: Report) -> str:
         lines.append("steps:")
         for step in report.steps:
             lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{_step_head(step)}")
-            lines += _step_body(step)
+            key, template = _STEP_ROWS.get(step["kind"], _TRANSITION_ROWS)
+            lines += _text_rows(step[key], template)
     if report.valuations:
         lines.append("valuations:")
         lines += ["  " + valuation_line(entry) for entry in report.valuations]
@@ -446,76 +559,22 @@ def _text_report(report: Report) -> str:
             )
     if report.checks_run:
         lines.append(f"violations ({len(report.violations)}):")
-        for v in report.violations:
-            lines.append(
-                f"  {v['kind']} {v['prop']} @{v['at']}: {v['earlier']} -> {v['later']}"
-                f" (asserted at {v['asserted_at']})"
-            )
+        lines += _text_rows(report.violations, _VIOLATION_ROW)
     if len(report.ledger):
         lines.append("ledger:")
-        for line in ledger_lines(report.ledger):
-            lines.append("  " + line)
+        lines.append("  " + "\n  ".join(ledger_lines(report.ledger)))
     return "\n".join(lines) + "\n"
 
 
-# The report's bulk rows, each rendered by one template: record entries,
-# reconstruct samples and violations. A template takes the row's inner and
-# closing indentation and its values, and returns None unless every value
-# has its exact expected type, so that bool, str and int subclasses, floats
-# and anything else go through _write_json.
-
-
-def _record_row(i: str, n: str, prop, at, truth, tense) -> str | None:
-    if type(prop) is str and type(at) is int and type(truth) is str and type(tense) is str:
-        return (
-            f'{{{i}"prop": {_quote(prop)},{i}"at": {at},{i}"truth": {_quote(truth)},'
-            f'{i}"tense": {_quote(tense)}{n}}}'
-        )
-    return None
-
-
-def _sample_row(i: str, n: str, prop, at, value, seed) -> str | None:
-    if type(prop) is str and type(at) is int and type(value) is int and type(seed) is int:
-        return f'{{{i}"prop": {_quote(prop)},{i}"at": {at},{i}"value": {value},{i}"seed": {seed}{n}}}'
-    return None
-
-
-def _violation_row(i: str, n: str, kind, prop, at, earlier, later, asserted_at) -> str | None:
-    if (
-        type(kind) is str
-        and type(prop) is str
-        and type(at) is int
-        and type(earlier) is str
-        and type(later) is str
-        and type(asserted_at) is int
-    ):
-        return (
-            f'{{{i}"kind": {_quote(kind)},{i}"prop": {_quote(prop)},{i}"at": {at},'
-            f'{i}"earlier": {_quote(earlier)},{i}"later": {_quote(later)},'
-            f'{i}"asserted_at": {asserted_at}{n}}}'
-        )
-    return None
-
-
-#: Key tuple of a row, in order -> its template.
-_ROW_TEMPLATES = {
-    ("prop", "at", "truth", "tense"): _record_row,
-    ("prop", "at", "value", "seed"): _sample_row,
-    ("kind", "prop", "at", "earlier", "later", "asserted_at"): _violation_row,
-}
-
-
-def _write_json(value, newline: str, out: list[str], heads: dict) -> None:
+def _write_json(value, newline: str, out: list[str]) -> None:
     """Append the pieces of json.dumps(value, indent=2, allow_nan=False).
 
     newline is "\n" plus the indentation of the line value starts on. The
     type tests run in json's order (str, None, True, False, int, float,
-    list or tuple, dict), so subclasses render as json renders them; the
-    exact-type tests inside the loops, and the row templates a list's dict
-    items are tried against, are shortcuts to the same output.
-    Dict keys must be strings, which is all a report holds.
-    heads caches, per indentation, the text that opens each dict item
-    after the first (comma, newline, indent, quoted key and colon).
+    list or tuple, dict), so subclasses render as json renders them; a
+    report view renders as the list it stands for, a list of str in one
+    join, and the exact-type tests in the dict loop are shortcuts to the
+    same output. Dict keys must be strings, which is all a report holds.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -531,25 +590,22 @@ def _write_json(value, newline: str, out: list[str], heads: dict) -> None:
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         out.append(float.__repr__(value))
+    elif isinstance(value, _Rows):
+        value.json(newline, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
-        row_inner = inner + "  "
+        try:
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+            return
+        except TypeError:  # an item is not a str
+            pass
         sep = "[" + inner
         for item in value:
-            kind = type(item)
-            if kind is str:
-                out.append(sep + _quote(item))
-            else:
-                template = _ROW_TEMPLATES.get(tuple(item)) if kind is dict else None
-                row = template and template(row_inner, inner, *item.values())
-                if row is None:
-                    out.append(sep)
-                    _write_json(item, inner, out, heads)
-                else:
-                    out.append(sep + row)
+            out.append(sep)
+            _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict):
@@ -557,28 +613,19 @@ def _write_json(value, newline: str, out: list[str], heads: dict) -> None:
             out.append("{}")
             return
         inner = newline + "  "
-        level = heads.get(inner)
-        if level is None:
-            level = heads[inner] = {}
-        first = True
+        sep = "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if first:
-                out.append(f"{{{inner}{_quote(key)}: ")
-                first = False
-            else:
-                head = level.get(key)
-                if head is None:
-                    head = level[key] = f",{inner}{_quote(key)}: "
-                out.append(head)
+            out.append(f"{sep}{_quote(key)}: ")
+            sep = "," + inner
             kind = type(item)
             if kind is str:
                 out.append(_quote(item))
             elif kind is int:
                 out.append(int.__repr__(item))
             else:
-                _write_json(item, inner, out, heads)
+                _write_json(item, inner, out)
         out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -586,7 +633,7 @@ def _write_json(value, newline: str, out: list[str], heads: dict) -> None:
 
 def _json_text(value) -> str:
     out: list[str] = []
-    _write_json(value, "\n", out, {})
+    _write_json(value, "\n", out)
     return "".join(out)
 
 

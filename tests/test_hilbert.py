@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,6 +84,25 @@ def test_inner_conjugate_linear_first_argument():
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         inner(make_state([1, 0]), make_state([1, 0, 0]))
+
+
+def test_a_new_state_holds_one_copy_of_its_amplitudes():
+    # 16 MiB of amplitudes. The state used to copy its freshly rescaled
+    # array once more, and peaked at 33 MiB.
+    components = np.ones(2**20, dtype=complex)
+    tracemalloc.start()
+    try:
+        state = make_state(components)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * 2**20
+    assert not state.amplitudes.flags.writeable
+    assert not np.shares_memory(state.amplitudes, components)
+    assert np.allclose(state.amplitudes, 2**-10)
+    # A flagged unitary's state keeps its fresh product too, read-only.
+    out = apply_operator(identity(4), make_state(np.ones(4)))
+    assert not out.amplitudes.flags.writeable
 
 
 def test_tensor_basis_vectors():

@@ -1,3 +1,7 @@
+import sys
+import threading
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +16,6 @@ from svq import (
     derive_tense,
     ledger_lines,
     record_valuation,
-    tense_view,
 )
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
@@ -123,16 +126,6 @@ def test_every_divergent_later_record_is_flagged():
     led = record_valuation(led, 0, "Zplus", F, 2)
     kinds = [v.kind for v in check_past_unalterability(led)]
     assert kinds == ["loss", "flip"]
-
-
-def test_tense_view_relabels_without_mutating():
-    led = record_valuation(Ledger(), 0, "Zplus", T, 0)
-    led = record_valuation(led, 2, "Zplus", F, 2)
-    view = tense_view(led, 2)
-    assert view == (("Zplus", 0, "past", T), ("Zplus", 2, "present", F))
-    later = tense_view(led, 1)
-    assert later == (("Zplus", 0, "past", T), ("Zplus", 2, "future", F))
-    assert [r.tense for r in led.records] == ["present", "present"]
 
 
 def test_ledger_lines_format():
@@ -300,3 +293,202 @@ def test_audit_matches_the_reference_on_newest_and_forked_ledgers(entries, data)
         found = check_past_unalterability(led)
         assert found == reference_check_past_unalterability(led)
         assert all(type(v) is Violation for v in found)
+
+
+# The ledger as it was before it was stored in columns, kept as the oracle
+# of the columnar one: versions share one list of TensedRecords and each
+# sees the prefix of its own length.
+
+
+class ListLedger:
+    __slots__ = ("_log", "_size")
+
+    def __init__(self, records=()):
+        self._log = list(records)
+        self._size = len(self._log)
+
+    @property
+    def records(self):
+        return tuple(islice(self._log, self._size))
+
+    def __len__(self):
+        return self._size
+
+    def __iter__(self):
+        return islice(self._log, self._size)
+
+    def __eq__(self, other):
+        if not isinstance(other, ListLedger):
+            return NotImplemented
+        return self._size == other._size and self.records == other.records
+
+    def __hash__(self):
+        return hash(self.records)
+
+
+def list_record_valuation(ledger, at, prop_id, truth, asserted_at):
+    for name, value in (("at", at), ("asserted_at", asserted_at)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    if type(truth) is not TruthValue:
+        raise TypeError(f"truth must be a TruthValue, got {truth!r}")
+    log, size = ledger._log, ledger._size
+    if size and asserted_at < log[size - 1].asserted_at:
+        raise NonMonotoneAssertion(
+            f"asserted_at {asserted_at} regresses behind {log[size - 1].asserted_at}"
+        )
+    rec = TensedRecord(at, prop_id, derive_tense(at, asserted_at), truth, asserted_at)
+    if len(log) == size:
+        log.append(rec)
+    if log[size] is not rec:
+        log = log[:size]
+        log.append(rec)
+    appended = ListLedger.__new__(ListLedger)
+    appended._log = log
+    appended._size = size + 1
+    return appended
+
+
+def list_check_past_unalterability(ledger):
+    baselines = {}
+    found = {}
+    gap = TruthValue.GAP
+    for at, prop_id, tense, truth, asserted_at in ledger:
+        key = (prop_id, at)
+        baseline = baselines.get(key)
+        if baseline is None:
+            baselines[key] = truth if truth is not gap and tense != "future" else None
+        elif truth is not baseline:
+            kind = "loss" if truth is gap else "flip"
+            found.setdefault(key, []).append(Violation(prop_id, at, baseline, truth, asserted_at, kind))
+    return tuple(v for key in baselines if key in found for v in found[key])
+
+
+def list_ledger_lines(ledger):
+    return [
+        f"{at}\t{prop_id}\t{tense}\t{truth._value_}\t{asserted_at}"
+        for at, prop_id, tense, truth, asserted_at in ledger
+    ]
+
+
+#: One append: the version it goes to (an index, modulo the versions so
+#: far), at, prop id, truth and how far asserted_at moves past that
+#: version's last one (-1 asks for a regression).
+ledger_ops = st.lists(
+    st.tuples(
+        st.integers(0, 2**16),
+        st.one_of(st.integers(0, 6), st.just(2**64 + 1)),
+        st.sampled_from(("P", "Q", "é✓", "R\t")),
+        st.sampled_from((T, F, G)),
+        st.sampled_from((0, 0, 0, 1, 2, 2**70, -1)),
+    ),
+    max_size=40,
+)
+
+
+@given(ledger_ops)
+def test_columns_match_the_list_ledger_on_newest_and_forked_versions(ops):
+    pairs = [(Ledger(), ListLedger())]
+    for choice, at, pid, truth, step in ops:
+        # Mostly the newest version, so that most appends extend in place.
+        new, old = pairs[-1] if choice % 3 else pairs[choice % len(pairs)]
+        last = old.records[-1].asserted_at if len(old) else 0
+        asserted = last + step
+        if step < 0:
+            if last:
+                with pytest.raises(NonMonotoneAssertion):
+                    record_valuation(new, at, pid, truth, asserted)
+                with pytest.raises(NonMonotoneAssertion):
+                    list_record_valuation(old, at, pid, truth, asserted)
+            continue
+        pairs.append((record_valuation(new, at, pid, truth, asserted), list_record_valuation(old, at, pid, truth, asserted)))
+    for new, old in pairs:
+        assert len(new) == len(old)
+        assert new.records == old.records == tuple(new)
+        assert all(type(rec) is TensedRecord for rec in new)
+        assert hash(new) == hash(old)
+        assert ledger_lines(new) == list_ledger_lines(old)
+        assert check_past_unalterability(new) == list_check_past_unalterability(old)
+        assert Ledger(new.records) == new
+    for (new_a, old_a), (new_b, old_b) in zip(pairs, pairs[::-1]):
+        assert (new_a == new_b) == (old_a == old_b)
+
+
+class RacingColumn(list):
+    """A column whose next append lets another append to the same version
+    run to completion first, as a concurrent thread could."""
+
+    def __init__(self, items, rival):
+        super().__init__(items)
+        self.rival = rival
+
+    def append(self, item):
+        rival, self.rival = self.rival, None
+        if rival is not None:
+            rival()
+        super().append(item)
+
+
+def test_a_concurrent_append_to_the_same_version_forks():
+    base = record_valuation(Ledger(), 0, "P", T, 0)
+    won = []
+    *others, asserted = base._cols  # asserted_at is the column an append claims its row in
+    base._cols = (*others, RacingColumn(asserted, lambda: won.append(record_valuation(base, 1, "Q", F, 1))))
+    lost = record_valuation(base, 2, "R", G, 2)
+    (won,) = won
+    assert won.records == ((0, "P", "present", T, 0), (1, "Q", "present", F, 1))
+    assert lost.records == ((0, "P", "present", T, 0), (2, "R", "present", G, 2))
+    assert base.records == ((0, "P", "present", T, 0),)
+    # The losing claim is left behind in the shared column; the winner's
+    # next append must fork rather than take it for its own.
+    after = record_valuation(won, 3, "P", F, 3)
+    assert after.records == won.records + ((3, "P", "present", F, 3),)
+    assert lost.records[1:] == ((2, "R", "present", G, 2),)
+
+
+def test_threads_extending_the_newest_version_keep_to_their_own_rows():
+    # Every thread appends to the newest version it can see, so most
+    # appends race another thread's append to the same version.
+    base = record_valuation(Ledger(), 0, "P", T, 0)
+    newest = [base]
+    foreign = []
+
+    def worker(n):
+        row = (n, f"T{n}", "future" if n else "present", T, 0)
+        for _ in range(2000):
+            seen = newest[-1]
+            led = record_valuation(seen, n, f"T{n}", T, 0)
+            if led.records != seen.records + (row,):
+                foreign.append(led.records)
+            newest.append(led if len(led) < 30 else base)  # start over now and then
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert foreign == []
+    assert base.records == ((0, "P", "present", T, 0),)
+
+
+def test_an_int_subclass_tick_is_stored_as_a_plain_int():
+    class Tick(int):
+        def __repr__(self):
+            return "tick"
+
+    led = record_valuation(Ledger(), Tick(3), "P", T, Tick(4))
+    assert [type(v) for v in led.records[0]] == [int, str, str, TruthValue, int]
+    assert ledger_lines(led) == ["3\tP\tpast\t1\t4"]
+
+
+def test_a_ledger_built_from_records_checks_them():
+    with pytest.raises(ValueError, match="tense 'past' disagrees"):
+        Ledger([TensedRecord(0, "P", "past", T, 0)])
+    with pytest.raises(NonMonotoneAssertion):
+        Ledger([TensedRecord(0, "P", "past", T, 1), TensedRecord(0, "P", "present", T, 0)])

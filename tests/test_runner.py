@@ -417,11 +417,10 @@ class LoudInt(int):
         return "loud"
 
 
-# Dicts with exactly the key tuple of a report row, which the writer renders
-# from a template when every value has its exact expected type. Each row
-# holds values of those types, except that one slot, or none, holds a value
-# from json_scalars or a str or int subclass instead, so that every type
-# guard of every template is tried on its own.
+# Dicts with exactly the key tuple of a report row, as a hand-built report
+# holds them. Each row holds values of the expected types, except that one
+# slot, or none, holds a value from json_scalars or a str or int subclass
+# instead.
 ROW_KEYS = {
     ("prop", "at", "truth", "tense"): (str, int, str, str),
     ("prop", "at", "value", "seed"): (str, int, int, int),
@@ -475,11 +474,6 @@ def test_json_writer_renders_rows_by_their_templates_as_json_does():
         {"kind": "flip", "prop": Tagged("Z"), "at": 0, "earlier": "1", "later": "0", "asserted_at": 4},
         {"at": 3, "prop": "Z", "truth": "1", "tense": "present"},
     ]
-    templates = runner._ROW_TEMPLATES
-    assert [templates[tuple(row)](" ", "", *row.values()) is None for row in rows[:-1]] == [
-        False, True, False, True, False, True,
-    ]
-    assert tuple(rows[-1]) not in templates
     assert runner._json_text([rows, {"rows": rows}]) == dumps([rows, {"rows": rows}])
 
 

@@ -4,7 +4,8 @@
 moves a call behind another name leaves the wrapper in place but uncalled,
 and that layer's counts drop to 0 without any error. This runs shipped
 scenarios through the CLI with the tracer installed and checks that each
-layer they exercise was seen.
+layer they exercise was seen, with record_valuation called once per ledger
+row and the audit once per run that checked.
 """
 
 import sys
@@ -40,6 +41,8 @@ SEEN = (
     "formulas.evaluate_super.calls",
     "ledger.record_valuation.calls",
     "ledger.check_past_unalterability.calls",
+    "ledger.ledger_lines.ms",
+    "runner.emit_report.bytes",
 )
 
 
@@ -55,3 +58,11 @@ def test_tracer_sees_every_layer(capsys):
     values = tracer.per_layer(1, 1.0)
     assert {name: values[name] for name in SEEN if values[name] <= 0} == {}
     assert values["trace.errors"] == 0
+    # One record_valuation call per ledger row and one audit per run that
+    # checked, both through the names the tracer wraps.
+    reports = [
+        svq.run_scenario(svq.parse_scenario((ROOT / "scenarios" / name).read_text(encoding="utf-8")))
+        for name in SCENARIOS
+    ]
+    assert values["ledger.record_valuation.calls"] == sum(len(report.ledger) for report in reports)
+    assert values["ledger.check_past_unalterability.calls"] == sum(report.checks_run > 0 for report in reports)
