@@ -4,11 +4,14 @@ Exit codes: 0 on success; 1 only from `svq run`, when a past-fixity check
 found violations (so CI can assert the past stayed fixed; `svq eval`
 prints valuations and exits 0 whatever the audit found); 2 on any error,
 including an unexpected one, reported with an "internal error:" prefix.
+
+The argument parser is built once per process, on the first `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import traceback
@@ -39,6 +42,7 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svq",

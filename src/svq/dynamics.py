@@ -122,15 +122,20 @@ def truth_transition(
     return membership(before, prop, tol), membership(after, prop, tol)
 
 
+# Below this many seeds, scalar draws beat the vectorised kernel's fixed cost.
+_SCALAR_CUTOFF = 8
+
+
 def sample_past_reconstruction(p_one: float, seeds) -> list[int]:
     """Draw the random bits that replace erased past truth values.
 
     Bit i is 1 exactly when ``np.random.default_rng(seeds[i]).random()`` is
     below p_one, so each bit is deterministic given its seed. The runner
     draws one sub-seed per lost key and passes a whole ``reconstruct`` step
-    at once, and the bits are computed together in one vectorised pass. A
-    p_one of one half reflects indifference between the two symmetric
-    components of the state the record was erased into.
+    at once. A step of fewer than _SCALAR_CUTOFF seeds draws each from its
+    own ``default_rng``; a larger one computes the same bits in one
+    vectorised pass. A p_one of one half reflects indifference between the
+    two symmetric components of the state the record was erased into.
 
     Raises BadProbability unless p_one lies in [0, 1], and ValueError
     unless every seed is an int in [0, 2**64).
@@ -140,8 +145,8 @@ def sample_past_reconstruction(p_one: float, seeds) -> list[int]:
         raise BadProbability(f"p_one must lie in [0, 1], got {p_one!r}")
     if not all(isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in seeds):
         raise ValueError("seeds must be integers in [0, 2**64)")
-    if not len(seeds):
-        return []
+    if len(seeds) < _SCALAR_CUTOFF:
+        return [int(np.random.default_rng(s).random() < p) for s in seeds]
     uniforms = _first_uniforms(np.array(seeds, dtype=np.uint64))
     return (uniforms < p).astype(np.int64).tolist()
 

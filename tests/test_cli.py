@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from svq.cli import main
+from svq.cli import _build_parser, main
 
 
 def test_run_clone_scenario_exits_one(scenario_dir, capsys):
@@ -248,3 +248,52 @@ def test_evolve_keeps_a_spread_state_at_a_loose_tol(tmp_path, capsys):
     )
     assert main(["run", str(path), "--tol", "0.5"]) == 0
     assert "  2 (line 2) evolve s [unitary]\n" in capsys.readouterr().out
+
+
+def _outcomes(argvs, capsys):
+    """(exit code, stdout, stderr) of each argv, run in turn in this process."""
+    outcomes = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_the_parser_is_built_once_and_leaks_no_state_between_calls(scenario_dir, capsys, monkeypatch):
+    assert _build_parser() is _build_parser()
+    path = str(scenario_dir / "clone_z.svq")
+    argvs = [
+        ["run", path, "--seed", "31", "--format", "json"],
+        ["run", path],
+        ["eval", path, "--seed", "7"],
+        ["run", path, "--tol", "2"],
+        ["check", path],
+        ["run", path, "--format", "json"],
+    ]
+    reused = _outcomes(argvs, capsys)
+    json_run, text_run, eval_run, bad_tol, check, default_seed = reused
+    assert json_run[0] == 1 and json.loads(json_run[1])["seed"] == 31
+    # No --format and no --seed: the defaults, not the previous call's values.
+    assert text_run[0] == 1 and text_run[1].startswith("svq report (seed=0, ")
+    assert eval_run == (0, "feasible upsilon phi = infeasible\n", "")
+    assert bad_tol[0] == 2 and bad_tol[1] == ""
+    assert bad_tol[2].startswith("usage: svq run ") and "--tol" in bad_tol[2]
+    assert check == (0, f"{path}: ok\n", "")
+    assert json.loads(default_seed[1])["seed"] == 0
+    # A parser built afresh for every call gives the same outcomes.
+    monkeypatch.setattr("svq.cli._build_parser", _build_parser.__wrapped__)
+    assert _outcomes(argvs, capsys) == reused
+
+
+def test_help_prints_the_same_text_on_every_call(capsys, monkeypatch):
+    argvs = [["--help"], ["run", "--help"]]
+    outcomes = _outcomes(argvs * 2, capsys)
+    first = outcomes[:2]
+    assert outcomes[2:] == first
+    assert all(code == 0 and out.startswith("usage: svq") and not err for code, out, err in first)
+    monkeypatch.setattr("svq.cli._build_parser", _build_parser.__wrapped__)
+    assert _outcomes(argvs, capsys) == first

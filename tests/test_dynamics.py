@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import svq.dynamics
 from svq import (
     BadProbability,
     DimensionMismatch,
@@ -23,6 +24,7 @@ from svq import (
     tensor,
     truth_transition,
 )
+from svq.dynamics import _SCALAR_CUTOFF, _first_uniforms
 
 UP = make_state([1, 0])
 DOWN = make_state([0, 1])
@@ -225,6 +227,35 @@ def test_batched_bits_equal_one_default_rng_per_seed():
     edge_uniforms = uniforms[: len(EDGE_SEEDS)]
     for u in edge_uniforms:
         assert sample_past_reconstruction(u, EDGE_SEEDS) == [int(v < u) for v in edge_uniforms]
+
+
+def test_kernel_uniforms_equal_one_default_rng_per_seed():
+    # Steps below the scalar cutoff never reach the kernel, so check its
+    # doubles exactly, on the edge seeds and on short random arrays.
+    rng = np.random.default_rng(77)
+    arrays = [np.array(EDGE_SEEDS, dtype=np.uint64)]
+    arrays += [rng.integers(0, 2**64, size=n, dtype=np.uint64) for n in range(1, 17)]
+    for seeds in arrays:
+        got = _first_uniforms(seeds).tolist()
+        assert got == [np.random.default_rng(s).random() for s in seeds.tolist()]
+
+
+@pytest.mark.parametrize("n", [_SCALAR_CUTOFF - 1, _SCALAR_CUTOFF, _SCALAR_CUTOFF + 1])
+def test_both_routes_give_the_reference_bits_at_the_cutoff(n, monkeypatch):
+    kernel_calls = []
+
+    def counting_kernel(seeds):
+        kernel_calls.append(len(seeds))
+        return _first_uniforms(seeds)
+
+    monkeypatch.setattr(svq.dynamics, "_first_uniforms", counting_kernel)
+    seeds = (EDGE_SEEDS * 2)[:n]
+    edge_uniforms = [np.random.default_rng(s).random() for s in EDGE_SEEDS]
+    probabilities = [0.0, 0.5, 1.0, *edge_uniforms]
+    for p in probabilities:
+        assert sample_past_reconstruction(p, seeds) == reference_bits(p, seeds)
+    # Only a step of at least _SCALAR_CUTOFF keys pays the kernel's fixed cost.
+    assert kernel_calls == ([n] * len(probabilities) if n >= _SCALAR_CUTOFF else [])
 
 
 def test_batched_bits_at_degenerate_probabilities():
