@@ -17,7 +17,6 @@ from .errors import (
     NonMonotoneAssertion,
     NormLost,
     NotCloneShape,
-    NotProductState,
     PrecisificationBlowup,
     ScenarioSyntaxError,
     StepError,
@@ -33,17 +32,14 @@ from .hilbert import (
     apply_operator,
     haar_state,
     haar_unitary,
-    identity,
     inner,
     is_unitary,
-    make_operator,
     make_state,
     tensor,
 )
 from .lattice import (
     Subspace,
     TruthValue,
-    full_space,
     join,
     meet,
     membership,
@@ -65,11 +61,8 @@ from .formulas import (
 )
 from .dynamics import (
     FeasibilityReport,
-    ProductState,
     blackhole_evaporate,
     check_cloner_feasibility,
-    ideal_clone,
-    ideal_unclone,
     sample_past_reconstruction,
     truth_transition,
 )

@@ -1,11 +1,12 @@
-"""Copying maps, cloning feasibility, truth transitions and history erasure.
+"""Cloning feasibility, truth transitions and history erasure.
 
 The idealized copy map duplicates an arbitrary state onto a blank register.
 No single unitary can do that for two states with partial overlap: unitarity
 preserves inner products, so a machine cloning both a and b would force
 <a,b> to equal its own square, which only orthogonal or identical rays
-satisfy. The copy map is therefore kept symbolic, acting on tensor factors;
-it is never materialized as a matrix.
+satisfy. The copy map is therefore never materialized as a matrix: the
+runner's clone and unclone steps move the system to the state of one
+register, and check_cloner_feasibility decides whether a unitary could.
 
 Randomness is always passed in as an explicit seed, so concurrent runs with
 distinct seeds are reproducible and independent.
@@ -17,41 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadProbability, DimensionMismatch, NotCloneShape, NotProductState
-from .hilbert import DEFAULT_TOL, StateVector, haar_state, inner, tensor
+from .errors import BadProbability, DimensionMismatch
+from .hilbert import DEFAULT_TOL, StateVector, haar_state, inner
 from .lattice import Subspace, TruthValue, membership
-
-
-@dataclass(frozen=True, eq=False)
-class ProductState:
-    """A two-register state, with explicit factors when it is a pure tensor."""
-
-    joint: StateVector
-    factor_dims: tuple[int, int]
-    factors: tuple[StateVector, StateVector] | None = None
-
-    def __post_init__(self):
-        d1, d2 = self.factor_dims
-        if self.joint.dim != d1 * d2:
-            raise DimensionMismatch(
-                f"joint dim {self.joint.dim} is not the product of factor dims {d1}x{d2}"
-            )
-        if self.factors is not None:
-            a, b = self.factors
-            if (a.dim, b.dim) != (d1, d2):
-                raise DimensionMismatch("factor dims do not match the declared factor_dims")
-            if not tensor(a, b).same_ray(self.joint):
-                raise NotProductState("declared factors do not reproduce the joint state")
-
-    @classmethod
-    def from_factors(cls, a: StateVector, b: StateVector) -> "ProductState":
-        """The product state of a and b; its joint state is formed once and
-        not checked against the factors it is built from."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "joint", tensor(a, b))
-        object.__setattr__(state, "factor_dims", (a.dim, b.dim))
-        object.__setattr__(state, "factors", (a, b))
-        return state
 
 
 @dataclass(frozen=True)
@@ -85,31 +54,6 @@ def check_cloner_feasibility(a: StateVector, b: StateVector, tol: float = DEFAUL
         squared,
         f"unitarity would force overlap {overlap:.8f} to equal its square {squared:.8f}",
     )
-
-
-def ideal_clone(state: ProductState) -> ProductState:
-    """The hypothetical copy map on tensor factors: (a, b) becomes (a, a).
-
-    Acts symbolically on the factors; the caller is responsible for labeling
-    the result non-physical in any report, since no unitary implements this
-    map for arbitrary inputs.
-    """
-    if state.factors is None:
-        raise NotProductState("cloning needs explicit tensor factors")
-    a, _ = state.factors
-    return ProductState.from_factors(a, a)
-
-
-def ideal_unclone(cloned: ProductState, blank: StateVector, tol: float = DEFAULT_TOL) -> ProductState:
-    """Reverse of the copy map: (v, v) with a chosen blank becomes (v, blank)."""
-    if cloned.factors is None:
-        raise NotCloneShape("uncloning needs explicit tensor factors")
-    first, second = cloned.factors
-    if not first.same_ray(second, tol):
-        raise NotCloneShape("factors differ beyond tolerance; not the output of a clone")
-    if blank.dim != second.dim:
-        raise DimensionMismatch(f"blank dim {blank.dim} does not match factor dim {second.dim}")
-    return ProductState.from_factors(first, blank)
 
 
 def truth_transition(

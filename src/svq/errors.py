@@ -33,10 +33,6 @@ class PrecisificationBlowup(SvqError):
     """Too many gap atoms to evaluate every Boolean completion."""
 
 
-class NotProductState(SvqError):
-    """The joint state carries no tensor factorization."""
-
-
 class NotCloneShape(SvqError):
     """The two factors of a supposed clone pair differ beyond tolerance."""
 

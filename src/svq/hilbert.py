@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -22,9 +23,9 @@ from .errors import DimensionMismatch, DimensionTooSmall, NormLost, ZeroVector
 DEFAULT_TOL = 1e-9
 
 
-def is_valid_tol(tol: float) -> bool:
-    """True for a usable tolerance: a finite number in (0, 1)."""
-    return math.isfinite(tol) and 0 < tol < 1
+def is_valid_tol(tol) -> bool:
+    """True for a usable tolerance: a finite real number in (0, 1)."""
+    return isinstance(tol, Real) and math.isfinite(tol) and 0 < tol < 1
 
 
 def _frozen_complex_array(data) -> np.ndarray:
@@ -88,10 +89,9 @@ class StateVector:
 class Operator:
     """A square complex matrix, optionally flagged as unitary.
 
-    The flag is trusted at construction time; make_operator is the
-    validating factory, and apply_operator re-checks norm preservation, to
-    within what is_unitary allows, on every application of a flagged
-    operator.
+    The flag is trusted at construction time; is_unitary is the check to
+    set it by, and apply_operator re-checks norm preservation, to within
+    what is_unitary allows, on every application of a flagged operator.
     """
 
     entries: np.ndarray
@@ -111,10 +111,6 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim}, unitary={self.unitary})"
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=np.complex128), unitary=True)
 
 
 def make_state(components, tol: float = DEFAULT_TOL) -> StateVector:
@@ -142,14 +138,6 @@ def make_state(components, tol: float = DEFAULT_TOL) -> StateVector:
     return _adopt(arr / norm)
 
 
-def make_operator(entries, unitary: bool = False, tol: float = DEFAULT_TOL) -> Operator:
-    """Validating operator factory; checks the unitarity flag when set."""
-    op = Operator(entries)
-    if unitary and not is_unitary(op, tol):
-        raise NormLost("matrix flagged unitary fails the adjoint-product identity")
-    return Operator(op.entries, unitary=unitary)
-
-
 def inner(a: StateVector, b: StateVector) -> complex:
     """Inner product, conjugate-linear in the first argument."""
     if a.dim != b.dim:
@@ -161,8 +149,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product of two states.
 
     Component (i, j) of the pair lands at flat index i * b.dim + j, i.e. the
-    first factor is the major index. This ordering is a convention of this
-    library and is relied on by the product-state helpers.
+    first factor is the major index, as in numpy.kron.
     """
     return _adopt(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 

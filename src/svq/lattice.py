@@ -39,15 +39,6 @@ class TruthValue(Enum):
     def is_determinate(self) -> bool:
         return self is not TruthValue.GAP
 
-    @classmethod
-    def from_bool(cls, b: bool) -> "TruthValue":
-        return cls.TRUE if b else cls.FALSE
-
-    def to_bool(self) -> bool:
-        if self is TruthValue.GAP:
-            raise ValueError("a gap has no Boolean value")
-        return self is TruthValue.TRUE
-
 
 class Subspace:
     """A closed linear subspace, stored as an orthonormal basis of it.
@@ -135,11 +126,6 @@ def zero_subspace(dim: int) -> Subspace:
     return _from_basis(np.zeros((dim, 0)))
 
 
-def full_space(dim: int) -> Subspace:
-    """The whole space; true of every state."""
-    return _from_basis(np.eye(dim))
-
-
 def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the given vectors.
 
@@ -163,6 +149,10 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     if float(np.max(np.abs(basis_matrix))) <= tol:
         raise EmptySpan("every spanning vector is numerically zero")
     u, s, _ = np.linalg.svd(basis_matrix, full_matrices=False)
+    if not math.isfinite(s[0]):
+        # The largest singular value overflowed: bring the largest part to 1 first.
+        basis_matrix /= np.max(np.maximum(np.abs(basis_matrix.real), np.abs(basis_matrix.imag)))
+        u, s, _ = np.linalg.svd(basis_matrix, full_matrices=False)
     return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
 
 

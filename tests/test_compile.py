@@ -44,16 +44,9 @@ from svq import (
     run_scenario,
 )
 from svq.cli import main
-from svq.dynamics import (
-    ProductState,
-    blackhole_evaporate,
-    check_cloner_feasibility,
-    ideal_clone,
-    ideal_unclone,
-    sample_past_reconstruction,
-)
+from svq.dynamics import blackhole_evaporate, check_cloner_feasibility, sample_past_reconstruction
 from svq.formulas import evaluate_super, formula_atoms
-from svq.hilbert import Operator, StateVector, apply_operator, is_unitary, is_valid_tol, make_state
+from svq.hilbert import Operator, StateVector, apply_operator, is_unitary, is_valid_tol, make_state, tensor
 from svq.lattice import Subspace, TruthValue, membership, span_subspace
 from svq.ledger import Ledger, check_past_unalterability, derive_tense, record_valuation
 from svq.runner import Report
@@ -83,6 +76,35 @@ class Proposition:
 
     id: str
     subspace: Subspace
+
+
+# The library's former copy map on two-register product states, cut to the
+# path this reference executes. It forms each d²-amplitude joint state; the
+# runner moves the system between factors and forms none.
+@dataclass(frozen=True, eq=False)
+class ProductState:
+    """A two-register state with its tensor factors."""
+
+    joint: StateVector
+    factors: tuple[StateVector, StateVector]
+
+    @classmethod
+    def from_factors(cls, a: StateVector, b: StateVector) -> "ProductState":
+        return cls(tensor(a, b), (a, b))
+
+
+def ideal_clone(state: ProductState) -> ProductState:
+    """The hypothetical copy map on tensor factors: (a, b) becomes (a, a)."""
+    a, _ = state.factors
+    return ProductState.from_factors(a, a)
+
+
+def ideal_unclone(cloned: ProductState, blank: StateVector, tol: float) -> ProductState:
+    """Reverse of the copy map: (v, v) with a chosen blank becomes (v, blank)."""
+    first, second = cloned.factors
+    if not first.same_ray(second, tol):
+        raise NotCloneShape("factors differ beyond tolerance; not the output of a clone")
+    return ProductState.from_factors(first, blank)
 
 
 @dataclass(frozen=True)
@@ -462,7 +484,7 @@ def test_compile_builds_each_value_once_at_its_tol():
     assert np.allclose(tight[0].amplitudes, make_state([1, 0.01]).amplitudes)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1e-3])
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1e-3, "0.1", None, 1e-3 + 0j])
 def test_compile_rejects_a_tolerance_outside_the_open_unit_interval(tol):
     with pytest.raises(SvqError, match="tol"):
         compile_scenario(parse_scenario("state s = [1, 0]\n"), tol)

@@ -1,4 +1,4 @@
-import tracemalloc
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,22 +8,22 @@ from svq import (
     BadProbability,
     DimensionMismatch,
     NotCloneShape,
-    NotProductState,
-    ProductState,
+    StepError,
     TruthValue,
     blackhole_evaporate,
     check_cloner_feasibility,
     haar_state,
-    ideal_clone,
-    ideal_unclone,
     inner,
     make_state,
     membership,
+    parse_scenario,
+    run_scenario,
     sample_past_reconstruction,
     span_subspace,
     tensor,
     truth_transition,
 )
+from svq.scenario import PropDecl, StateDecl
 from svq.dynamics import _SCALAR_CUTOFF, _first_uniforms
 
 UP = make_state([1, 0])
@@ -94,81 +94,82 @@ def test_random_pairs_feasibility_split():
         assert check_cloner_feasibility(a, ortho).feasible
 
 
+# The idealized copy map, through the runner's clone and unclone steps: a
+# clone moves the system to its source's state, and an unclone to its blank.
+# The system starts as the first declared state, and the props Z and X read
+# where it went.
+
+COPY_MAP_HEAD = """
+state up = [1, 0]
+state down = [0, 1]
+state plus = [1, 1]
+prop Z = span([1, 0])
+prop X = span([1, 1])
+"""
+
+
+def truths_after(steps: str) -> list[dict]:
+    """Each step's {prop: truth after it}, for steps run from the system up."""
+    report = run_scenario(parse_scenario(COPY_MAP_HEAD + steps))
+    return [{t["prop"]: t["after"] for t in step["transitions"]} for step in report.steps]
+
+
 def test_ideal_clone_copies_first_factor():
-    cloned = ideal_clone(ProductState.from_factors(PLUS, UP))
-    assert cloned.factors[0].same_ray(PLUS)
-    assert cloned.factors[1].same_ray(PLUS)
-    assert np.allclose(cloned.joint.amplitudes, tensor(PLUS, PLUS).amplitudes, atol=1e-12)
+    assert truths_after("clone plus -> up") == [{"Z": "0/0", "X": "1"}]
 
 
 def test_ideal_clone_fixed_point():
-    cloned = ideal_clone(ProductState.from_factors(UP, UP))
-    assert cloned.factors[1].same_ray(UP)
+    report = run_scenario(parse_scenario(COPY_MAP_HEAD + "record at 0\nclone up -> up\n"))
+    clone = report.steps[-1]
+    assert clone["feasibility"]["feasible"] and not clone["past_lost"]
+    assert clone["transitions"] == [
+        {"prop": "Z", "before": "1", "after": "1"},
+        {"prop": "X", "before": "0/0", "after": "0/0"},
+    ]
 
 
 def test_ideal_clone_down_blank():
-    cloned = ideal_clone(ProductState.from_factors(PLUS, DOWN))
-    assert cloned.factors[1].same_ray(PLUS)
-
-
-def test_ideal_clone_needs_factors():
-    joint = ProductState(tensor(UP, DOWN), (2, 2))
-    with pytest.raises(NotProductState):
-        ideal_clone(joint)
-
-
-def test_product_state_rejects_mismatched_factors():
-    with pytest.raises(NotProductState):
-        ProductState(tensor(UP, UP), (2, 2), (UP, DOWN))
-
-
-def test_from_factors_forms_the_joint_state_once():
-    # At d = 2048 the joint state holds d² complex amplitudes, 64 MiB. It
-    # used to be formed twice, and copied once more, to check the factors
-    # it had just been built from.
-    dim = 2048
-    a = make_state(np.arange(dim) == 0)
-    b = make_state(np.ones(dim))
-    tracemalloc.start()
-    try:
-        state = ProductState.from_factors(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * 2**20
-    assert state.factors == (a, b) and state.factor_dims == (dim, dim)
-    amplitudes = state.joint.amplitudes
-    assert not amplitudes.flags.writeable
-    assert amplitudes[0] == b.amplitudes[0] and amplitudes[dim] == 0
+    assert truths_after("clone down -> up\nclone plus -> down") == [
+        {"Z": "0", "X": "0/0"},
+        {"Z": "0/0", "X": "1"},
+    ]
 
 
 def test_ideal_unclone_restores_blank():
-    cloned = ProductState.from_factors(PLUS, PLUS)
-    out = ideal_unclone(cloned, UP)
-    assert out.factors[0].same_ray(PLUS)
-    assert out.factors[1].same_ray(UP)
+    assert truths_after("clone plus -> up\nunclone plus blank up")[-1] == {"Z": "1", "X": "0/0"}
 
 
 def test_ideal_unclone_identity_round_trip():
-    cloned = ProductState.from_factors(UP, UP)
-    out = ideal_unclone(cloned, UP)
-    assert out.joint.same_ray(tensor(UP, UP))
+    assert truths_after("clone up -> up\nunclone up blank up") == [{"Z": "1", "X": "0/0"}] * 2
 
 
 def test_ideal_unclone_rejects_non_clone_shape():
-    with pytest.raises(NotCloneShape):
-        ideal_unclone(ProductState.from_factors(PLUS, UP), UP)
+    with pytest.raises(StepError) as err:
+        truths_after("clone plus -> up\nunclone up blank up")
+    assert isinstance(err.value.cause, NotCloneShape)
 
 
 def test_clone_unclone_round_trips_the_state():
+    # Haar states u and p, and props U and P that hold of exactly them:
+    # the clone moves the system to p, and the unclone back to its blank u.
     rng = np.random.default_rng(23)
+    scenario = parse_scenario(
+        "state u = [1, 0]\nstate p = [1, 1]\nprop U = span([1, 0])\nprop P = span([1, 1])\n"
+        "clone p -> u\nunclone p blank u\n"
+    )
     for _ in range(50):
         dim = int(rng.integers(2, 4))
-        unknown = haar_state(dim, rng)
-        blank = haar_state(dim, rng)
-        original = ProductState.from_factors(unknown, blank)
-        recovered = ideal_unclone(ideal_clone(original), blank)
-        assert recovered.joint.same_ray(original.joint)
+        u, p = (tuple(haar_state(dim, rng).amplitudes.tolist()) for _ in range(2))
+        values = {"u": u, "p": p, "U": u, "P": p}
+        items = tuple(
+            dataclasses.replace(item, components=values[item.name]) if isinstance(item, StateDecl)
+            else dataclasses.replace(item, vectors=(values[item.name],)) if isinstance(item, PropDecl)
+            else item
+            for item in scenario.items
+        )
+        clone, unclone = run_scenario(dataclasses.replace(scenario, items=items)).steps
+        assert [t["after"] for t in clone["transitions"]] == ["0/0", "1"]
+        assert [t["after"] for t in unclone["transitions"]] == ["1", "0/0"]
 
 
 def test_truth_transition_reproduces_loss_table():

@@ -180,6 +180,17 @@ def test_clone_and_unclone_build_no_joint_state():
     assert peak < 32 * 2**20
 
 
+def test_a_prop_whose_spanning_norm_overflows_is_not_the_zero_subspace():
+    text = """
+state a = [1, 0]
+prop P = span([1.7e308, 1.7e308])
+prop Q = span([1.7e308i, 1e308-1e308i], [1, 0])
+record at 0
+"""
+    (record,) = run_text(text).steps
+    assert [row["truth"] for row in record["recorded"]] == ["0/0", "0/0"]
+
+
 # The runner keeps one valuation row per system state. The library calls
 # stay visible under the runner's module globals, where the benchmark
 # tracer counts them.
