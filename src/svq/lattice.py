@@ -9,8 +9,10 @@ built around.
 
 Subspaces, ordered by inclusion, with the orthocomplement, meet and join
 below, form the lattice of Birkhoff and von Neumann. Holding a rank-k
-subspace of C^d as a d-by-k basis keeps membership at O(dk) and the
-lattice operations at O(dk^2).
+subspace of C^d as a d-by-k basis keeps membership at one or two d-by-k
+products, meet and join at O(dk^2), and the orthocomplement at the
+O(d(d-k)k) that writing its d-by-(d-k) basis from k Householder
+reflectors takes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySpan
 from .hilbert import DEFAULT_TOL, StateVector
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class TruthValue(Enum):
@@ -49,11 +53,11 @@ class Subspace:
     orthogonal projector costs O(d^2 k) to form, so it is built only when
     ``projector`` is first read.
 
-    ``Subspace(projector)`` validates the projector invariants (Hermitian,
-    idempotent, integer trace) and takes the basis from the eigenvectors.
-    The lattice operations build their results from bases and only check
-    that the columns are orthonormal, which is O(d k^2). Instances are
-    immutable.
+    ``Subspace(projector)`` validates the projector invariants (finite,
+    Hermitian, idempotent, integer trace) and takes the basis from the
+    eigenvectors. The lattice operations build their results from bases
+    and only check that the columns are orthonormal, which is O(d k^2).
+    Instances are immutable.
     """
 
     def __init__(self, projector):
@@ -61,10 +65,14 @@ class Subspace:
         tol = DEFAULT_TOL
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"projector must be square, got shape {arr.shape}")
-        if np.max(np.abs(arr - arr.conj().T), initial=0.0) > tol:
-            raise ValueError("projector is not Hermitian within tolerance")
-        if np.max(np.abs(arr @ arr - arr), initial=0.0) > tol:
-            raise ValueError("projector is not idempotent within tolerance")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("projector entries must be finite")
+        # Huge entries may overflow to inf or nan here; "not <=" rejects both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.max(np.abs(arr - arr.conj().T), initial=0.0) <= tol:
+                raise ValueError("projector is not Hermitian within tolerance")
+            if not np.max(np.abs(arr @ arr - arr), initial=0.0) <= tol:
+                raise ValueError("projector is not idempotent within tolerance")
         trace = float(np.trace(arr).real)
         rank = round(trace)
         if abs(trace - rank) > tol:
@@ -108,7 +116,10 @@ def _set_basis(sub: Subspace, basis: np.ndarray) -> None:
     adjoint = np.ascontiguousarray(basis.conj().T)
     basis.setflags(write=False)
     adjoint.setflags(write=False)
-    sub.__dict__.update(basis=basis, _adjoint=adjoint, rank=basis.shape[1])
+    dim, rank = basis.shape
+    # The rounding part of membership's margin, which depends on d and k alone.
+    rounding = 16 * (dim + rank + 4) * math.sqrt(rank + 1) * _EPS
+    sub.__dict__.update(basis=basis, _adjoint=adjoint, rank=rank, _rounding=rounding)
 
 
 def _from_basis(basis: np.ndarray) -> Subspace:
@@ -159,27 +170,50 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
 def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> TruthValue:
     """Three-valued membership of a state in a subspace.
 
-    Let c be the coordinates of the state's projection in the subspace's
-    basis, s the norm of c and r the norm of the rejected part. The state
-    is a member (TRUE) when r < tol, a non-member (FALSE) when s < tol, and
-    otherwise only a component of a member, which leaves the proposition
-    without a truth value (GAP). r is computed from the rejected vector
-    itself: sqrt(1 - s^2) cannot resolve r below about 1e-8. The verdict
-    is invariant under global phase and, because states are normalized,
-    under rescaling. The cost is O(d k).
+    Let c = Q^dagger psi be the coordinates of the state's projection in
+    the subspace's basis Q, s the norm of c and r the norm of the rejected
+    part psi - Q c. The state is a member (TRUE) when r < tol, a non-member
+    (FALSE) when s < tol, and otherwise only a component of a member, which
+    leaves the proposition without a truth value (GAP). r is computed from
+    the rejected vector itself: sqrt(1 - s^2) cannot resolve r below about
+    1e-8. The verdict is invariant under global phase and, because states
+    are normalized, under rescaling.
+
+    The rejected vector costs a second d-by-k product, so it is formed only
+    when the verdict could be TRUE. Let e be the rounding error of the
+    computed c = Q^dagger psi + e. In exact arithmetic
+
+        |psi - Q c|^2 = |psi|^2 - s^2 + c^dagger (Q^dagger Q - I) c + 2 Re c^dagger e,
+
+    and _from_basis keeps every entry of Q^dagger Q - I within DEFAULT_TOL
+    (the eigenvectors that Subspace(projector) keeps are orthonormal to
+    rounding), so the third term is at most k DEFAULT_TOL s^2 in size. For
+    a unit psi the last term and the rounding of |psi|^2 and s^2 sum to
+    less than rho / 2, where rho = 8 (d + k + 4) sqrt(k + 1) eps, and the r
+    computed from the rejected vector (a second product, a subtraction and
+    a norm) is within phi = rho / 4 of |psi - Q c|. Since (tol + phi)^2 is
+    below tol^2 + (2 tol + 1) phi, the computed r is at least tol whenever
+
+        |psi|^2 - s^2 > tol^2 + delta,   delta = k DEFAULT_TOL s^2 + (1 + tol) rho,
+
+    and then the verdict is read from s alone. The code takes rho twice as
+    large. Nearer the boundary r is computed as before, so every verdict
+    is the one that computing r always gives. The cost is one d-by-k
+    product, and a second one only within delta of TRUE.
     """
     if state.dim != prop.dim:
         raise DimensionMismatch(f"state dim {state.dim} does not match subspace dim {prop.dim}")
     psi = state.amplitudes
     coords = prop._adjoint @ psi
-    rejected = psi - prop.basis @ coords
     # vdot gives the squared norms with less call overhead than linalg.norm,
     # which counts at the small dimensions of most scenarios.
-    r = math.sqrt(np.vdot(rejected, rejected).real)
-    s = math.sqrt(np.vdot(coords, coords).real)
-    if r < tol:
-        return TruthValue.TRUE
-    if s < tol:
+    s2 = float(np.vdot(coords, coords).real)
+    delta = prop.rank * DEFAULT_TOL * s2 + (1.0 + tol) * prop._rounding
+    if float(np.vdot(psi, psi).real) - s2 <= tol * tol + delta:
+        rejected = psi - prop.basis @ coords
+        if math.sqrt(np.vdot(rejected, rejected).real) < tol:
+            return TruthValue.TRUE
+    if math.sqrt(s2) < tol:
         return TruthValue.FALSE
     return TruthValue.GAP
 
@@ -187,11 +221,32 @@ def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> 
 def orthocomplement(prop: Subspace) -> Subspace:
     """The orthogonal complement.
 
-    The trailing columns of a complete QR of the basis are orthonormal and
-    orthogonal to every column of the basis.
+    A QR writes the basis as H_1 ... H_k R, with Householder reflectors
+    H_i = I - tau_i v_i v_i^dagger. The trailing d - k columns of the
+    unitary H_1 ... H_k are orthonormal and orthogonal to every column of
+    the basis. In the compact WY form H_1 ... H_k = I - V T V^dagger
+    (Schreiber and Van Loan), with T upper triangular from the recurrence
+    of LAPACK's larft, those columns are E - V (T V[k:]^dagger), where E
+    holds the trailing columns of the identity. The leading k columns and
+    the rest of a complete QR's d-by-d factor are never formed. The cost
+    is O(d k^2) for V^dagger V, O(k^3) for T and O(d (d - k) k) for the
+    result, whose size is d (d - k).
     """
-    q, _ = np.linalg.qr(prop.basis, mode="complete")
-    return _from_basis(q[:, prop.rank:])
+    dim, rank = prop.dim, prop.rank
+    raw, tau = np.linalg.qr(prop.basis, mode="raw")
+    v = np.tril(raw.T, -1)  # raw holds the reflectors transposed
+    v[np.arange(rank), np.arange(rank)] = 1.0
+    gram = v.conj().T @ v
+    # The recurrence needs no division: tau_i = 0 (a column that is already
+    # a coordinate axis) gives a zero row and column of T, where the closed
+    # form T^-1 = triu(V^dagger V, 1) + diag(1 / tau) would divide by zero.
+    t = np.zeros((rank, rank), dtype=np.complex128)
+    for i in range(rank):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    trailing = -(v @ (t @ v[rank:].conj().T))
+    trailing[rank:] += np.eye(dim - rank)
+    return _from_basis(trailing)
 
 
 def meet(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
@@ -214,14 +269,34 @@ def meet(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
 def join(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the union of two subspaces.
 
-    A thin SVD of the stacked bases [Qa Qb]. Its singular values are the
-    nonzero ones of the stacked projectors [Pa Pb], since both matrices
-    times their adjoints give Pa + Pb, so the rank rule is the one of a
-    span of the projectors' columns.
+    The join is a's basis followed by the directions of b that leave a. b's
+    basis is projected out of a twice (once more corrects the rounding of
+    the first pass: "twice is enough"), giving R = (I - Pa) Qb, whose
+    singular values are the sines of the principal angles between a and b.
+    The rank rule is the one of a thin SVD of the stacked bases [Qa Qb],
+    which is that of a span of the projectors' columns, since both
+    matrices times their adjoints give Pa + Pb. Its singular values are
+    sqrt(1 + cos(theta)), 1 for unpaired directions, and
+    sqrt(1 - cos(theta)) = sin(theta) / sqrt(1 + cos(theta)); the last are
+    kept when above tol times the largest, sqrt(1 + cos(theta_min)). The
+    kept left singular vectors of R are projected out of a once more and
+    orthonormalized by a thin QR, since rounding divided by a small sine
+    tilts them towards a. The work is a thin SVD of R, d by kb rather than
+    d by ka + kb, and O(d ka kb) products. A rank-0 operand gives the
+    other operand.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"join needs equal dims, got {a.dim} and {b.dim}")
-    u, s, _ = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=False)
-    if s.size == 0:
-        return zero_subspace(a.dim)
-    return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
+    if b.rank == 0:
+        return a
+    if a.rank == 0:
+        return b
+    qa, qa_adjoint = a.basis, a._adjoint
+    rest = b.basis - qa @ (qa_adjoint @ b.basis)
+    rest -= qa @ (qa_adjoint @ rest)
+    u, sines, _ = np.linalg.svd(rest, full_matrices=False)
+    stretch = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sines * sines, 0.0)))
+    new = u[:, sines / stretch > tol * stretch.max()]
+    new -= qa @ (qa_adjoint @ new)
+    new, _ = np.linalg.qr(new)
+    return _from_basis(np.hstack([qa, new]))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from svq import (
     span_subspace,
     zero_subspace,
 )
+from svq.lattice import _from_basis
 
 UP = make_state([1, 0])
 DOWN = make_state([0, 1])
@@ -514,3 +516,197 @@ def test_subspace_is_immutable():
         Z_PLUS.basis[0, 0] = 0
     with pytest.raises(ValueError):
         Z_PLUS.projector[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "projector",
+    [np.diag([np.inf, 0]), np.diag([np.nan, 1]), [[1, complex(0, np.inf)], [0, 0]], [[0.5, 0.5], [np.nan, 0.5]]],
+)
+def test_projector_constructor_rejects_non_finite_entries(projector):
+    # inf used to raise OverflowError from round(), nan "cannot convert float
+    # NaN to integer", both after numpy RuntimeWarnings.
+    with pytest.raises(ValueError, match="projector entries must be finite"):
+        Subspace(projector)
+
+
+@pytest.mark.parametrize(
+    "projector, check",
+    [
+        (np.full((2, 2), 1e308), "idempotent"),
+        (np.diag([1e308, 0]), "idempotent"),
+        (np.full((2, 2), complex(1e308, 1e308)), "Hermitian"),
+        ([[1e308, 1e308j], [-1e308j, 1e308]], "idempotent"),
+    ],
+)
+def test_projector_constructor_rejects_huge_entries_without_warning(projector, check):
+    # The products overflow to inf or nan; nan must fail the check too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"not {check} within tolerance"):
+            Subspace(projector)
+
+
+# differential oracle of the dense-work rewrite --------------------------------
+#
+# membership, join and orthocomplement as they were before each did only the
+# dense work its answer needs, kept as the oracle of that rewrite. They work on
+# the bases of Subspace objects, so the oracle shares no code with the functions
+# under test: membership always formed the rejected vector, join took the thin
+# SVD of the stacked bases, and orthocomplement a complete QR.
+
+EPS = float(np.finfo(np.float64).eps)
+ANGLES = (1e-14, 1e-10, 1.5e-9, 3e-9, 1e-8, 1e-6)  # about the join threshold near 2e-9
+
+
+def stacked_svd_join(qa: np.ndarray, qb: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    stacked = np.hstack([qa, qb])
+    try:
+        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # LAPACK's gesdd fails to converge on a few stacked bases with
+        # clusters of tiny singular values; the adjoint's SVD gives the same
+        # factors, with U from its right singular vectors.
+        _, s, uh = np.linalg.svd(stacked.conj().T, full_matrices=False)
+        u = uh.conj().T
+    if s.size == 0:
+        return np.zeros((qa.shape[0], 0), dtype=np.complex128)
+    return u[:, : int(np.sum(s > tol * s[0]))]
+
+
+def complete_qr_orthocomplement(q: np.ndarray) -> np.ndarray:
+    full, _ = np.linalg.qr(q, mode="complete")
+    return full[:, q.shape[1]:]
+
+
+def rejected_vector_membership(state, q: np.ndarray, tol: float = 1e-9) -> TruthValue:
+    psi = state.amplitudes
+    coords = np.ascontiguousarray(q.conj().T) @ psi  # the layout of Subspace._adjoint
+    rejected = psi - q @ coords
+    r = math.sqrt(np.vdot(rejected, rejected).real)
+    s = math.sqrt(np.vdot(coords, coords).real)
+    if r < tol:
+        return TruthValue.TRUE
+    if s < tol:
+        return TruthValue.FALSE
+    return TruthValue.GAP
+
+
+def skip_margin(dim: int, rank: int, s2: float, tol: float) -> float:
+    """membership's delta, as its docstring states it."""
+    return rank * 1e-9 * s2 + (1 + tol) * 16 * (dim + rank + 4) * math.sqrt(rank + 1) * EPS
+
+
+def projector_of(q: np.ndarray) -> np.ndarray:
+    return q @ q.conj().T
+
+
+def frame_of(kind: str, dim: int, rng) -> np.ndarray:
+    """A unitary whose columns are Haar-random or signed coordinate axes."""
+    if kind == "haar":
+        return haar_unitary(dim, rng).entries
+    # A column that is +-1 times an axis needs no Householder reflection: tau = 0.
+    axes = np.eye(dim, dtype=np.complex128)[:, rng.permutation(dim)]
+    return axes * rng.choice([1.0, -1.0], dim)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 64),
+    st.data(),
+    st.sampled_from(("haar", "axes")),
+    st.sampled_from((1e-9, 0.3)),
+    st.sampled_from((0.0, 0.5, 0.99, 1.01, 2.0)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_membership_matches_the_rejected_vector_oracle_about_the_skip_margin(
+    dim, data, kind, tol, multiple, shrink, seed
+):
+    # States with |psi|^2 - s^2 = tol^2 + m delta for the margin multiples m,
+    # so each side of the switch that skips the rejected vector is reached.
+    # A shrunk basis has Q^dagger Q = I - 0.9e-9 e e^T, e the all-ones vector,
+    # a Gram error that _from_basis allows and that reaches k DEFAULT_TOL s^2
+    # for coordinates along e: then r < tol for m < 0.9, though m > 0.
+    rank = data.draw(st.integers(0, dim))
+    rng = np.random.default_rng(seed)
+    frame = frame_of(kind, dim, rng)
+    basis, shrink = frame[:, :rank], shrink and rank > 0
+    coords = np.ones(rank) if shrink else _gaussian(rng, rank, 1)[:, 0]
+    lam = 1.0
+    if shrink:
+        lam = 1 - 0.9e-9 * rank
+        basis = basis + (math.sqrt(lam) - 1) * np.outer(basis @ coords, coords) / rank
+    sub = _from_basis(basis)
+    inside = basis @ coords
+    outside = frame[:, rank:] @ _gaussian(rng, dim - rank, 1)[:, 0]
+    if rank == 0:
+        psi = outside
+    elif rank == dim:
+        psi = inside
+    else:
+        # Solve 1 - s^2 = tol^2 + m delta for the weight of the outside part.
+        slack = rank * 1e-9 * multiple
+        target = tol * tol + multiple * skip_margin(dim, rank, 0.0, tol)
+        sin2 = max((slack - (1 - lam) * (1 + slack) + target) / (lam * (1 + slack)), 0.0)
+        psi = math.sqrt(1 - sin2) * inside / np.linalg.norm(inside)
+        psi = psi + math.sqrt(sin2) * outside / np.linalg.norm(outside)
+    state = make_state(psi)
+    assert membership(state, sub, tol) is rejected_vector_membership(state, sub.basis, tol)
+    if 0 < rank < dim and multiple in (0.99, 1.01) and not shrink:
+        amplitudes = state.amplitudes
+        s2 = float(np.linalg.norm(sub._adjoint @ amplitudes) ** 2)
+        gap = float(np.vdot(amplitudes, amplitudes).real) - s2 - tol * tol
+        assert (gap > skip_margin(dim, rank, s2, tol)) is (multiple > 1)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 64),
+    st.data(),
+    st.sampled_from(("haar", "axes")),
+    st.sampled_from(ANGLES),
+    st.integers(0, 2**32 - 1),
+)
+def test_join_matches_the_stacked_svd_oracle_about_the_threshold(dim, data, kind, angle, seed):
+    # b has a column at the drawn angle from a's first, columns that a holds
+    # too and fresh ones, so ranks 0 and d and dropped, kept and shared
+    # directions all occur.
+    rng = np.random.default_rng(seed)
+    frame = frame_of(kind, dim, rng)
+    rank_a = data.draw(st.integers(0, dim))
+    tilted = 0 < rank_a < dim and data.draw(st.booleans())
+    shared = data.draw(st.integers(0, max(rank_a - 1, 0)))
+    fresh = data.draw(st.integers(0, dim - rank_a - tilted))
+    cols = [frame[:, 1 : 1 + shared], frame[:, rank_a + tilted : rank_a + tilted + fresh]]
+    if tilted:
+        cols.append(np.cos(angle) * frame[:, :1] + np.sin(angle) * frame[:, rank_a : rank_a + 1])
+    rank_b = shared + fresh + tilted
+    mix = haar_unitary(rank_b, rng).entries if kind == "haar" and rank_b > 0 else np.eye(rank_b)
+    a, b = _from_basis(frame[:, :rank_a]), _from_basis(np.hstack(cols) @ mix)
+    # Within a factor 5 of the threshold the join's condition number is
+    # 1/angle: rounding of eps in either implementation moves the kept
+    # direction by about eps/angle (a stacked SVD as much as the residual).
+    bound = 1e-9 + (4 * dim * EPS / angle if tilted and angle in (3e-9, 1e-8) else 0.0)
+    for first, second in ((a, b), (b, a)):
+        got, want = join(first, second), stacked_svd_join(first.basis, second.basis)
+        assert got.rank == want.shape[1] == rank_a + fresh + (tilted and angle > 2e-9)
+        assert np.max(np.abs(got.projector - projector_of(want)), initial=0.0) < bound
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 64), st.data(), st.sampled_from(("haar", "axes", "mixed")), st.integers(0, 2**32 - 1))
+def test_orthocomplement_matches_the_complete_qr_oracle(dim, data, kind, seed):
+    # "mixed" puts Haar columns after coordinate axes, so reflectors with
+    # tau = 0 and tau != 0 meet in one T.
+    rank = data.draw(st.integers(0, dim))
+    rng = np.random.default_rng(seed)
+    basis = frame_of("axes" if kind == "mixed" else kind, dim, rng)[:, :rank]
+    if kind == "mixed" and rank > 1:
+        half = rank // 2
+        rest = complete_qr_orthocomplement(basis[:, :half]) @ haar_unitary(dim - half, rng).entries
+        basis = np.hstack([basis[:, :half], rest[:, : rank - half]])
+    sub = _from_basis(basis)
+    got, want = orthocomplement(sub), complete_qr_orthocomplement(sub.basis)
+    assert got.rank == want.shape[1] == dim - rank
+    assert np.max(np.abs(got.projector - projector_of(want)), initial=0.0) < 1e-9
+    assert np.max(np.abs(sub._adjoint @ got.basis), initial=0.0) < 1e-12

@@ -6,6 +6,11 @@ spanning vector by a nonzero complex factor must leave the report
 unchanged. Each factor is applied to the parsed scenario, so the items
 keep their lines and columns.
 
+Change of basis, checked on the shipped scenarios without ``blackhole``:
+membership, overlaps and the copy map are defined by inner products, so
+applying one unitary U to every state and spanning vector, and U M U^dagger
+to every ``evolve`` matrix, must leave the text report unchanged.
+
 Evaporation forgets its input, checked on generated scenarios: a
 ``blackhole`` step emits a state drawn from its sub-seed alone, so
 swallowing any other declared state changes the report only in that
@@ -18,12 +23,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svq import SvqError, emit_report, parse_scenario, run_scenario
-from svq.scenario import BlackholeStep, PropDecl, Scenario, StateDecl
+from svq import SvqError, emit_report, haar_unitary, parse_scenario, run_scenario
+from svq.scenario import BlackholeStep, EvolveStep, PropDecl, Scenario, StateDecl
 
 from scenario_strategies import scenario_texts
 
@@ -71,6 +77,48 @@ def test_phase_and_scale_leave_the_report_unchanged(path):
             assert emit_report(report, "text") == base_text, (factor, seed)
             # Feasibility overlaps in the JSON may differ in their last digit.
             assert_close(json.loads(emit_report(report, "json")), base_json)
+
+
+def rotated(scenario: Scenario, unitary_seed: int) -> Scenario:
+    """The scenario in another basis: psi -> U psi and M -> U M U^dagger, one U per dimension."""
+    unitaries = {}
+
+    def unitary(dim: int) -> np.ndarray:
+        if dim not in unitaries:
+            unitaries[dim] = haar_unitary(dim, np.random.default_rng([unitary_seed, dim])).entries
+        return unitaries[dim]
+
+    def turn(vector) -> tuple:
+        return tuple((unitary(len(vector)) @ np.array(vector, dtype=complex)).tolist())
+
+    items = []
+    for item in scenario.items:
+        if isinstance(item, StateDecl):
+            item = dataclasses.replace(item, components=turn(item.components))
+        elif isinstance(item, PropDecl):
+            item = dataclasses.replace(item, vectors=tuple(turn(row) for row in item.vectors))
+        elif isinstance(item, EvolveStep):
+            u = unitary(len(item.matrix))
+            matrix = u @ np.array(item.matrix, dtype=complex) @ u.conj().T
+            item = dataclasses.replace(item, matrix=tuple(map(tuple, matrix.tolist())))
+        items.append(item)
+    return Scenario(tuple(items))
+
+
+def without_blackhole(path: Path) -> bool:
+    return not any(type(item) is BlackholeStep for item in parse_scenario(path.read_text(encoding="utf-8")).items)
+
+
+@pytest.mark.parametrize("path", [p for p in SCENARIOS if without_blackhole(p)], ids=lambda path: path.stem)
+def test_a_change_of_basis_leaves_the_text_report_unchanged(path):
+    # blackhole emits a Haar state of its sub-seed in the fixed computational
+    # basis, so it is the one step that does not commute with U.
+    scenario = parse_scenario(path.read_text(encoding="utf-8"))
+    for seed in (0, 1):
+        base = emit_report(run_scenario(scenario, {"seed": seed}), "text")
+        for unitary_seed in range(5):
+            report = run_scenario(rotated(scenario, unitary_seed), {"seed": seed})
+            assert emit_report(report, "text") == base, (unitary_seed, seed)
 
 
 def json_outcome(scenario: Scenario, overrides: dict):
