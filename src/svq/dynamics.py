@@ -75,11 +75,13 @@ def sample_past_reconstruction(p_one: float, seeds) -> list[int]:
 
     Bit i is 1 exactly when ``np.random.default_rng(seeds[i]).random()`` is
     below p_one, so each bit is deterministic given its seed. The runner
-    draws one sub-seed per lost key and passes a whole ``reconstruct`` step
-    at once. A step of fewer than _SCALAR_CUTOFF seeds draws each from its
-    own ``default_rng``; a larger one computes the same bits in one
-    vectorised pass. A p_one of one half reflects indifference between the
-    two symmetric components of the state the record was erased into.
+    draws one sub-seed per lost key and, after a run's last step, passes
+    every sub-seed of the run's ``reconstruct`` steps at one p at once, so
+    the fixed cost below is paid once per run and p. A batch of fewer than
+    _SCALAR_CUTOFF seeds draws each from its own ``default_rng``; a larger
+    one computes the same bits in one vectorised pass. A p_one of one half
+    reflects indifference between the two symmetric components of the
+    state the record was erased into.
 
     Raises BadProbability unless p_one lies in [0, 1], and ValueError
     unless every seed is an int in [0, 2**64).

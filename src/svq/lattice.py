@@ -111,6 +111,21 @@ class Subspace:
         return f"Subspace(dim={self.dim}, rank={self.rank})"
 
 
+def _svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left singular vectors and singular values of a thin SVD.
+
+    LAPACK's gesdd can fail to converge on finite, well-scaled matrices
+    with clusters of tiny singular values. The SVD of the adjoint, whose
+    right singular vectors are the left ones sought, converges on them.
+    """
+    try:
+        u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError:
+        _, s, vh = np.linalg.svd(matrix.conj().T, full_matrices=False)
+        u = vh.conj().T
+    return u, s
+
+
 def _set_basis(sub: Subspace, basis: np.ndarray) -> None:
     basis = np.ascontiguousarray(basis, dtype=np.complex128)
     adjoint = np.ascontiguousarray(basis.conj().T)
@@ -159,11 +174,11 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
         raise ValueError("spanning vectors must be finite")
     if float(np.max(np.abs(basis_matrix))) <= tol:
         raise EmptySpan("every spanning vector is numerically zero")
-    u, s, _ = np.linalg.svd(basis_matrix, full_matrices=False)
+    u, s = _svd(basis_matrix)
     if not math.isfinite(s[0]):
         # The largest singular value overflowed: bring the largest part to 1 first.
         basis_matrix /= np.max(np.maximum(np.abs(basis_matrix.real), np.abs(basis_matrix.imag)))
-        u, s, _ = np.linalg.svd(basis_matrix, full_matrices=False)
+        u, s = _svd(basis_matrix)
     return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
 
 
@@ -262,7 +277,7 @@ def meet(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"meet needs equal dims, got {a.dim} and {b.dim}")
-    u, cosines, _ = np.linalg.svd(a._adjoint @ b.basis, full_matrices=False)
+    u, cosines = _svd(a._adjoint @ b.basis)
     return _from_basis(a.basis @ u[:, 1.0 - cosines < tol])
 
 
@@ -294,7 +309,7 @@ def join(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     qa, qa_adjoint = a.basis, a._adjoint
     rest = b.basis - qa @ (qa_adjoint @ b.basis)
     rest -= qa @ (qa_adjoint @ rest)
-    u, sines, _ = np.linalg.svd(rest, full_matrices=False)
+    u, sines = _svd(rest)
     stretch = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sines * sines, 0.0)))
     new = u[:, sines / stretch > tol * stretch.max()]
     new -= qa @ (qa_adjoint @ new)

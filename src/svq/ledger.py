@@ -19,6 +19,16 @@ building a ledger of n records costs O(n) in all. Appending to an older
 version is a fork: it copies the older version's rows into new columns
 first, and every version keeps the records it had.
 
+One exception to immutability serves the runner, which appends a
+reconstructed row before its bit is drawn and draws the bits of a run at
+once after its last step. ``_settle_truths`` overwrites the truth of rows
+in place, in the columns every version of the ledger shares. The rows it
+may overwrite are those the run appended itself, and only until
+``run_scenario`` returns: until then no version of the run's ledger has
+left the run, a run that raises StepError is discarded with all of them,
+and every version a returned report holds (the ledger, the audited
+version and the step views) reads the settled truths.
+
 The audit treats the earliest determinate truth recorded for a given
 (proposition, tick) pair as fixed. A later determinate record that
 disagrees is a "flip"; a later gap is a "loss". A gap that is later
@@ -164,6 +174,16 @@ def record_valuation(
     appended._cols = cols
     appended._size = size + 1
     return appended
+
+
+def _settle_truths(ledger: Ledger, rows: list[int], truths: list[TruthValue]) -> None:
+    """Overwrite the truth of each of rows, in ledger's columns, in place.
+
+    Only for rows the calling run appended, before it returns (see above).
+    """
+    column = ledger._cols[3]
+    for row, truth in zip(rows, truths, strict=True):
+        column[row] = truth
 
 
 def check_past_unalterability(ledger: Ledger) -> tuple[Violation, ...]:

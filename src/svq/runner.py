@@ -32,10 +32,14 @@ replace the system with their output:
 * ``record at t`` first re-asserts every lost key as a gap (a past-tense
   record asserted at t), then appends the present valuation of every
   declared proposition against the system.
-* ``reconstruct [p x]`` draws one seeded Bernoulli bit per lost key,
-  appends it as a past-tense record at the current tick, and clears the
-  lost marks. Flips against the original record are what the past-fixity
-  audit then surfaces.
+* ``reconstruct [p x]`` draws one sub-seed per lost key, appends a
+  past-tense record per key at the current tick, and clears the lost
+  marks. The record holds the seeded Bernoulli bit of its sub-seed. No
+  later step reads those bits, so the run draws them after its last step,
+  in one call per distinct p over that p's sub-seeds in step order, and
+  writes them into the rows; the bits are those a draw per step gives.
+  Flips against the original record are what the past-fixity audit then
+  surfaces.
 * ``check-past`` counts one audit and keeps the ledger as it stands. The
   report lists the violations of the ledger as of the last ``check-past``;
   that ledger is a persistent value, so it is audited once, after the last
@@ -78,7 +82,7 @@ from .formulas import evaluate_super
 from .hilbert import DEFAULT_TOL, StateVector, apply_operator, is_unitary, make_state
 from .lattice import Subspace, TruthValue, membership, span_subspace
 from .ledger import FUTURE, PAST, PRESENT, Ledger, derive_tense, check_past_unalterability, ledger_lines
-from .ledger import record_valuation
+from .ledger import _settle_truths, record_valuation
 from .scenario import (
     KIND,
     BlackholeStep,
@@ -228,8 +232,8 @@ class _ViolationRows(_Rows):
         ]
 
 
-_GAP = TruthValue.GAP
-_BITS = (TruthValue.FALSE, TruthValue.TRUE)
+_GAP, _FALSE = TruthValue.GAP, TruthValue.FALSE
+_BITS = (_FALSE, TruthValue.TRUE)
 
 #: A valuation row: (prop, truth, str(truth)) per declared prop, in order.
 _Row = list[tuple[str, TruthValue, str]]
@@ -252,6 +256,8 @@ class _Run:
         self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
         self.now = 0
         self.pending_clone: StateVector | None = None  # the source of the last clone
+        # p -> the ledger rows a reconstruct appended at p, and their sub-seeds
+        self.draws: dict[float, tuple[list[int], list[int]]] = {}
 
     def row(self, state: StateVector) -> _Row:
         """The valuation row of a declared state or of the system."""
@@ -379,9 +385,12 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
     lost, led = run.lost, run.ledger
     start = len(led)
     sub_seeds = run.rng.integers(0, 2**63, size=len(lost)).tolist()
-    bits = sample_past_reconstruction(p, sub_seeds)
-    for (pid, at0), bit in zip(lost, bits):
-        led = record_valuation(led, at0, pid, _BITS[bit], run.now)
+    for pid, at0 in lost:  # 0 until run_scenario draws the bit; no step reads it before
+        led = record_valuation(led, at0, pid, _FALSE, run.now)
+    if sub_seeds:
+        rows, seeds = run.draws.setdefault(p, ([], []))
+        rows += range(start, len(led))
+        seeds += sub_seeds
     lost.clear()
     run.ledger = led
     return {"p_one": float(p), "samples": _SampleRows(led, start, sub_seeds)}
@@ -484,6 +493,8 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
         if fields is not None:
             steps.append({"index": index, "line": item.line, "kind": kind, **fields})
 
+    for p, (rows, seeds) in run.draws.items():
+        _settle_truths(run.ledger, rows, [_BITS[bit] for bit in sample_past_reconstruction(p, seeds)])
     if report.checks_run:
         report.violations = _ViolationRows(check_past_unalterability(run.audited))
     report.ledger = run.ledger

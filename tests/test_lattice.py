@@ -710,3 +710,44 @@ def test_orthocomplement_matches_the_complete_qr_oracle(dim, data, kind, seed):
     assert got.rank == want.shape[1] == dim - rank
     assert np.max(np.abs(got.projector - projector_of(want)), initial=0.0) < 1e-9
     assert np.max(np.abs(sub._adjoint @ got.basis), initial=0.0) < 1e-12
+
+
+# SVD fallback ---------------------------------------------------------------
+
+_SVD_RNG = np.random.default_rng(7)
+_RANK_3_SPAN = (_gaussian(_SVD_RNG, 8, 3) @ _gaussian(_SVD_RNG, 3, 6)).T
+_SHARED = _gaussian(_SVD_RNG, 8, 2)
+# Two rank-4 subspaces of C^8 that share two directions.
+_PAIR = [span_subspace(np.hstack([_SHARED, _gaussian(_SVD_RNG, 8, 2)]).T, 8) for _ in range(2)]
+
+#: Each call of np.linalg.svd in the lattice: the caller, and which of its
+#: SVD calls fails.
+SVD_CALLERS = {
+    "span": (lambda: span_subspace(_RANK_3_SPAN, 8), 1),
+    "span-rescaled": (lambda: span_subspace([[1.7e308, 1.7e308], [1, 0]], 2), 2),
+    "meet": (lambda: meet(*_PAIR), 1),
+    "join": (lambda: join(*_PAIR), 1),
+}
+
+
+@pytest.mark.parametrize("caller", SVD_CALLERS)
+def test_a_failed_svd_is_retried_on_the_adjoint(caller, monkeypatch):
+    # gesdd can raise "SVD did not converge" on finite, well-scaled input.
+    call, failing = SVD_CALLERS[caller]
+    expected = call()
+    svd, calls = np.linalg.svd, []
+
+    def flaky_svd(matrix, *args, **kwargs):
+        calls.append(matrix)
+        if len(calls) == failing:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = call()
+    assert len(calls) == failing + 1
+    assert np.array_equal(calls[failing], calls[failing - 1].conj().T)
+    assert result.rank == expected.rank
+    assert projectors_close(result, expected, 1e-12)

@@ -17,6 +17,9 @@ from svq import (
     run_scenario,
 )
 from svq import runner
+from svq.dynamics import sample_past_reconstruction
+
+from test_compile import outcome, reference_run_scenario
 
 CLONE_TEXT = """
 state phi = [1, 0]
@@ -400,6 +403,86 @@ def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
     rng = np.random.default_rng(9)
     assert len(seeds) > 2
     assert seeds == [int(rng.integers(0, 2**63)) for _ in seeds]
+
+
+# A run draws its reconstructed bits after its last step, one kernel call
+# per distinct p. The reference runner in test_compile.py draws them at
+# every step, as the runner did before, and stays here as the oracle.
+
+
+def reconstruct_rounds(props, rounds):
+    """A scenario of one reconstruct per round, at the round's p suffix.
+
+    Each round records the props on |0> (determinate, half true and half
+    false), erases every determinate record so far with an infeasible
+    clone and reconstructs it, so round r draws props * (r + 1) bits. A
+    check-past after the second round audits a shorter ledger than the
+    final one.
+    """
+    lines = ["state phi = [1, 0]", "state tilt = [1/sqrt(2), 1/sqrt(2)]"]
+    lines += [f"prop P{i} = span([{1 - i % 2}, {i % 2}])" for i in range(props)]
+    for r, p in enumerate(rounds):
+        lines += ["clone phi -> phi", f"record at {2 * r}", "clone tilt -> phi", f"record at {2 * r + 1}"]
+        lines.append(f"reconstruct{p}")
+        if r == 1:
+            lines.append("check-past")
+    return "\n".join(lines) + "\n"
+
+
+def drawn_per_p(report):
+    """The bits the report's reconstruct steps drew, counted per p, in
+    order of first appearance."""
+    totals = {}
+    for step in report.steps:
+        if step["kind"] == "reconstruct" and step["samples"]:
+            totals[step["p_one"]] = totals.get(step["p_one"], 0) + len(step["samples"])
+    return totals
+
+
+#: (props, round suffixes, p_one override, bits drawn per p). The totals lie
+#: below, at and above the kernel's _SCALAR_CUTOFF of 8; an override equal
+#: to a step's p puts that step and the default ones in one batch.
+DEFERRED_DRAWS = {
+    "below": (1, ["", " p 0.25", " p 1"], None, {0.5: 1, 0.25: 2, 1.0: 3}),
+    "at": (2, ["", " p 1", "", " p 0.25"], None, {0.5: 8, 1.0: 4, 0.25: 8}),
+    "above": (4, ["", " p 0.25", " p 1", "", " p 0.25"], None, {0.5: 20, 0.25: 28, 1.0: 12}),
+    "merged": (1, ["", " p 0.25", " p 1", ""], 0.25, {0.25: 7, 1.0: 3}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("case", DEFERRED_DRAWS)
+def test_bits_drawn_per_run_match_those_drawn_per_step(case, seed):
+    props, rounds, p_one, totals = DEFERRED_DRAWS[case]
+    scenario = parse_scenario(reconstruct_rounds(props, rounds))
+    overrides = {"seed": seed, "p_one": p_one}
+    report = reference_run_scenario(scenario, overrides)
+    assert drawn_per_p(report) == totals
+    assert 0 < len(report.violations) < len(check_past_unalterability(report.ledger))
+    assert outcome(run_scenario, scenario, overrides) == outcome(reference_run_scenario, scenario, overrides)
+
+
+NOTHING_LOST = "state up = [1, 0]\nprop Z = span([1, 0])\nrecord at 0\nreconstruct\nreconstruct p 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, p_one",
+    [(reconstruct_rounds(*DEFERRED_DRAWS[case][:2]), DEFERRED_DRAWS[case][2]) for case in DEFERRED_DRAWS]
+    + [(NOTHING_LOST, None), (CLONE_TEXT, None), (CLONE_TEXT, 1.0)],
+    ids=[*DEFERRED_DRAWS, "nothing-lost", "clone", "clone-p1"],
+)
+def test_a_run_draws_once_per_p_that_lost_keys(text, p_one, monkeypatch):
+    calls = []
+
+    def counting_draw(p, seeds):
+        calls.append((p, len(seeds)))
+        return sample_past_reconstruction(p, seeds)
+
+    monkeypatch.setattr(runner, "sample_past_reconstruction", counting_draw)
+    report = run_text(text, p_one=p_one)
+    # Each call pays the kernel's fixed cost; a reconstruct that lost no
+    # key pays nothing.
+    assert calls == list(drawn_per_p(report).items())
 
 
 # The JSON writer against json.dumps, which stays here as its oracle.
