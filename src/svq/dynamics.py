@@ -89,12 +89,20 @@ def sample_past_reconstruction(p_one: float, seeds) -> list[int]:
     p = float(p_one)
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p_one must lie in [0, 1], got {p_one!r}")
-    if not all(isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in seeds):
+    types = set(map(type, seeds))
+    # A Python int outside [0, 2**64) overflows the uint64 array below, but
+    # a negative numpy integer would wrap, so it is compared here.
+    if not all(issubclass(t, (int, np.integer)) for t in types) or (
+        any(issubclass(t, np.signedinteger) for t in types) and min(seeds) < 0
+    ):
         raise ValueError("seeds must be integers in [0, 2**64)")
+    try:
+        array = np.array(seeds, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("seeds must be integers in [0, 2**64)") from None
     if len(seeds) < _SCALAR_CUTOFF:
         return [int(np.random.default_rng(s).random() < p) for s in seeds]
-    uniforms = _first_uniforms(np.array(seeds, dtype=np.uint64))
-    return (uniforms < p).astype(np.int64).tolist()
+    return (_first_uniforms(array) < p).astype(np.int64).tolist()
 
 
 # The first ``random()`` of ``default_rng(seed)``, for many seeds at once.

@@ -152,14 +152,25 @@ def zero_subspace(dim: int) -> Subspace:
     return _from_basis(np.zeros((dim, 0)))
 
 
+def _unit_scaled(matrix: np.ndarray) -> np.ndarray:
+    """matrix divided by the largest real or imaginary part of its entries.
+
+    The float64 view puts each entry's two parts side by side; it needs a
+    contiguous last axis, which a column stack and a single column have.
+    """
+    return matrix / np.abs(matrix.view(np.float64)).max()
+
+
 def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the given vectors.
 
     The spanning set is orthonormalized through a thin SVD, so any two
     spanning sets of the same space give the same subspace up to numerical
     noise. Directions whose relative singular weight falls below tol are
-    treated as noise rather than as extra dimensions. Raises ValueError
-    for a non-finite component, as make_state does.
+    treated as noise rather than as extra dimensions. A single vector needs
+    no SVD: at a tol in [0, 1) the SVD would keep its one direction, so it
+    is only divided by its largest real or imaginary part and then by its
+    norm. Raises ValueError for a non-finite component, as make_state does.
     """
     cols = []
     for v in vectors:
@@ -169,16 +180,22 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
         cols.append(arr)
     if not cols:
         raise EmptySpan("no spanning vectors given")
-    basis_matrix = np.column_stack(cols)
-    if not np.all(np.isfinite(basis_matrix)):
+    basis_matrix = cols[0].reshape(dim, 1) if len(cols) == 1 else np.column_stack(cols)
+    if not np.isfinite(basis_matrix).all():
         raise ValueError("spanning vectors must be finite")
-    if float(np.max(np.abs(basis_matrix))) <= tol:
+    if float(np.abs(basis_matrix).max()) <= tol:
         raise EmptySpan("every spanning vector is numerically zero")
+    if len(cols) == 1 and 0.0 <= tol < 1.0:
+        # With its largest part at 1 its norm neither overflows nor underflows.
+        line = _unit_scaled(basis_matrix)
+        line /= math.sqrt(np.vdot(line, line).real)
+        sub = object.__new__(Subspace)
+        _set_basis(sub, line)
+        return sub
     u, s = _svd(basis_matrix)
     if not math.isfinite(s[0]):
         # The largest singular value overflowed: bring the largest part to 1 first.
-        basis_matrix /= np.max(np.maximum(np.abs(basis_matrix.real), np.abs(basis_matrix.imag)))
-        u, s = _svd(basis_matrix)
+        u, s = _svd(_unit_scaled(basis_matrix))
     return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
 
 

@@ -26,6 +26,9 @@ only space, tab, CR and LF; '#' starts a comment running to end of line.
 Numbers are reals (decimals, integer fractions "a/b", or the "a/sqrt(b)"
 sugar) optionally combined with an imaginary literal: "0.5+0.5i", "1i",
 "1/sqrt(2)-0.5i". An integer too large for a float reads as infinity.
+The lexer holds tokens as three columns (kinds, lexemes, start offsets),
+numbers are converted where the parser reads them, and a line and column
+are derived from an offset only for an item's keyword or a diagnostic.
 
 parse_scenario is syntax only. compile_scenario, one pass in source order,
 checks names (declared above their use, unique, of the right kind), that
@@ -38,8 +41,8 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 from .errors import (
     BadProbability,
@@ -173,58 +176,64 @@ KIND = {cls: keyword for keyword, (cls, _) in SYNTAX.items()}
 # Lexer
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    value: object
-    line: int
-    col: int
-
-
-#: One alternative per token class, tried in order at the current position.
-#: In a str pattern \d is str.isdecimal and \w is isalnum() or "_", the
-#: lexical rules the module docstring states.
+#: One alternative per token kind, tried in order, then the whitespace and
+#: comments after the token. In a str pattern \d is str.isdecimal and \w is
+#: isalnum() or "_", the lexical rules the module docstring states. finditer
+#: searches, so "error" takes any character that starts no token.
+_SKIP = r"(?:[ \t\r\n]|#[^\n]*)*"
 _TOKEN_PATTERN = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]|#[^\n]*)+)"
-    r"|(?P<punct>check-past(?![\w-])|->|[\[\](),=/+-])"
-    r"|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<imag>i(?!\w))?"
+    r"(?:(?P<punct>check-past(?![\w-])|->|[\[\](),=/+-])"
+    r"|(?P<imag>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?i(?!\w))"
+    r"|(?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))"
+    r"|(?P<int>\d+)"
     r"|(?P<word>\w+)"
+    r"|(?P<error>[\s\S]))" + _SKIP
 )
+_LEADING_SKIP = re.compile(_SKIP)
+_NEWLINE = re.compile("\n")
+
+#: int() rejects a decimal literal only past the interpreter's digit limit,
+#: which is 0 (none) or at least this many digits.
+_SAFE_INT_DIGITS = 640
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    match = _TOKEN_PATTERN.match
-    pos, line, line_start, n = 0, 1, 0, len(text)
-    while pos < n:
-        m = match(text, pos)
-        col = pos - line_start + 1
-        # A word may go on with digits and the like, but must start with a
-        # letter or "_": "²" and "½" are \w but start nothing.
-        if m is None or (m.lastgroup == "word" and not (text[pos].isalpha() or text[pos] == "_")):
-            raise ScenarioSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind, lexeme, start, pos = m.lastgroup, m.group(), pos, m.end()
-        if kind == "skip":
-            newlines = lexeme.count("\n")
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, pos) + 1
-        elif kind == "word":
-            tokens.append(_Token("ident", lexeme, lexeme, line, col))
-        elif kind == "punct":
-            tokens.append(_Token(lexeme, lexeme, None, line, col))
-        elif kind == "imag":
-            tokens.append(_Token("imag", lexeme, float(lexeme[:-1]), line, col))
-        elif lexeme.isdecimal():
-            try:
-                value = int(lexeme)
-            except ValueError:  # beyond the interpreter's int-string digit limit
-                raise ScenarioSyntaxError("integer literal too long", line, col) from None
-            tokens.append(_Token("int", lexeme, value, line, col))
-        else:
-            tokens.append(_Token("float", lexeme, float(lexeme), line, col))
-    tokens.append(_Token("eof", "", None, line, n - line_start + 1))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Lex text into three parallel columns: the kinds, lexemes and start
+    offsets of its tokens, ended by an "eof" entry at len(text).
+
+    A kind is "punct" (whose lexeme says which), "word", "int", "float" or
+    "imag". Raises ScenarioSyntaxError at the first character that starts
+    no token or integer literal too long for int(), whichever comes first.
+    """
+    matches = list(_TOKEN_PATTERN.finditer(text, _LEADING_SKIP.match(text).end()))
+    kinds = [m.lastgroup for m in matches]
+    lexemes = [m[kind] for m, kind in zip(matches, kinds)]
+    starts = [m.start() for m in matches]
+    # An ASCII word starts with a letter or "_", since a digit starts a
+    # number, and only a long lexeme can be too long an integer.
+    if "error" in kinds or not text.isascii() or max(map(len, lexemes), default=0) > _SAFE_INT_DIGITS:
+        for kind, lexeme, start in zip(kinds, lexemes, starts):
+            # A word may go on with digits and the like, but must start with
+            # a letter or "_": "²" and "½" are \w but start nothing.
+            if kind == "error" or (kind == "word" and not (lexeme[0].isalpha() or lexeme[0] == "_")):
+                message = f"unexpected character {lexeme[0]!r}"
+            elif kind == "int" and len(lexeme) > _SAFE_INT_DIGITS:
+                try:
+                    int(lexeme)
+                    continue
+                except ValueError:  # beyond the interpreter's int-string digit limit
+                    message = "integer literal too long"
+            else:
+                continue
+            newlines = [m.start() for m in _NEWLINE.finditer(text, 0, start)]
+            raise ScenarioSyntaxError(message, *_position(newlines, start))
+    return kinds + ["eof"], lexemes + [""], starts + [len(text)]
+
+
+def _position(newlines: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of offset, given every newline's offset."""
+    line = bisect_left(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] if line else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,106 +246,104 @@ def _tokenize(text: str) -> list[_Token]:
 MAX_FORMULA_NESTING = 100
 
 
-def _unexpected(tok: _Token, *expected: str) -> ScenarioSyntaxError:
-    what = "end of input" if tok.kind == "eof" else repr(tok.text)
-    return ScenarioSyntaxError(f"unexpected {what}", tok.line, tok.col, expected=expected)
-
-
-def _real(tok: _Token) -> float:
-    """A number token's value as a float; an integer too large for one is inf."""
-    return float(tok.text) if tok.kind == "int" else tok.value
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Reads the columns of _tokenize at pos, which never passes "eof".
+
+    Only a word has a keyword's text and only a punct token a punctuation
+    mark's, so keywords and punctuation are matched by lexeme alone.
+    """
+
+    def __init__(self, text: str):
+        self.kinds, self.lexemes, self.starts = _tokenize(text)
+        self.newlines = [m.start() for m in _NEWLINE.finditer(text)]
         self.pos = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, index: int, message: str, expected: tuple[str, ...] = ()) -> ScenarioSyntaxError:
+        return ScenarioSyntaxError(message, *_position(self.newlines, self.starts[index]), expected=expected)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def unexpected(self, *expected: str) -> ScenarioSyntaxError:
+        pos = self.pos
+        what = "end of input" if self.kinds[pos] == "eof" else repr(self.lexemes[pos])
+        return self.error(pos, f"unexpected {what}", expected)
+
+    def accept(self, lexeme: str) -> bool:
+        if self.lexemes[self.pos] == lexeme:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def accept(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+    def expect(self, lexeme: str, expected: str) -> None:
+        if self.lexemes[self.pos] != lexeme:
+            raise self.unexpected(expected)
+        self.pos += 1
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise _unexpected(tok, expected)
-        return self.advance()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def expect_keyword(self, word: str) -> _Token:
-        if not self.at_keyword(word):
-            raise _unexpected(self.peek(), f"'{word}'")
-        return self.advance()
+    def expect_kind(self, kinds: tuple[str, ...], expected: str) -> int:
+        """Read a token of one of kinds; returns its index."""
+        pos = self.pos
+        if self.kinds[pos] not in kinds:
+            raise self.unexpected(expected)
+        self.pos = pos + 1
+        return pos
 
     def parse_name(self) -> str:
-        tok = self.expect("ident", "identifier")
-        if tok.text in _KEYWORDS:
-            raise ScenarioSyntaxError(
-                f"{tok.text!r} is a reserved word", tok.line, tok.col, expected=("identifier",)
-            )
-        return tok.text
+        pos = self.pos
+        if self.kinds[pos] != "word":
+            raise self.unexpected("identifier")
+        name = self.lexemes[pos]
+        if name in _KEYWORDS:
+            raise self.error(pos, f"{name!r} is a reserved word", ("identifier",))
+        self.pos = pos + 1
+        return name
 
     # numbers and values --------------------------------------------------
 
     def _parse_signed_part(self) -> tuple[float, bool]:
-        negate = False
-        if self.accept("-"):
-            negate = True
-        else:
+        negate = self.accept("-")
+        if not negate:
             self.accept("+")
-        tok = self.peek()
-        if tok.kind == "imag":
-            self.advance()
-            return (-tok.value if negate else tok.value, True)
-        if tok.kind in ("int", "float"):
-            self.advance()
-            value = _real(tok)
-            if tok.kind == "int" and self.peek().kind == "/":
-                self.advance()
-                nxt = self.peek()
-                if nxt.kind == "int":
-                    self.advance()
-                    if nxt.value == 0:
-                        raise ScenarioSyntaxError("zero denominator", nxt.line, nxt.col)
-                    value /= _real(nxt)
-                elif nxt.kind == "ident" and nxt.text == "sqrt":
-                    self.advance()
-                    self.expect("(", "'('")
-                    arg = self.expect("int", "integer")
-                    self.expect(")", "')'")
-                    if arg.value == 0:
-                        raise ScenarioSyntaxError("zero under sqrt", arg.line, arg.col)
-                    value /= math.sqrt(_real(arg))
-                else:
-                    raise _unexpected(nxt, "integer denominator", "'sqrt('")
-                if math.isnan(value):  # both integers too large for a float
-                    raise ScenarioSyntaxError("fraction too large to evaluate", tok.line, tok.col)
-            return (-value if negate else value, False)
-        raise _unexpected(tok, "number")
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "imag":
+            self.pos = pos + 1
+            value = float(self.lexemes[pos][:-1])
+            return (-value if negate else value, True)
+        if kind != "int" and kind != "float":
+            raise self.unexpected("number")
+        self.pos = pos + 1
+        value = float(self.lexemes[pos])  # an integer too large for a float is inf
+        if kind == "int" and self.accept("/"):
+            den = self.pos
+            if self.kinds[den] == "int":
+                self.pos = den + 1
+                denominator = float(self.lexemes[den])
+                if denominator == 0:
+                    raise self.error(den, "zero denominator")
+                value /= denominator
+            elif self.accept("sqrt"):
+                self.expect("(", "'('")
+                arg = self.expect_kind(("int",), "integer")
+                self.expect(")", "')'")
+                radicand = float(self.lexemes[arg])
+                if radicand == 0:
+                    raise self.error(arg, "zero under sqrt")
+                value /= math.sqrt(radicand)
+            else:
+                raise self.unexpected("integer denominator", "'sqrt('")
+            if math.isnan(value):  # both integers too large for a float
+                raise self.error(pos, "fraction too large to evaluate")
+        return (-value if negate else value, False)
 
     def parse_number(self) -> complex:
         value, is_imag = self._parse_signed_part()
         if is_imag:
             return complex(0.0, value)
-        if self.peek().kind in ("+", "-") and self.peek(1).kind == "imag":
-            sign = self.advance()
-            tail = self.advance()
-            imag = float(tail.value)
-            return complex(value, imag if sign.kind == "+" else -imag)
+        pos = self.pos
+        sign = self.lexemes[pos]
+        if (sign == "+" or sign == "-") and self.kinds[pos + 1] == "imag":
+            self.pos = pos + 2
+            imag = float(self.lexemes[pos + 1][:-1])
+            return complex(value, imag if sign == "+" else -imag)
         return complex(value, 0.0)
 
     def _parse_list(self, parse_element, open_: str, close: str) -> tuple:
@@ -354,31 +361,23 @@ class _Parser:
         return self._parse_list(self.parse_vector, "[", "]")
 
     def parse_span(self) -> tuple[tuple[complex, ...], ...]:
-        self.expect_keyword("span")
+        self.expect("span", "'span'")
         return self._parse_list(self.parse_vector, "(", ")")
 
     def parse_tick(self) -> int:
-        return int(self.expect("int", "integer tick").value)
+        return int(self.lexemes[self.expect_kind(("int",), "integer tick")])
 
     def parse_p(self) -> float | None:
-        if not self.at_keyword("p"):
+        if not self.accept("p"):
             return None
-        self.advance()
-        tok = self.peek()
-        if tok.kind not in ("int", "float"):
-            raise _unexpected(tok, "probability")
-        self.advance()
-        return _real(tok)
+        return float(self.lexemes[self.expect_kind(("int", "float"), "probability")])
 
     # formulas ------------------------------------------------------------
 
     def _nest(self) -> None:
         self.depth += 1
         if self.depth > MAX_FORMULA_NESTING:
-            tok = self.peek()
-            raise ScenarioSyntaxError(
-                f"formula nested deeper than {MAX_FORMULA_NESTING} levels", tok.line, tok.col
-            )
+            raise self.error(self.pos, f"formula nested deeper than {MAX_FORMULA_NESTING} levels")
 
     def parse_boolexpr(self) -> Formula:
         self._nest()
@@ -390,22 +389,20 @@ class _Parser:
 
     def _parse_or(self) -> Formula:
         node = self._parse_and()
-        while self.at_keyword("or"):
-            self.advance()
+        while self.accept("or"):
             node = Or(node, self._parse_and())
         return node
 
     def _parse_and(self) -> Formula:
         node = self._parse_unary()
-        while self.at_keyword("and"):
-            self.advance()
+        while self.accept("and"):
             node = And(node, self._parse_unary())
         return node
 
     def _parse_unary(self) -> Formula:
-        if self.at_keyword("not"):
+        if self.lexemes[self.pos] == "not":
             self._nest()
-            self.advance()
+            self.pos += 1
             node = Not(self._parse_unary())
             self.depth -= 1
             return node
@@ -418,21 +415,20 @@ class _Parser:
     # items ---------------------------------------------------------------
 
     def parse_item(self) -> ScenarioItem:
-        kw = self.peek()
-        # Only an ident or the check-past token can carry a keyword's text.
-        if kw.text not in SYNTAX:
-            raise _unexpected(kw, "declaration", "step", "query")
-        self.advance()
-        cls, pieces = SYNTAX[kw.text]
+        kw = self.pos
+        grammar = SYNTAX.get(self.lexemes[kw])
+        if grammar is None:
+            raise self.unexpected("declaration", "step", "query")
+        self.pos = kw + 1
+        cls, pieces = grammar
         values = []
         for piece in pieces:
             if piece in _PIECES:
                 values.append(_PIECES[piece][0](self))
-            elif self.peek().text == piece:  # a literal: only its own token has its text
-                self.advance()
-            else:
-                raise _unexpected(self.peek(), f"'{piece}'")
-        return cls(*values, line=kw.line, col=kw.col)
+            elif not self.accept(piece):  # a literal
+                raise self.unexpected(f"'{piece}'")
+        line, col = _position(self.newlines, self.starts[kw])
+        return cls(*values, line=line, col=col)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +445,10 @@ def parse_scenario(text: str) -> Scenario:
     Raises ScenarioSyntaxError, with position and expected tokens, on bad
     syntax. Names, dimensions and values are checked by compile_scenario.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
+    kinds = parser.kinds
     items: list[ScenarioItem] = []
-    while parser.peek().kind != "eof":
+    while kinds[parser.pos] != "eof":
         items.append(parser.parse_item())
     return Scenario(tuple(items))
 

@@ -181,8 +181,7 @@ SPLICES = [
 def token_pieces(text: str) -> tuple[str, list[str]]:
     """Split lexable text into its leading filler and one piece per token,
     each piece the token and the whitespace and comments after it."""
-    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
-    offsets = [starts[tok.line - 1] + tok.col - 1 for tok in _tokenize(text)]
+    _, _, offsets = _tokenize(text)  # the last offset is the end of the text
     return text[: offsets[0]], [text[a:b] for a, b in zip(offsets, offsets[1:])]
 
 

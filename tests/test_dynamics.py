@@ -279,10 +279,32 @@ def test_empty_seeds_give_no_bits():
         sample_past_reconstruction(2.0, [])
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 1.0, "7", None])
+#: Batch sizes that take the scalar route and the kernel's.
+ROUTES = [2, _SCALAR_CUTOFF + 1]
+
+
+NUMPY_NON_SEEDS = {"float64": np.float64(1), "int64-negative": np.int64(-1), "bool_": np.bool_(True), "0-d": np.array(5)}
+
+
+@pytest.mark.parametrize(
+    "bad", [-1, 2**64, 1.0, "7", None] + [pytest.param(bad, id=name) for name, bad in NUMPY_NON_SEEDS.items()]
+)
 def test_seeds_outside_uint64_are_rejected(bad):
-    with pytest.raises(ValueError):
-        sample_past_reconstruction(0.5, [0, bad])
+    for n in ROUTES:
+        with pytest.raises(ValueError):
+            sample_past_reconstruction(0.5, [0] * (n - 1) + [bad])
+
+
+NUMPY_SEEDS = {"uint64-max": np.uint64(2**64 - 1), "int8": np.int8(3)}
+
+
+@pytest.mark.parametrize(
+    "good", [True, False, 0, 2**63, 2**64 - 1] + [pytest.param(good, id=name) for name, good in NUMPY_SEEDS.items()]
+)
+def test_integer_seeds_in_uint64_are_accepted(good):
+    for n in ROUTES:
+        seeds = [7] * (n - 1) + [good]
+        assert sample_past_reconstruction(0.5, seeds) == reference_bits(0.5, [int(s) for s in seeds])
 
 
 def test_blackhole_deterministic_given_seed():

@@ -22,7 +22,7 @@ from svq import (
     span_subspace,
     zero_subspace,
 )
-from svq.lattice import _from_basis
+from svq.lattice import _from_basis, _svd
 
 UP = make_state([1, 0])
 DOWN = make_state([0, 1])
@@ -710,6 +710,145 @@ def test_orthocomplement_matches_the_complete_qr_oracle(dim, data, kind, seed):
     assert got.rank == want.shape[1] == dim - rank
     assert np.max(np.abs(got.projector - projector_of(want)), initial=0.0) < 1e-9
     assert np.max(np.abs(sub._adjoint @ got.basis), initial=0.0) < 1e-12
+
+
+# One-vector spans -----------------------------------------------------------
+#
+# span_subspace takes a single vector without an SVD. svd_span is the path it
+# took before, the thin SVD that two or more vectors still take, kept as the
+# oracle of that rule.
+
+
+def svd_span(vectors, dim: int, tol: float = 1e-9) -> Subspace:
+    cols = []
+    for v in vectors:
+        arr = np.asarray(v, dtype=np.complex128).reshape(-1)
+        if arr.shape[0] != dim:
+            raise DimensionMismatch(f"spanning vector has length {arr.shape[0]}, expected {dim}")
+        cols.append(arr)
+    if not cols:
+        raise EmptySpan("no spanning vectors given")
+    basis_matrix = np.column_stack(cols)
+    if not np.all(np.isfinite(basis_matrix)):
+        raise ValueError("spanning vectors must be finite")
+    if float(np.max(np.abs(basis_matrix))) <= tol:
+        raise EmptySpan("every spanning vector is numerically zero")
+    u, s = _svd(basis_matrix)
+    if not math.isfinite(s[0]):
+        # The largest singular value overflowed: bring the largest part to 1 first.
+        basis_matrix /= np.max(np.maximum(np.abs(basis_matrix.real), np.abs(basis_matrix.imag)))
+        u, s = _svd(basis_matrix)
+    return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
+
+
+def largest_part(v: np.ndarray) -> float:
+    return float(np.max(np.maximum(np.abs(v.real), np.abs(v.imag)), initial=0.0))
+
+
+@st.composite
+def one_vector_cases(draw):
+    """(vector, dim, tol): Gaussian vectors at scales from 1e-3 to 1e3, with
+    entries zeroed now and then; vectors whose max |v_i| is tol (1 +- 1e-3);
+    vectors whose largest part lies in [1e155, 1.7e308], where |v|^2
+    overflows; entries about 1e-200 at tol 1e-250, where it underflows; and
+    vectors with a non-finite entry, of the wrong length, or none at all."""
+    kind = draw(st.sampled_from(("random", "tol-edge", "overflow", "underflow", "bad")))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = _gaussian(rng, dim, 1)[:, 0]
+    v[rng.random(dim) < 0.2] = 0.0
+    if not largest_part(v):
+        v[0] = 1.0
+    tol = draw(st.sampled_from((1e-9, 1e-6, 1e-12, 0.1)))
+    if kind == "random":
+        v *= 10.0 ** rng.uniform(-3, 3)
+    elif kind == "tol-edge":
+        v *= tol * draw(st.sampled_from((1 - 1e-3, 1 + 1e-3))) / np.max(np.abs(v))
+    elif kind == "overflow":
+        v *= min(10.0 ** rng.uniform(155, 308.23), 1.7e308) / largest_part(v)
+        tol = 1e-9
+    elif kind == "underflow":
+        v *= 1e-200 / largest_part(v)
+        tol = 1e-250
+    else:
+        flaw = draw(st.sampled_from(("nan", "inf", "short", "long", "none")))
+        if flaw == "none":
+            return None, dim, tol
+        if flaw in ("nan", "inf"):
+            v[rng.integers(dim)] = complex(float(flaw), 0.0) if rng.random() < 0.5 else complex(0.0, float(flaw))
+        else:
+            v = v[:-1] if flaw == "short" else np.append(v, 1.0)
+    return v, dim, tol
+
+
+#: How a test passes one spanning vector: as the row of an array, as a
+#: strided or reversed row, in a tuple or a list of Python numbers, or from
+#: a generator.
+CONTAINERS = {
+    "ndarray": lambda v: np.array([v]),
+    "strided": lambda v: np.stack([v, v], axis=1).T[:1],
+    "reversed": lambda v: [np.array(v[::-1])[::-1]],
+    "tuple": lambda v: (tuple(v.tolist()),),
+    "list": lambda v: [v.tolist()],
+    "generator": lambda v: (row for row in [v]),
+}
+
+
+def line_probes(v: np.ndarray, tol: float, rng):
+    """States at angle theta from v, with the overlap cos(theta) and the
+    rejection sin(theta) each of them has: along v, orthogonal to it, at a
+    random angle, and with either part a few multiples of tol. None in C^1,
+    where there are no states."""
+    if v.shape[0] < 2:
+        return
+    x = v / largest_part(v)
+    x /= np.linalg.norm(x)
+    w = _gaussian(rng, x.shape[0], 1)[:, 0]
+    w -= x * np.vdot(x, w)
+    w /= np.linalg.norm(w)
+    angles = [0.0, math.pi / 2, rng.uniform(0, math.pi / 2)]
+    for m in (0.5, 2.0, 2e3, 1e4):
+        if tol * m < 1:
+            angles += [math.asin(tol * m), math.acos(tol * m)]
+    for theta in angles:
+        phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+        yield make_state(phase * (math.cos(theta) * x + math.sin(theta) * w)), math.cos(theta), math.sin(theta)
+
+
+@settings(max_examples=300)
+@given(one_vector_cases(), st.sampled_from(tuple(CONTAINERS)), st.integers(0, 2**32 - 1))
+def test_one_vector_span_matches_the_svd_path(case, container, seed):
+    v, dim, tol = case
+    outcomes = []
+    for span in (span_subspace, svd_span):
+        try:
+            outcomes.append(span([] if v is None else CONTAINERS[container](v), dim, tol))
+        except (DimensionMismatch, EmptySpan, ValueError) as err:
+            outcomes.append((type(err), str(err)))
+    got, want = outcomes
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert got.rank == want.rank == 1
+    assert np.max(np.abs(got.projector - want.projector)) < 1e-12
+    # The construction fixes a probe's overlap and rejection to rounding,
+    # about 1e-15, so those within 1e3 tol + 1e-12 of a boundary are skipped.
+    margin = 1e3 * tol + 1e-12
+    for state, overlap, rejection in line_probes(v, tol, np.random.default_rng([seed, 1])):
+        if abs(overlap - tol) >= margin and abs(rejection - tol) >= margin:
+            assert membership(state, got, tol) is membership(state, want, tol)
+
+
+@pytest.mark.parametrize("vector, tol", [([2, 0], 1.5), ([0, 0], -1.0), ([1, 1j], math.nan), ([3, 4], 1.0)])
+def test_one_vector_span_at_a_tol_outside_0_1_keeps_the_svd_rank_rule(vector, tol):
+    # The SVD keeps no direction at tol >= 1, nor of a zero vector at tol < 0.
+    outcomes = []
+    for span in (span_subspace, svd_span):
+        try:
+            outcomes.append(span([vector], 2, tol).rank)
+        except EmptySpan as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
 
 
 # SVD fallback ---------------------------------------------------------------

@@ -4,7 +4,10 @@ Texts come from the grammar (``scenario_texts``), from breaking those at
 the token level (``mutated_texts``) and from random strings over the
 lexer's alphabet. ``reference_tokenize`` is the character-at-a-time lexer
 that the master pattern replaced, kept verbatim (with its token record and
-character classes) as the oracle of the lexer differential.
+character classes) as the oracle of the lexer differential; ``columns``
+rebuilds its token records from the columns the lexer fills. The whole
+front end, lexer and parser, is also checked against the token-at-a-time
+one it replaced (``reference_front_end``).
 """
 
 import contextlib
@@ -21,6 +24,7 @@ from svq import ScenarioSyntaxError, SvqError, compile_scenario, format_scenario
 from svq.cli import main
 from svq.scenario import _tokenize
 
+import reference_front_end
 from scenario_strategies import mutated_texts, scenario_texts
 
 
@@ -144,6 +148,27 @@ texts = st.one_of(
 )
 
 
+#: Each lexer kind's token kind and value, from its lexeme.
+KIND_VALUES = {
+    "word": lambda text: ("ident", text),
+    "punct": lambda text: (text, None),
+    "int": lambda text: ("int", int(text)),
+    "float": lambda text: ("float", float(text)),
+    "imag": lambda text: ("imag", float(text[:-1])),
+    "eof": lambda text: ("eof", None),
+}
+
+
+def columns(text: str) -> list[_Token]:
+    """The lexer's columns as the reference's token records."""
+    tokens = []
+    for kind, lexeme, start in zip(*_tokenize(text)):
+        token_kind, value = KIND_VALUES[kind](lexeme)
+        line, col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+        tokens.append(_Token(token_kind, lexeme, value, line, col))
+    return tokens
+
+
 def lexed(tokenize, text):
     try:
         return [(t.kind, t.text, t.value, t.line, t.col) for t in tokenize(text)]
@@ -158,7 +183,30 @@ def lexed(tokenize, text):
 @example("a \u00b2a")
 @example("1\u00bd")
 def test_lexer_matches_the_reference(text):
-    assert lexed(_tokenize, text) == lexed(reference_tokenize, text)
+    assert lexed(columns, text) == lexed(reference_tokenize, text)
+
+
+def parsed(parse, text):
+    """Each item with its position, or the error's type, text and expected tokens."""
+    try:
+        return [(item, item.line, item.col) for item in parse(text).items]
+    except ScenarioSyntaxError as err:
+        return type(err), str(err), err.expected, err.line, err.column
+
+
+#: An integer literal past the interpreter's default digit limit.
+TOO_LONG = "9" * 5000
+
+
+@settings(max_examples=300)
+@given(texts)
+@example(f"record at x {TOO_LONG}")  # a lexer error wins over an earlier parse error
+@example(f"state s = [1, 2\n\u00b2 {TOO_LONG}")
+@example(f"record at {TOO_LONG[:700]}\nprop P = span([1/{TOO_LONG[:700]}, 1/sqrt({TOO_LONG[:700]})])")
+@example("state s = [1, -2.5e-3i, 1/sqrt(2)+0.5i, 7-1i, 1/0]")
+@example("formula f = " + "(" * 120 + "a")
+def test_front_end_matches_the_reference(text):
+    assert parsed(parse_scenario, text) == parsed(reference_front_end.parse_scenario, text)
 
 
 DEEP_NOT = "prop P0 = span([1, 0])\nformula f0 = " + "not " * 150 + "P0\n"

@@ -6,6 +6,8 @@ loops replaced, both verbatim, as the oracle of a differential test: on
 grammar-drawn and mutated texts the table's parser must build equal items
 at equal positions, print them identically and reject exactly what the
 reference rejects, with the same error, message and expected tokens.
+ReferenceParser extends the token-at-a-time parser of
+``reference_front_end``, which the table's loops were first written in.
 """
 
 from dataclasses import fields
@@ -37,14 +39,11 @@ from svq.scenario import (
     UncloneStep,
     _fmt_real,
     _fmt_vector,
-    _Parser,
-    _tokenize,
-    _unexpected,
-    _real,
     format_formula,
     format_item,
 )
 
+from reference_front_end import _Parser, _real, _tokenize, _unexpected
 from scenario_strategies import mutated_texts, scenario_texts
 
 
