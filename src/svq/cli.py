@@ -18,7 +18,7 @@ import traceback
 
 from .errors import SvqError
 from .hilbert import DEFAULT_TOL, is_valid_tol
-from .runner import emit_report, run_scenario, valuation_line
+from .runner import emit_report, run_scenario, valuation_line, verdict
 from .scenario import compile_scenario, parse_scenario
 
 
@@ -76,8 +76,7 @@ def main(argv=None) -> int:
             for entry in report.valuations:
                 print(valuation_line(entry))
             for entry in report.feasibility:
-                verdict = "feasible" if entry["feasible"] else "infeasible"
-                print(f"feasible {entry['first']} {entry['second']} = {verdict}")
+                print(f"feasible {entry['first']} {entry['second']} = {verdict(entry['feasible'])}")
             return 0
         sys.stdout.buffer.write(emit_report(report, args.format))
         sys.stdout.buffer.flush()

@@ -4,8 +4,8 @@ Execution model
 ---------------
 run_scenario checks its overrides, compiles the scenario once at the run's
 tolerance (compile_scenario resolves every name and builds every value),
-then hands each item and its operands, in source order, to its entry in one
-handler table. A prop joins the propositions ``record`` evaluates when it
+then hands each item and its operands, in source order, to its handler in
+one item table. A prop joins the propositions ``record`` evaluates when it
 is reached, so a ``record`` sees only the propositions declared above it.
 
 The runner tracks one experimental system: the state that ``record`` steps
@@ -53,10 +53,11 @@ the row is exact. Rows are kept, by object identity, for the declared
 states and for the current system only: the output of a ``blackhole`` or
 ``evolve`` step loses its row, and is freed, once the system moves on.
 
-The report keeps each ledger row once. A record step keeps the range of
-ledger rows it appended, a reconstruct step its range and sub-seeds, and
-the violations are the audit's tuples: each is a read-only view that reads
-as the list of dicts it stands for, and emit_report renders it from there.
+The report keeps each row once, in a read-only view of its row kind: a
+record step keeps the range of ledger rows it appended, a reconstruct step
+its range and sub-seeds, any other step its (prop, before, after) tuples,
+and the violations are the audit's tuples. A view reads as the list of
+dicts it stands for and renders its own text lines and JSON rows.
 
 Reports are deterministic for a fixed scenario, seed and tolerance;
 sub-seeds for random steps are drawn from a single generator seeded with
@@ -68,9 +69,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from numbers import Real
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -106,10 +108,9 @@ from .scenario import (
 @dataclass
 class Report:
     """Everything a run produced, in emission-ready data: plain lists and
-    dicts, except that a record step's ``recorded``, a reconstruct step's
-    ``samples`` and, once a check ran, ``violations`` are read-only views
-    that iterate, index, take len and compare equal as the lists of dicts
-    they stand for, and build each dict only when it is read."""
+    dicts, except that each step's rows and, once a check ran, violations
+    are _Rows views that iterate, index, take len and compare equal as the
+    lists of dicts they stand for, and build each dict only when read."""
 
     seed: int
     tolerance: float
@@ -127,13 +128,24 @@ class Report:
 
 
 class _Rows(Sequence):
-    """A read-only report view: _values() gives its rows as tuples in
-    FIELDS order, and _json_rows(head, sep, close) renders each row's JSON,
-    from the comma before it to its closing brace, with head before the
-    first field and sep between fields. A prop id goes through _quote once;
-    truths, tenses and kinds are library constants that need no escaping."""
+    """A read-only report view, one subclass per row kind. Each keeps side
+    by side its FIELDS; _values(), its rows as tuples in FIELDS order (by
+    default the tuples it was built from); _lines(rows), the text lines of
+    such tuples; and _json_rows(head, sep, close), each row's JSON from the
+    comma before it to its closing brace, with head before the first field
+    and sep between fields. A prop id goes through _quote once; truths,
+    tenses and kinds are library constants that need no escaping."""
 
     __slots__ = ()
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _values(self):
+        return self.rows
 
     def __getitem__(self, index):
         return list(self)[index]
@@ -146,6 +158,11 @@ class _Rows(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+    @classmethod
+    def text(cls, rows) -> list[str]:
+        """The text lines of rows: a view of this kind, or the list of dicts it stands for."""
+        return cls._lines(rows._values() if isinstance(rows, _Rows) else map(itemgetter(*cls.FIELDS), rows))
 
     def json(self, newline: str, out: list[str]) -> None:
         """Append what json.dumps(list(self), indent=2) writes from newline on."""
@@ -164,6 +181,7 @@ class _RecordRows(_Rows):
 
     __slots__ = ("ledger", "start")
     FIELDS = ("prop", "at", "truth", "tense")
+    _lines = staticmethod(lambda rows: [f"      {tense} {prop} @{at} = {truth}" for prop, at, truth, tense in rows])
 
     def __init__(self, ledger: Ledger, start: int):
         self.ledger, self.start = ledger, start
@@ -190,6 +208,7 @@ class _SampleRows(_RecordRows):
 
     __slots__ = ("seeds",)
     FIELDS = ("prop", "at", "value", "seed")
+    _lines = staticmethod(lambda rows: [f"      {prop} @{at} := {value}" for prop, at, value, _ in rows])
 
     def __init__(self, ledger: Ledger, start: int, seeds: list[int]):
         super().__init__(ledger, start)
@@ -208,27 +227,35 @@ class _SampleRows(_RecordRows):
         ]
 
 
+class _TransitionRows(_Rows):
+    """A step's (prop, truth text before, truth text after) tuples."""
+
+    __slots__ = ("rows",)
+    FIELDS = ("prop", "before", "after")
+    _lines = staticmethod(lambda rows: [f"      {prop}: {before} -> {after}" for prop, before, after in rows])
+
+    def _json_rows(self, h, i, n):
+        return [f'{h}"prop": {_quote(pid)}{i}"before": "{was}"{i}"after": "{now}"{n}' for pid, was, now in self.rows]
+
+
 class _ViolationRows(_Rows):
     """The audit's Violation tuples, as report rows."""
 
-    __slots__ = ("found",)
+    __slots__ = ("rows",)
     FIELDS = ("kind", "prop", "at", "earlier", "later", "asserted_at")
-
-    def __init__(self, found: tuple):
-        self.found = found
-
-    def __len__(self) -> int:
-        return len(self.found)
+    _lines = staticmethod(
+        lambda rows: [f"  {kind} {pid} @{at}: {was} -> {now} (asserted at {a})" for kind, pid, at, was, now, a in rows]
+    )
 
     def _values(self):
-        return [(kind, pid, at, str(was), str(now), a) for pid, at, was, now, a, kind in self.found]
+        return [(kind, pid, at, str(was), str(now), a) for pid, at, was, now, a, kind in self.rows]
 
     def _json_rows(self, h, i, n):
-        quoted = {pid: _quote(pid) for pid in {v[0] for v in self.found}}
+        quoted = {pid: _quote(pid) for pid in {v[0] for v in self.rows}}
         return [
             f'{h}"kind": "{kind}"{i}"prop": {quoted[pid]}{i}"at": {at}{i}"earlier": "{was._value_}"'
             f'{i}"later": "{now._value_}"{i}"asserted_at": {a}{n}'
-            for pid, at, was, now, a, kind in self.found
+            for pid, at, was, now, a, kind in self.rows
         ]
 
 
@@ -273,23 +300,23 @@ class _Run:
                 row.append((pid, tv, str(tv)))
         return row
 
-    def move(self, system: StateVector) -> list[dict]:
+    def move(self, system: StateVector) -> _TransitionRows:
         """Replace the system; return each proposition's truth before and after."""
-        before, self.system = self.system, system
-        if before is None:
-            return []
-        old, new = self.row(before), self.row(system)
+        old, new = self.row(self.system), self.row(system)
+        self.system = system
         if self.loose is not None and self.loose[0] is not system:
             self.loose = None  # the replaced system was undeclared: free it
-        return [
-            {"prop": pid, "before": was, "after": now}
-            for (pid, _, was), (_, _, now) in zip(old, new)
-        ]
+        return _TransitionRows([(pid, was, now) for (pid, _, was), (_, _, now) in zip(old, new)])
 
     def mark_lost(self) -> None:
         for key, determinate in self.recorded.items():
             if determinate and key not in self.lost:
                 self.lost[key] = False
+
+
+def verdict(feasible: bool) -> str:
+    """A cloning-feasibility outcome as the text report and ``svq eval`` name it."""
+    return "feasible" if feasible else "infeasible"
 
 
 def _feasibility_entry(feas) -> dict:
@@ -432,21 +459,32 @@ def _feasible(run: _Run, item: FeasibleQuery, operands) -> None:
     )
 
 
-#: Item type -> its handler. Reports and StepErrors name an item by its KIND.
-_HANDLERS = {
-    StateDecl: _state,
-    PropDecl: _prop,
-    FormulaDecl: _formula,
-    RecordStep: _record,
-    CloneStep: _clone,
-    UncloneStep: _unclone,
-    BlackholeStep: _blackhole,
-    EvolveStep: _evolve,
-    ReconstructStep: _reconstruct,
-    EvalQuery: _eval,
-    SuperQuery: _super,
-    CheckPastQuery: _check_past,
-    FeasibleQuery: _feasible,
+#: Item kind (scenario.KIND) -> (its handler,), and for a step kind (its
+#: handler, the key of its rows, their view class, the text its line shows
+#: after its kind). Reports and StepErrors name an item by its kind.
+_ITEMS = {
+    "state": (_state,),
+    "prop": (_prop,),
+    "formula": (_formula,),
+    "record": (_record, "recorded", _RecordRows, lambda s: f" at {s['at']}"),
+    "clone": (
+        _clone, "transitions", _TransitionRows,
+        lambda s: f" {s['source']} -> {s['target']} [non-physical, {verdict(s['feasibility']['feasible'])}:"
+        f" overlap {s['feasibility']['overlap']:.8f} vs squared {s['feasibility']['overlap_squared']:.8f}]",
+    ),
+    "unclone": (
+        _unclone, "transitions", _TransitionRows, lambda s: f" {s['cloned']} blank {s['blank']} [non-physical]"
+    ),
+    "blackhole": (_blackhole, "transitions", _TransitionRows, lambda s: f" {s['state']} (seed {s['seed']})"),
+    "evolve": (
+        _evolve, "transitions", _TransitionRows,
+        lambda s: f" {s['state']} [{'unitary' if s['unitary'] else 'renormalized'}]",
+    ),
+    "reconstruct": (_reconstruct, "samples", _SampleRows, lambda s: f" (p_one {s['p_one']!r})"),
+    "eval": (_eval,),
+    "super": (_super,),
+    "check-past": (_check_past,),
+    "feasible": (_feasible,),
 }
 
 
@@ -485,9 +523,9 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     run = _Run(report)
     steps = report.steps
     for index, (item, operands) in enumerate(zip(scenario.items, compiled), start=1):
-        handle, kind = _HANDLERS[type(item)], KIND[type(item)]
+        kind = KIND[type(item)]
         try:
-            fields = handle(run, item, operands)
+            fields = _ITEMS[kind][0](run, item, operands)
         except (SvqError, ValueError) as err:
             raise StepError(index, item.line, kind, err) from err
         if fields is not None:
@@ -508,45 +546,6 @@ def valuation_line(entry: dict) -> str:
     return f"super {entry['formula']} = {entry['truth']}"
 
 
-def _step_head(step: dict) -> str:
-    """What a step's line shows after its kind."""
-    kind = step["kind"]
-    if kind == "record":
-        return f" at {step['at']}"
-    if kind == "clone":
-        feas = step["feasibility"]
-        verdict = "feasible" if feas["feasible"] else "infeasible"
-        return (
-            f" {step['source']} -> {step['target']} [non-physical, {verdict}:"
-            f" overlap {feas['overlap']:.8f} vs squared {feas['overlap_squared']:.8f}]"
-        )
-    if kind == "unclone":
-        return f" {step['cloned']} blank {step['blank']} [non-physical]"
-    if kind == "blackhole":
-        return f" {step['state']} (seed {step['seed']})"
-    if kind == "evolve":
-        return f" {step['state']} [{'unitary' if step['unitary'] else 'renormalized'}]"
-    return f" (p_one {step['p_one']!r})"
-
-
-#: Step kind -> the key of its row list and the text of one row, which
-#: str.format fills from the row's fields.
-_STEP_ROWS = {
-    "record": ("recorded", "      {tense} {prop} @{at} = {truth}"),
-    "reconstruct": ("samples", "      {prop} @{at} := {value}"),
-}
-_TRANSITION_ROWS = ("transitions", "      {prop}: {before} -> {after}")
-_VIOLATION_ROW = "  {kind} {prop} @{at}: {earlier} -> {later} (asserted at {asserted_at})"
-
-
-def _text_rows(rows, template: str) -> list[str]:
-    """Each row through template, a str.format string over its fields."""
-    if isinstance(rows, _Rows):
-        template = template.format_map({name: f"{{{i}}}" for i, name in enumerate(rows.FIELDS)})
-        return list(starmap(template.format, rows._values()))
-    return [template.format_map(row) for row in rows]
-
-
 def _text_report(report: Report) -> str:
     lines = [
         f"svq report (seed={report.seed}, tol={report.tolerance!r}, p_one={report.p_one!r})"
@@ -554,23 +553,22 @@ def _text_report(report: Report) -> str:
     if report.steps:
         lines.append("steps:")
         for step in report.steps:
-            lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{_step_head(step)}")
-            key, template = _STEP_ROWS.get(step["kind"], _TRANSITION_ROWS)
-            lines += _text_rows(step[key], template)
+            _, key, view, head = _ITEMS[step["kind"]]
+            lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{head(step)}")
+            lines += view.text(step[key])
     if report.valuations:
         lines.append("valuations:")
         lines += ["  " + valuation_line(entry) for entry in report.valuations]
     if report.feasibility:
         lines.append("feasibility:")
         for entry in report.feasibility:
-            verdict = "feasible" if entry["feasible"] else "infeasible"
             lines.append(
-                f"  {entry['first']} {entry['second']}: {verdict}"
+                f"  {entry['first']} {entry['second']}: {verdict(entry['feasible'])}"
                 f" (overlap {entry['overlap']:.8f}, squared {entry['overlap_squared']:.8f})"
             )
     if report.checks_run:
         lines.append(f"violations ({len(report.violations)}):")
-        lines += _text_rows(report.violations, _VIOLATION_ROW)
+        lines += _ViolationRows.text(report.violations)
     if len(report.ledger):
         lines.append("ledger:")
         lines.append("  " + "\n  ".join(ledger_lines(report.ledger)))

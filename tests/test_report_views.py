@@ -1,9 +1,10 @@
 """Report views against the plain lists of dicts they stand for.
 
-A record step's ``recorded``, a reconstruct step's ``samples`` and, once a
-check ran, ``violations`` are read-only views over the ledger's columns and
-the audit's tuples. ``materialized`` turns each view into the list of dicts
-it stands for. emit_report must render a report with views as json.dumps
+A record step's ``recorded``, a reconstruct step's ``samples``, every other
+step's ``transitions`` and, once a check ran, ``violations`` are read-only
+views over the ledger's columns, the runner's transition tuples and the
+audit's tuples. ``materialized`` turns each view into the list of dicts it
+stands for. emit_report must render a report with views as json.dumps
 renders the materialized payload, and as the text renderer that read those
 lists of dicts, kept below as ``old_text_report``, renders it; and a report
 built by hand from the plain lists must render to the same bytes.
@@ -19,17 +20,18 @@ from hypothesis import strategies as st
 
 from svq import Ledger, StepError, SvqError, TruthValue, emit_report, parse_scenario, record_valuation, run_scenario
 from svq.ledger import check_past_unalterability, ledger_lines
-from svq.runner import Report, _RecordRows, _SampleRows, _step_head, _ViolationRows, valuation_line
+from svq.runner import Report, _RecordRows, _Rows, _SampleRows, _ViolationRows, valuation_line
 
 from scenario_strategies import scenario_texts
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
+ROW_KEYS = ("recorded", "samples", "transitions")
 
 
 def materialized(report: Report) -> Report:
     """The report with every view replaced by the list of dicts it reads as."""
     steps = [
-        {key: list(value) if key in ("recorded", "samples") else value for key, value in step.items()}
+        {key: list(value) if key in ROW_KEYS else value for key, value in step.items()}
         for step in report.steps
     ]
     return replace(report, steps=steps, violations=list(report.violations))
@@ -51,6 +53,27 @@ def plain_payload(report: Report) -> dict:
 
 
 # The text renderer as it was before the views, over plain lists of dicts.
+
+
+def _step_head(step: dict) -> str:
+    """What a step's line shows after its kind."""
+    kind = step["kind"]
+    if kind == "record":
+        return f" at {step['at']}"
+    if kind == "clone":
+        feas = step["feasibility"]
+        verdict = "feasible" if feas["feasible"] else "infeasible"
+        return (
+            f" {step['source']} -> {step['target']} [non-physical, {verdict}:"
+            f" overlap {feas['overlap']:.8f} vs squared {feas['overlap_squared']:.8f}]"
+        )
+    if kind == "unclone":
+        return f" {step['cloned']} blank {step['blank']} [non-physical]"
+    if kind == "blackhole":
+        return f" {step['state']} (seed {step['seed']})"
+    if kind == "evolve":
+        return f" {step['state']} [{'unitary' if step['unitary'] else 'renormalized'}]"
+    return f" (p_one {step['p_one']!r})"
 
 
 def old_step_body(step: dict) -> list[str]:
@@ -94,7 +117,7 @@ def old_text_report(report: Report) -> str:
 
 
 def views_of(report: Report) -> list:
-    found = [step[key] for step in report.steps for key in ("recorded", "samples") if key in step]
+    found = [step[key] for step in report.steps for key in ROW_KEYS if key in step]
     return found + ([report.violations] if report.checks_run else [])
 
 
@@ -154,6 +177,18 @@ def test_views_render_as_their_lists_do(text, seed):
         return
     check_views_read_as_lists(report)
     check_rendering(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_texts(), st.integers(0, 2**32))
+def test_every_row_list_of_a_run_is_a_view(text, seed):
+    try:
+        report = run_scenario(parse_scenario(text), {"seed": seed})
+    except (StepError, SvqError):
+        return
+    views = views_of(report)
+    assert len(views) == len(report.steps) + (report.checks_run > 0)
+    assert all(isinstance(view, _Rows) for view in views)
 
 
 def test_the_edge_cases_are_reached():

@@ -8,6 +8,7 @@ at equal positions, print them identically and reject exactly what the
 reference rejects, with the same error, message and expected tokens.
 ReferenceParser extends the token-at-a-time parser of
 ``reference_front_end``, which the table's loops were first written in.
+The runner's item table must name every kind SYNTAX declares.
 """
 
 from dataclasses import fields
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svq import ScenarioSyntaxError, parse_scenario
+from svq.runner import _ITEMS
 from svq.scenario import (
     KIND,
     SYNTAX,
@@ -249,3 +251,11 @@ def test_reserved_words_come_from_the_table():
         "state prop formula span record at clone unclone blank blackhole evolve by "
         "reconstruct eval in super feasible not and or sqrt".split()
     )
+
+
+def test_the_runner_has_one_entry_per_item_kind():
+    assert set(_ITEMS) == set(KIND.values())
+    steps = {kind for kind, entry in _ITEMS.items() if len(entry) > 1}
+    step_classes = (RecordStep, CloneStep, UncloneStep, BlackholeStep, EvolveStep, ReconstructStep)
+    assert steps == {KIND[cls] for cls in step_classes}
+    assert {cls for cls in KIND if cls.__name__.endswith("Step")} == set(step_classes)
