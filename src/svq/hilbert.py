@@ -34,6 +34,17 @@ def _frozen_complex_array(data) -> np.ndarray:
     return arr
 
 
+def _largest_part(arr: np.ndarray) -> float:
+    """The largest |re| or |im| in arr, nan or inf if one is not finite; arr's last axis must be contiguous."""
+    return float(np.abs(arr.view(np.float64)).max())
+
+
+def _norm(arr: np.ndarray) -> float:
+    """sqrt(re·re + im·im): the sum, in the order, that np.linalg.norm takes."""
+    re, im = arr.real, arr.imag
+    return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+
+
 def _unit_amplitudes(arr: np.ndarray) -> np.ndarray:
     """arr, once it is checked to hold the amplitudes of a state."""
     if arr.ndim != 1:
@@ -42,17 +53,20 @@ def _unit_amplitudes(arr: np.ndarray) -> np.ndarray:
         raise DimensionTooSmall(f"a state needs dimension >= 2, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("amplitudes must be finite")
-    norm = float(np.linalg.norm(arr))
+    norm = _norm(arr)
     if abs(norm - 1.0) > DEFAULT_TOL:
         raise NormLost(f"state norm {norm!r} deviates from 1 beyond tolerance")
     return arr
 
 
 def _adopt(arr: np.ndarray) -> "StateVector":
-    """A state of arr, a new array that nothing else holds, without the copy the constructor makes."""
+    """A state of arr, a new flat array of two or more amplitudes that nothing else holds,
+    without the copy the constructor makes and, when its norm is 1, without the other checks."""
     arr.setflags(write=False)
+    if not abs(_norm(arr) - 1.0) <= DEFAULT_TOL:  # also when an amplitude is nan or inf
+        _unit_amplitudes(arr)  # raises the constructor's error
     state = object.__new__(StateVector)
-    object.__setattr__(state, "amplitudes", _unit_amplitudes(arr))
+    object.__setattr__(state, "amplitudes", arr)
     return state
 
 
@@ -120,22 +134,21 @@ def make_state(components, tol: float = DEFAULT_TOL) -> StateVector:
     DimensionTooSmall for fewer than two components and ValueError for a
     non-finite one.
     """
-    arr = np.asarray(components, dtype=np.complex128)
+    arr = np.asarray(components, dtype=np.complex128, order="C")
     if arr.ndim != 1:
         raise DimensionMismatch(f"expected a flat sequence, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise DimensionTooSmall(f"a state needs dimension >= 2, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    top = _largest_part(arr)
+    if not math.isfinite(top):
         raise ValueError("components must be finite")
-    if float(np.max(np.abs(arr))) <= tol:
+    if top <= tol and float(np.abs(arr).max()) <= tol:  # |z| is at least z's largest part
         raise ZeroVector("every component is below tolerance; the zero vector is not a state")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(arr)
-    if not np.isfinite(norm):
-        # The sum of squares overflowed: bring the largest part to 1 first.
-        arr = arr / np.max(np.maximum(np.abs(arr.real), np.abs(arr.imag)))
-        norm = np.linalg.norm(arr)
-    return _adopt(arr / norm)
+    if top * top * arr.shape[0] > 1e300:  # the sum of squares may overflow
+        with np.errstate(over="ignore"):
+            if _norm(arr) == math.inf:
+                arr = arr / top  # bring the largest part to 1 first
+    return _adopt(arr / _norm(arr))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -168,7 +181,7 @@ def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> Sta
     with np.errstate(over="ignore", invalid="ignore"):
         out = M.entries @ v.amplitudes
     if M.unitary:
-        norm = float(np.linalg.norm(out))
+        norm = _norm(out)
         # |v^dagger (M^dagger M - I) v| < dim * tol when every entry is below tol
         if not 0 < norm or abs(norm * norm - 1.0) > M.dim * tol:
             raise NormLost(f"operator flagged unitary changed the norm to {norm!r}")
@@ -208,5 +221,6 @@ def haar_unitary(dim: int, rng=None) -> Operator:
 def haar_state(dim: int, rng=None) -> StateVector:
     """Draw a unit vector from the unitarily invariant measure."""
     gen = np.random.default_rng(rng)
-    z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    z = np.asarray(gen.standard_normal(dim), np.complex128)
+    z.imag = gen.standard_normal(dim)
     return make_state(z)

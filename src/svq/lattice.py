@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySpan
-from .hilbert import DEFAULT_TOL, StateVector
+from .hilbert import DEFAULT_TOL, StateVector, _largest_part
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -152,15 +152,6 @@ def zero_subspace(dim: int) -> Subspace:
     return _from_basis(np.zeros((dim, 0)))
 
 
-def _unit_scaled(matrix: np.ndarray) -> np.ndarray:
-    """matrix divided by the largest real or imaginary part of its entries.
-
-    The float64 view puts each entry's two parts side by side; it needs a
-    contiguous last axis, which a column stack and a single column have.
-    """
-    return matrix / np.abs(matrix.view(np.float64)).max()
-
-
 def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the given vectors.
 
@@ -181,13 +172,14 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     if not cols:
         raise EmptySpan("no spanning vectors given")
     basis_matrix = cols[0].reshape(dim, 1) if len(cols) == 1 else np.column_stack(cols)
-    if not np.isfinite(basis_matrix).all():
+    top = _largest_part(basis_matrix)
+    if not math.isfinite(top):
         raise ValueError("spanning vectors must be finite")
-    if float(np.abs(basis_matrix).max()) <= tol:
+    if top <= tol and float(np.abs(basis_matrix).max()) <= tol:  # |z| is at least z's largest part
         raise EmptySpan("every spanning vector is numerically zero")
     if len(cols) == 1 and 0.0 <= tol < 1.0:
         # With its largest part at 1 its norm neither overflows nor underflows.
-        line = _unit_scaled(basis_matrix)
+        line = basis_matrix / top
         line /= math.sqrt(np.vdot(line, line).real)
         sub = object.__new__(Subspace)
         _set_basis(sub, line)
@@ -195,7 +187,7 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     u, s = _svd(basis_matrix)
     if not math.isfinite(s[0]):
         # The largest singular value overflowed: bring the largest part to 1 first.
-        u, s = _svd(_unit_scaled(basis_matrix))
+        u, s = _svd(basis_matrix / top)
     return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
 
 

@@ -69,6 +69,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from numbers import Real
@@ -272,7 +273,6 @@ class _Run:
     def __init__(self, report: Report):
         self.report = report
         self.tol = report.tolerance
-        self.rng = np.random.default_rng(report.seed)
         self.props: dict[str, Subspace] = {}  # every prop declared so far, in order
         self.system: StateVector | None = None
         self.rows: dict[int, tuple[StateVector, _Row]] = {}  # id(declared state) -> it and its row
@@ -285,6 +285,11 @@ class _Run:
         self.pending_clone: StateVector | None = None  # the source of the last clone
         # p -> the ledger rows a reconstruct appended at p, and their sub-seeds
         self.draws: dict[float, tuple[list[int], list[int]]] = {}
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The run's generator, built when a blackhole or reconstruct step first draws."""
+        return np.random.default_rng(self.report.seed)
 
     def row(self, state: StateVector) -> _Row:
         """The valuation row of a declared state or of the system."""

@@ -405,6 +405,32 @@ def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
     assert seeds == [int(rng.integers(0, 2**63)) for _ in seeds]
 
 
+
+def test_a_run_builds_its_generator_only_when_a_step_draws(monkeypatch):
+    # A run with no blackhole or reconstruct step never draws, so it never
+    # builds the generator its seed would give.
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting_default_rng(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    quiet = CLONE_HEADER + "record at 0\nclone upsilon -> phi\nrecord at 1\neval phi in Zplus\ncheck-past\n"
+    run_text(quiet, seed=6)
+    assert calls == []
+    # With draws, the first generator is the run's, and its stream gives the
+    # blackhole's sub-seed and then one per lost key, in step order.
+    report = run_text(CLONE_HEADER + "record at 0\nblackhole upsilon\nrecord at 1\nreconstruct\n", seed=6)
+    assert calls[0] == (6,)
+    blackhole, reconstruct = (step for step in report.steps if step["kind"] in ("blackhole", "reconstruct"))
+    rng = default_rng(6)
+    assert blackhole["seed"] == int(rng.integers(0, 2**63))
+    seeds = [sample["seed"] for sample in reconstruct["samples"]]
+    assert seeds and seeds == rng.integers(0, 2**63, size=len(seeds)).tolist()
+
+
 # A run draws its reconstructed bits after its last step, one kernel call
 # per distinct p. The reference runner in test_compile.py draws them at
 # every step, as the runner did before, and stays here as the oracle.

@@ -11,6 +11,8 @@ row and the audit once per run that checked.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import svq
 import svq.cli
 
@@ -66,3 +68,19 @@ def test_tracer_sees_every_layer(capsys):
     ]
     assert values["ledger.record_valuation.calls"] == sum(len(report.ledger) for report in reports)
     assert values["ledger.check_past_unalterability.calls"] == sum(report.checks_run > 0 for report in reports)
+
+
+def test_every_haar_draw_is_counted_as_a_make_state_call():
+    # haar_state must reach make_state through the svq.hilbert global, or
+    # hilbert.make_state.calls silently stops counting Haar draws.
+    tracer = Tracer()
+    tracer.install(svq)
+    try:
+        rng = np.random.default_rng(3)
+        for dim in (2, 5, 64, 7, 2):
+            svq.hilbert.haar_state(dim, rng)
+    finally:
+        tracer.uninstall()
+    values = tracer.per_layer(1, 1.0)
+    assert values["hilbert.make_state.calls"] == 5
+    assert values["trace.errors"] == 0
