@@ -6,7 +6,8 @@ and sum the norm as np.linalg.norm sums it; haar_state writes its two
 draws into one complex array. The bodies below are the implementations
 they replaced, kept verbatim as oracles. Every output must equal the
 oracle's in its bits, and every failure must have the oracle's error type
-and message, with any warning raised as an error.
+and message, with warnings raised as errors (and, for make_state, also
+with warnings ignored).
 """
 
 import math
