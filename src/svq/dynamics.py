@@ -14,17 +14,15 @@ distinct seeds are reproducible and independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Value
 from .errors import BadProbability, DimensionMismatch
 from .hilbert import DEFAULT_TOL, StateVector, haar_state, inner
 from .lattice import Subspace, TruthValue, membership
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Value):
     """Verdict on whether one unitary could clone both members of a pair."""
 
     feasible: bool

@@ -14,9 +14,9 @@ constraints between atoms are imposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
+from ._value import Value
 from .errors import PrecisificationBlowup, UnknownAtom
 from .lattice import TruthValue
 
@@ -25,30 +25,25 @@ from .lattice import TruthValue
 GAP_CAP = 20
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Value):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Value):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Value):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Value):
     left: "Formula"
     right: "Formula"
 

@@ -9,11 +9,11 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
+from ._value import Value
 from .errors import DimensionMismatch, DimensionTooSmall, NormLost, ZeroVector
 
 #: The tolerance every tol parameter defaults to, and the one the class
@@ -70,8 +70,7 @@ def _adopt(arr: np.ndarray) -> "StateVector":
     return state
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Value):
     """A unit vector of complex amplitudes.
 
     Physical states are rays: the global phase is kept exactly as given and
@@ -81,9 +80,10 @@ class StateVector:
     """
 
     amplitudes: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__  # states compare by identity
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _unit_amplitudes(_frozen_complex_array(self.amplitudes)))
+    def __init__(self, amplitudes):
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(_frozen_complex_array(amplitudes)))
 
     @property
     def dim(self) -> int:
@@ -99,8 +99,7 @@ class StateVector:
         return f"StateVector({self.amplitudes.tolist()!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
+class Operator(Value):
     """A square complex matrix, optionally flagged as unitary.
 
     The flag is trusted at construction time; is_unitary is the check to
@@ -109,15 +108,17 @@ class Operator:
     """
 
     entries: np.ndarray
-    unitary: bool = False
+    unitary: bool
+    __eq__, __hash__ = object.__eq__, object.__hash__  # operators compare by identity
 
-    def __post_init__(self):
-        arr = _frozen_complex_array(self.entries)
+    def __init__(self, entries, unitary: bool = False):
+        arr = _frozen_complex_array(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"operator entries must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "unitary", unitary)
 
     @property
     def dim(self) -> int:
@@ -144,10 +145,13 @@ def make_state(components, tol: float = DEFAULT_TOL) -> StateVector:
         raise ValueError("components must be finite")
     if top <= tol and float(np.abs(arr).max()) <= tol:  # |z| is at least z's largest part
         raise ZeroVector("every component is below tolerance; the zero vector is not a state")
-    if top * top * arr.shape[0] > 1e300:  # the sum of squares may overflow
+    squares = top * top
+    if squares * arr.shape[0] > 1e300:  # the sum of squares may overflow
         with np.errstate(over="ignore"):
             if _norm(arr) == math.inf:
                 arr = arr / top  # bring the largest part to 1 first
+    elif squares < 1e-290:  # small squares may lose bits or vanish below about 1e-308
+        arr = (arr.view(np.float64) / top).view(np.complex128)  # a complex divide takes 1 / top
     return _adopt(arr / _norm(arr))
 
 

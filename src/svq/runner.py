@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -78,11 +77,12 @@ from typing import Mapping
 
 import numpy as np
 
+from ._value import Value
 from .dynamics import check_cloner_feasibility, blackhole_evaporate, sample_past_reconstruction
 from .errors import BadProbability, NotCloneShape, StepError, SvqError
 from .formulas import evaluate_super
 # make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
-from .hilbert import DEFAULT_TOL, StateVector, apply_operator, is_unitary, make_state
+from .hilbert import DEFAULT_TOL, Operator, StateVector, apply_operator, is_unitary, make_state
 from .lattice import Subspace, TruthValue, membership, span_subspace
 from .ledger import FUTURE, PAST, PRESENT, Ledger, derive_tense, check_past_unalterability, ledger_lines
 from .ledger import _settle_truths, record_valuation
@@ -106,22 +106,32 @@ from .scenario import (
 )
 
 
-@dataclass
-class Report:
+class Report(Value):
     """Everything a run produced, in emission-ready data: plain lists and
     dicts, except that each step's rows and, once a check ran, violations
     are _Rows views that iterate, index, take len and compare equal as the
-    lists of dicts they stand for, and build each dict only when read."""
+    lists of dicts they stand for, and build each dict only when read.
+    Unlike the other value types a report is mutable and unhashable."""
 
     seed: int
     tolerance: float
     p_one: float
-    steps: list[dict] = field(default_factory=list)
-    valuations: list[dict] = field(default_factory=list)
-    feasibility: list[dict] = field(default_factory=list)
-    violations: Sequence[dict] = field(default_factory=list)
-    checks_run: int = 0
-    ledger: Ledger = field(default_factory=Ledger)
+    steps: list[dict]
+    valuations: list[dict]
+    feasibility: list[dict]
+    violations: Sequence[dict]
+    checks_run: int
+    ledger: Ledger
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, seed, tolerance, p_one, steps=None, valuations=None, feasibility=None, violations=None,
+                 checks_run=0, ledger=None):
+        self.seed, self.tolerance, self.p_one, self.checks_run = seed, tolerance, p_one, checks_run
+        self.steps = [] if steps is None else steps
+        self.valuations = [] if valuations is None else valuations
+        self.feasibility = [] if feasibility is None else feasibility
+        self.violations = [] if violations is None else violations
+        self.ledger = Ledger() if ledger is None else ledger
 
     @property
     def has_violations(self) -> bool:
@@ -408,7 +418,7 @@ def _blackhole(run: _Run, item: BlackholeStep, operands) -> dict:
 def _evolve(run: _Run, item: EvolveStep, operands) -> dict:
     state, op = operands
     flag = is_unitary(op, run.tol)
-    system = apply_operator(replace(op, unitary=flag), state, run.tol)
+    system = apply_operator(Operator(op.entries, flag), state, run.tol)
     return {"state": item.state, "unitary": flag, "transitions": run.move(system)}
 
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
 
+from ._value import Value
 from .errors import (
     BadProbability,
     DimensionMismatch,
@@ -61,89 +61,75 @@ from .lattice import span_subspace
 # AST
 
 
-@dataclass(frozen=True)
-class ScenarioItem:
+class ScenarioItem(Value):
     """A declaration, step or query; line and col are its keyword's position."""
 
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    _keywords = ("line", "col")
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
 class StateDecl(ScenarioItem):
     name: str
     components: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
 class PropDecl(ScenarioItem):
     name: str
     vectors: tuple[tuple[complex, ...], ...]
 
 
-@dataclass(frozen=True)
 class FormulaDecl(ScenarioItem):
     name: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class RecordStep(ScenarioItem):
     at: int
 
 
-@dataclass(frozen=True)
 class CloneStep(ScenarioItem):
     source: str
     target: str
 
 
-@dataclass(frozen=True)
 class UncloneStep(ScenarioItem):
     cloned: str
     blank: str
 
 
-@dataclass(frozen=True)
 class BlackholeStep(ScenarioItem):
     state: str
 
 
-@dataclass(frozen=True)
 class EvolveStep(ScenarioItem):
     state: str
     matrix: tuple[tuple[complex, ...], ...]
 
 
-@dataclass(frozen=True)
 class ReconstructStep(ScenarioItem):
     p_one: float | None = None
 
 
-@dataclass(frozen=True)
 class EvalQuery(ScenarioItem):
     state: str
     prop: str
 
 
-@dataclass(frozen=True)
 class SuperQuery(ScenarioItem):
     formula: str
 
 
-@dataclass(frozen=True)
 class CheckPastQuery(ScenarioItem):
     pass
 
 
-@dataclass(frozen=True)
 class FeasibleQuery(ScenarioItem):
     first: str
     second: str
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     items: tuple[ScenarioItem, ...]
 
 
@@ -622,7 +608,7 @@ _PIECES = {
 
 def _shape(cls: type, pieces: tuple[str, ...]) -> tuple[tuple[str, str | None], ...]:
     """Each piece with the field it fills, None for a literal."""
-    attrs = iter([f.name for f in fields(cls) if not f.kw_only])
+    attrs = iter(cls._fields)
     return tuple((piece, next(attrs) if piece in _PIECES else None) for piece in pieces)
 
 

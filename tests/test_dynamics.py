@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -162,12 +160,12 @@ def test_clone_unclone_round_trips_the_state():
         u, p = (tuple(haar_state(dim, rng).amplitudes.tolist()) for _ in range(2))
         values = {"u": u, "p": p, "U": u, "P": p}
         items = tuple(
-            dataclasses.replace(item, components=values[item.name]) if isinstance(item, StateDecl)
-            else dataclasses.replace(item, vectors=(values[item.name],)) if isinstance(item, PropDecl)
+            item._replace(components=values[item.name]) if isinstance(item, StateDecl)
+            else item._replace(vectors=(values[item.name],)) if isinstance(item, PropDecl)
             else item
             for item in scenario.items
         )
-        clone, unclone = run_scenario(dataclasses.replace(scenario, items=items)).steps
+        clone, unclone = run_scenario(scenario._replace(items=items)).steps
         assert [t["after"] for t in clone["transitions"]] == ["0/0", "1"]
         assert [t["after"] for t in unclone["transitions"]] == ["1", "0/0"]
 

@@ -18,7 +18,6 @@ step's ``state`` field.
 """
 
 import cmath
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -42,10 +41,10 @@ def scaled(scenario: Scenario, factor: complex) -> Scenario:
     items = []
     for item in scenario.items:
         if isinstance(item, StateDecl):
-            item = dataclasses.replace(item, components=tuple(factor * z for z in item.components))
+            item = item._replace(components=tuple(factor * z for z in item.components))
         elif isinstance(item, PropDecl):
             vectors = tuple(tuple(factor * z for z in row) for row in item.vectors)
-            item = dataclasses.replace(item, vectors=vectors)
+            item = item._replace(vectors=vectors)
         items.append(item)
     return Scenario(tuple(items))
 
@@ -94,13 +93,13 @@ def rotated(scenario: Scenario, unitary_seed: int) -> Scenario:
     items = []
     for item in scenario.items:
         if isinstance(item, StateDecl):
-            item = dataclasses.replace(item, components=turn(item.components))
+            item = item._replace(components=turn(item.components))
         elif isinstance(item, PropDecl):
-            item = dataclasses.replace(item, vectors=tuple(turn(row) for row in item.vectors))
+            item = item._replace(vectors=tuple(turn(row) for row in item.vectors))
         elif isinstance(item, EvolveStep):
             u = unitary(len(item.matrix))
             matrix = u @ np.array(item.matrix, dtype=complex) @ u.conj().T
-            item = dataclasses.replace(item, matrix=tuple(map(tuple, matrix.tolist())))
+            item = item._replace(matrix=tuple(map(tuple, matrix.tolist())))
         items.append(item)
     return Scenario(tuple(items))
 
@@ -152,7 +151,7 @@ def test_evaporation_forgets_its_input(text, data, seed, tol):
         item.name for item in items[:hole] if type(item) is StateDecl and item.name != items[hole].state
     ]
     swapped = items.copy()
-    swapped[hole] = dataclasses.replace(items[hole], state=data.draw(st.sampled_from(others)))
+    swapped[hole] = items[hole]._replace(state=data.draw(st.sampled_from(others)))
     overrides = {"seed": seed, "tol": tol}
     base, other = json_outcome(Scenario(tuple(items)), overrides), json_outcome(Scenario(tuple(swapped)), overrides)
     if isinstance(base, dict) and isinstance(other, dict):

@@ -12,7 +12,6 @@ built by hand from the plain lists must render to the same bytes.
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +33,7 @@ def materialized(report: Report) -> Report:
         {key: list(value) if key in ROW_KEYS else value for key, value in step.items()}
         for step in report.steps
     ]
-    return replace(report, steps=steps, violations=list(report.violations))
+    return report._replace(steps=steps, violations=list(report.violations))
 
 
 def plain_payload(report: Report) -> dict:

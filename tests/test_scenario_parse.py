@@ -265,8 +265,8 @@ def test_formula_printer_matches_the_recursive_reference(f):
 
 def test_formula_printer_renders_a_long_chain():
     # The parser builds and/or chains as left-deep trees with no nesting
-    # limit. Compare text, not trees: the AST's dataclass __eq__ and
-    # __repr__ still recurse once per level.
+    # limit. Compare text, not trees: the AST's __eq__ and __repr__ still
+    # recurse once per level.
     head = "prop A = span([1, 0])\nprop B = span([0, 1])\nformula f = "
     for op in (" and ", " or "):
         chain = op.join(["A", "B"] * 2500)

@@ -8,12 +8,20 @@ they replaced, kept verbatim as oracles. Every output must equal the
 oracle's in its bits, and every failure must have the oracle's error type
 and message, with warnings raised as errors (and, for make_state, also
 with warnings ignored).
+
+One band is carved out of make_state's oracle: a nonzero vector whose
+squares may underflow (its largest part p with p² < 1e-290). There the
+old make_state summed squares that had lost bits or vanished, and returned
+a norm off by up to about 1e-15 relative, failed with NormLost, or divided
+by zero. make_state now divides such a vector by p first, so in the band it
+must equal the oracle applied to the vector divided by p, part by part.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +198,16 @@ def vectors(draw):
     return CONTAINERS[container](v), tol
 
 
+def underflow_band_part(components, tol) -> float | None:
+    """The largest part p of a nonzero state's components whose squares may
+    underflow (p² < 1e-290), else None."""
+    arr = np.asarray(components, dtype=np.complex128)
+    if arr.ndim != 1 or arr.shape[0] < 2 or not np.isfinite(arr).all() or float(np.abs(arr).max()) <= tol:
+        return None
+    top = float(np.maximum(np.abs(arr.real), np.abs(arr.imag)).max())
+    return top if top * top < 1e-290 else None
+
+
 # Properties ------------------------------------------------------------------
 
 
@@ -197,14 +215,36 @@ def vectors(draw):
 @given(vectors())
 def test_make_state_matches_its_oracle_bit_for_bit(case):
     components, tol = case
+    top = underflow_band_part(components, tol)
     for warning in ("error", "ignore"):
         got = outcome(make_state, components, tol, warning=warning)
-        want = outcome(oracle_make_state, components, tol, warning=warning)
+        if top is None:
+            want = outcome(oracle_make_state, components, tol, warning=warning)
+        else:
+            scaled = (np.ascontiguousarray(components, dtype=np.complex128).view(np.float64) / top).view(np.complex128)
+            want = outcome(oracle_make_state, scaled, tol, warning=warning)
         if isinstance(want, tuple) or isinstance(got, tuple):
             assert got == want
         else:
             assert np.array_equal(bits(got.amplitudes), bits(want.amplitudes))
             assert not got.amplitudes.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "components, tol, unit",
+    [
+        ([1e-200, 1e-200j], 1e-250, [2**-0.5, 2**-0.5 * 1j]),
+        ([1e-160, 1e-160], 1e-200, [2**-0.5, 2**-0.5]),
+        ([1e-155, 0], 1e-200, [1, 0]),
+        ([1e-320, -1e-320j], 5e-324, [2**-0.5, -(2**-0.5) * 1j]),
+    ],
+)
+def test_components_whose_squares_underflow_give_the_unit_state_of_their_ray(components, tol, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = make_state(components, tol)
+    assert np.allclose(state.amplitudes, unit, rtol=0, atol=2**-52)
+    assert abs(_norm(state.amplitudes) - 1.0) <= 2**-52
 
 
 @settings(max_examples=400)
