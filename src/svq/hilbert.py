@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, DimensionTooSmall, NormLost, ZeroVector
 #: against. It is measured against unit-norm quantities, so 1e-9 leaves
 #: several decimal digits of double-precision headroom.
 DEFAULT_TOL = 1e-9
+_SMALL_SQUARES = 1e-290  # a largest part p with p * p below it has squares that may lose bits or underflow
 
 
 def is_valid_tol(tol) -> bool:
@@ -39,34 +40,41 @@ def _largest_part(arr: np.ndarray) -> float:
     return float(np.abs(arr.view(np.float64)).max())
 
 
-def _norm(arr: np.ndarray) -> float:
-    """sqrt(re·re + im·im): the sum, in the order, that np.linalg.norm takes."""
+def _squared_norm(arr: np.ndarray) -> float:
+    """re·re + im·im: the sum, in the order, whose square root np.linalg.norm takes."""
     re, im = arr.real, arr.imag
-    return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+    return float(re.dot(re)) + float(im.dot(im))
 
 
-def _unit_amplitudes(arr: np.ndarray) -> np.ndarray:
-    """arr, once it is checked to hold the amplitudes of a state."""
+def _divided(arr: np.ndarray, top: float) -> np.ndarray:
+    """arr over its largest part top, part by part on the float64 view if top is small: numpy's complex divide takes 1 / top."""
+    return (arr.view(np.float64) / top).view(np.complex128) if top * top < _SMALL_SQUARES else arr / top
+
+
+def _checked_squares(arr: np.ndarray) -> float:
+    """|arr|^2, once arr is checked to hold the amplitudes of a state."""
     if arr.ndim != 1:
         raise DimensionMismatch(f"amplitudes must be one-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise DimensionTooSmall(f"a state needs dimension >= 2, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("amplitudes must be finite")
-    norm = _norm(arr)
-    if abs(norm - 1.0) > DEFAULT_TOL:
-        raise NormLost(f"state norm {norm!r} deviates from 1 beyond tolerance")
-    return arr
+    squares = _squared_norm(arr)
+    if abs(math.sqrt(squares) - 1.0) > DEFAULT_TOL:
+        raise NormLost(f"state norm {math.sqrt(squares)!r} deviates from 1 beyond tolerance")
+    return squares
 
 
 def _adopt(arr: np.ndarray) -> "StateVector":
     """A state of arr, a new flat array of two or more amplitudes that nothing else holds,
     without the copy the constructor makes and, when its norm is 1, without the other checks."""
     arr.setflags(write=False)
-    if not abs(_norm(arr) - 1.0) <= DEFAULT_TOL:  # also when an amplitude is nan or inf
-        _unit_amplitudes(arr)  # raises the constructor's error
+    squares = _squared_norm(arr)
+    if not abs(math.sqrt(squares) - 1.0) <= DEFAULT_TOL:  # also when an amplitude is nan or inf
+        _checked_squares(arr)  # raises the constructor's error
     state = object.__new__(StateVector)
     object.__setattr__(state, "amplitudes", arr)
+    object.__setattr__(state, "_squares", squares)
     return state
 
 
@@ -83,7 +91,9 @@ class StateVector(Value):
     __eq__, __hash__ = object.__eq__, object.__hash__  # states compare by identity
 
     def __init__(self, amplitudes):
-        object.__setattr__(self, "amplitudes", _unit_amplitudes(_frozen_complex_array(amplitudes)))
+        arr = _frozen_complex_array(amplitudes)
+        object.__setattr__(self, "_squares", _checked_squares(arr))  # |psi|^2, as re·re + im·im
+        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def dim(self) -> int:
@@ -148,11 +158,11 @@ def make_state(components, tol: float = DEFAULT_TOL) -> StateVector:
     squares = top * top
     if squares * arr.shape[0] > 1e300:  # the sum of squares may overflow
         with np.errstate(over="ignore"):
-            if _norm(arr) == math.inf:
+            if _squared_norm(arr) == math.inf:
                 arr = arr / top  # bring the largest part to 1 first
-    elif squares < 1e-290:  # small squares may lose bits or vanish below about 1e-308
-        arr = (arr.view(np.float64) / top).view(np.complex128)  # a complex divide takes 1 / top
-    return _adopt(arr / _norm(arr))
+    elif squares < _SMALL_SQUARES:
+        arr = _divided(arr, top)
+    return _adopt(arr / math.sqrt(_squared_norm(arr)))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -185,7 +195,7 @@ def apply_operator(M: Operator, v: StateVector, tol: float = DEFAULT_TOL) -> Sta
     with np.errstate(over="ignore", invalid="ignore"):
         out = M.entries @ v.amplitudes
     if M.unitary:
-        norm = _norm(out)
+        norm = math.sqrt(_squared_norm(out))
         # |v^dagger (M^dagger M - I) v| < dim * tol when every entry is below tol
         if not 0 < norm or abs(norm * norm - 1.0) > M.dim * tol:
             raise NormLost(f"operator flagged unitary changed the norm to {norm!r}")

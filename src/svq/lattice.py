@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySpan
-from .hilbert import DEFAULT_TOL, StateVector, _largest_part
+from .hilbert import DEFAULT_TOL, StateVector, _divided, _largest_part
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -104,7 +104,8 @@ class Subspace:
         """
         if self.dim != other.dim:
             raise DimensionMismatch("subspace order needs equal dims")
-        residual = other.basis - self.basis @ (self._adjoint @ other.basis)
+        residual = self.basis @ (self._adjoint @ other.basis)
+        np.subtract(other.basis, residual, out=residual)
         return float(np.max(np.abs(residual), initial=0.0)) <= tol
 
     def __repr__(self) -> str:
@@ -128,7 +129,7 @@ def _svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _set_basis(sub: Subspace, basis: np.ndarray) -> None:
     basis = np.ascontiguousarray(basis, dtype=np.complex128)
-    adjoint = np.ascontiguousarray(basis.conj().T)
+    adjoint = np.conjugate(basis.T, out=np.empty(basis.shape[::-1], np.complex128))
     basis.setflags(write=False)
     adjoint.setflags(write=False)
     dim, rank = basis.shape
@@ -142,7 +143,8 @@ def _from_basis(basis: np.ndarray) -> Subspace:
     sub = object.__new__(Subspace)
     _set_basis(sub, basis)
     gram = sub._adjoint @ sub.basis
-    if np.max(np.abs(gram - np.eye(sub.rank)), initial=0.0) > DEFAULT_TOL:
+    gram.reshape(-1)[:: sub.rank + 1] -= 1.0  # Q^dagger Q - I, on the diagonal in place
+    if np.max(np.abs(gram), initial=0.0) > DEFAULT_TOL:
         raise ValueError("basis columns are not orthonormal within tolerance")
     return sub
 
@@ -179,7 +181,7 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
         raise EmptySpan("every spanning vector is numerically zero")
     if len(cols) == 1 and 0.0 <= tol < 1.0:
         # With its largest part at 1 its norm neither overflows nor underflows.
-        line = basis_matrix / top
+        line = _divided(basis_matrix, top)
         line /= math.sqrt(np.vdot(line, line).real)
         sub = object.__new__(Subspace)
         _set_basis(sub, line)
@@ -187,7 +189,7 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     u, s = _svd(basis_matrix)
     if not math.isfinite(s[0]):
         # The largest singular value overflowed: bring the largest part to 1 first.
-        u, s = _svd(basis_matrix / top)
+        u, s = _svd(_divided(basis_matrix, top))
     return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
 
 
@@ -213,7 +215,9 @@ def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> 
     (the eigenvectors that Subspace(projector) keeps are orthonormal to
     rounding), so the third term is at most k DEFAULT_TOL s^2 in size. For
     a unit psi the last term and the rounding of |psi|^2 and s^2 sum to
-    less than rho / 2, where rho = 8 (d + k + 4) sqrt(k + 1) eps, and the r
+    less than rho / 2, where rho = 8 (d + k + 4) sqrt(k + 1) eps (|psi|^2 is
+    the state's re.re + im.im, and Higham's inner-product bound, ch. 3,
+    holds in any order of summation), and the r
     computed from the rejected vector (a second product, a subtraction and
     a norm) is within phi = rho / 4 of |psi - Q c|. Since (tol + phi)^2 is
     below tol^2 + (2 tol + 1) phi, the computed r is at least tol whenever
@@ -225,16 +229,15 @@ def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> 
     is the one that computing r always gives. The cost is one d-by-k
     product, and a second one only within delta of TRUE.
     """
-    if state.dim != prop.dim:
-        raise DimensionMismatch(f"state dim {state.dim} does not match subspace dim {prop.dim}")
-    psi = state.amplitudes
-    coords = prop._adjoint @ psi
-    # vdot gives the squared norms with less call overhead than linalg.norm,
-    # which counts at the small dimensions of most scenarios.
-    s2 = float(np.vdot(coords, coords).real)
+    psi, basis = state.amplitudes, prop.basis
+    if psi.shape[0] != basis.shape[0]:
+        raise DimensionMismatch(f"state dim {psi.shape[0]} does not match subspace dim {basis.shape[0]}")
+    coords = np.dot(prop._adjoint, psi)
+    s2 = float(np.vdot(coords, coords).real)  # a Python float: the arithmetic below is faster on one
     delta = prop.rank * DEFAULT_TOL * s2 + (1.0 + tol) * prop._rounding
-    if float(np.vdot(psi, psi).real) - s2 <= tol * tol + delta:
-        rejected = psi - prop.basis @ coords
+    if state._squares - s2 <= tol * tol + delta:
+        rejected = np.dot(basis, coords)
+        np.subtract(psi, rejected, out=rejected)
         if math.sqrt(np.vdot(rejected, rejected).real) < tol:
             return TruthValue.TRUE
     if math.sqrt(s2) < tol:
@@ -257,8 +260,8 @@ def orthocomplement(prop: Subspace) -> Subspace:
     result, whose size is d (d - k).
     """
     dim, rank = prop.dim, prop.rank
-    raw, tau = np.linalg.qr(prop.basis, mode="raw")
-    v = np.tril(raw.T, -1)  # raw holds the reflectors transposed
+    v, tau = np.linalg.qr(prop.basis, mode="raw")
+    v = np.tril(v.T, -1)  # the raw QR holds the reflectors transposed
     v[np.arange(rank), np.arange(rank)] = 1.0
     gram = v.conj().T @ v
     # The recurrence needs no division: tau_i = 0 (a column that is already
@@ -268,8 +271,9 @@ def orthocomplement(prop: Subspace) -> Subspace:
     for i in range(rank):
         t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
         t[i, i] = tau[i]
-    trailing = -(v @ (t @ v[rank:].conj().T))
-    trailing[rank:] += np.eye(dim - rank)
+    trailing = v @ (t @ v[rank:].conj().T)
+    np.negative(trailing, out=trailing)
+    trailing.reshape(-1)[rank * (dim - rank) :: dim - rank + 1] += 1.0  # E's ones, in place
     return _from_basis(trailing)
 
 

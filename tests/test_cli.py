@@ -239,6 +239,15 @@ def test_evolve_applies_a_matrix_it_labels_unitary(tmp_path, capsys, eps, tol):
     assert "  3 (line 3) evolve s [unitary]\n      P: 1 -> 1\n" in out
 
 
+def test_a_span_whose_largest_part_is_subnormal_runs_without_a_warning(tmp_path, run_cli):
+    path = tmp_path / "subnormal.svq"
+    path.write_text("state s = [1, 0]\nprop P = span([1e-320, 1e-320i])\nrecord at 0\n", encoding="utf-8")
+    result = run_cli("run", str(path), "--tol", "5e-324")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert b"present P @0 = 0/0" in result.stdout
+
+
 def test_evolve_keeps_a_spread_state_at_a_loose_tol(tmp_path, capsys):
     # At tol 0.5 every component of [1, 1, 1, 1]/2 is at the zero-vector
     # threshold of make_state, which a unitary's output must not meet.

@@ -15,6 +15,13 @@ old make_state summed squares that had lost bits or vanished, and returned
 a norm off by up to about 1e-15 relative, failed with NormLost, or divided
 by zero. make_state now divides such a vector by p first, so in the band it
 must equal the oracle applied to the vector divided by p, part by part.
+
+The same band is carved out of the one-vector span's oracle. There the old
+span divided by p through numpy's complex division, which multiplies by
+1 / p and overflows for a subnormal p. The span now divides part by part
+too, so in the band its basis must equal the oracle's for the vector
+divided by p, part by part, up to the sign of exact zeros: the oracle's
+own complex division by that vector's largest part, 1, may flip them.
 """
 
 import math
@@ -26,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svq.errors import DimensionMismatch, DimensionTooSmall, EmptySpan, NormLost, ZeroVector
-from svq.hilbert import DEFAULT_TOL, StateVector, _norm, haar_state, make_state
+from svq.hilbert import DEFAULT_TOL, StateVector, _squared_norm, haar_state, make_state
 from svq.lattice import Subspace, _from_basis, _set_basis, _svd, span_subspace
 
 # The replaced implementations ------------------------------------------------
@@ -244,7 +251,22 @@ def test_components_whose_squares_underflow_give_the_unit_state_of_their_ray(com
         warnings.simplefilter("error")
         state = make_state(components, tol)
     assert np.allclose(state.amplitudes, unit, rtol=0, atol=2**-52)
-    assert abs(_norm(state.amplitudes) - 1.0) <= 2**-52
+    assert abs(math.sqrt(_squared_norm(state.amplitudes)) - 1.0) <= 2**-52
+
+
+@pytest.mark.parametrize("vectors", [[[1e-320, 1e-320j]], [[0, -1e-321]], [[1e-320, 1e-320j], [1e-320, 0]]])
+def test_a_span_whose_largest_part_is_subnormal_is_spanned_without_a_warning(vectors):
+    # numpy's complex division by a real p multiplies by 1 / p, which overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sub = span_subspace(vectors, 2, 5e-324)
+    assert sub.rank == len(vectors)
+    for v in vectors:
+        v = np.array(v, dtype=np.complex128).view(np.float64)
+        v = (v / np.abs(v).max()).view(np.complex128)  # on the input's ray, at a largest part of 1
+        assert np.allclose(sub.basis @ (sub._adjoint @ v), v, rtol=0, atol=1e-15)
+    if len(vectors) == 1:
+        assert abs(math.sqrt(_squared_norm(sub.basis[:, 0])) - 1.0) <= 2**-52
 
 
 @settings(max_examples=400)
@@ -252,13 +274,20 @@ def test_components_whose_squares_underflow_give_the_unit_state_of_their_ray(com
 def test_one_vector_span_matches_its_oracle_bit_for_bit(case):
     components, tol = case
     dim = len(components)
-    got, want = outcome(span_subspace, [components], dim, tol), outcome(oracle_span_subspace, [components], dim, tol)
+    top = underflow_band_part(components, tol)
+    got = outcome(span_subspace, [components], dim, tol)
+    if top is None:
+        want = outcome(oracle_span_subspace, [components], dim, tol)
+    else:
+        scaled = (np.ascontiguousarray(components, dtype=np.complex128).view(np.float64) / top).view(np.complex128)
+        want = outcome(oracle_span_subspace, [scaled], dim, tol)
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
         return
     assert got.rank == want.rank == 1
-    assert np.array_equal(bits(got.basis), bits(want.basis))
-    assert np.array_equal(bits(got._adjoint), bits(want._adjoint))
+    unsigned = (lambda arr: arr) if top is None else (lambda arr: arr + 0.0)  # -0.0 + 0.0 is 0.0
+    assert np.array_equal(bits(unsigned(got.basis)), bits(unsigned(want.basis)))
+    assert np.array_equal(bits(unsigned(got._adjoint)), bits(unsigned(want._adjoint)))
 
 
 @settings(max_examples=200)
@@ -294,5 +323,5 @@ def test_a_bad_haar_dimension_raises_what_it_raised():
 def test_norm_is_np_linalg_norm_bit_for_bit(case):
     arr = np.array(case[0], dtype=np.complex128)
     with np.errstate(over="ignore"):
-        got, want = _norm(arr), float(np.linalg.norm(arr))
+        got, want = math.sqrt(_squared_norm(arr)), float(np.linalg.norm(arr))
     assert np.array([got]).view(np.uint64) == np.array([want]).view(np.uint64)

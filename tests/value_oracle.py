@@ -13,8 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from svq.errors import DimensionMismatch
-from svq.hilbert import DEFAULT_TOL, _frozen_complex_array, _unit_amplitudes, inner
+from svq.hilbert import DEFAULT_TOL, _checked_squares, _frozen_complex_array, inner
 from svq.ledger import Ledger
+
+
+def _unit_amplitudes(arr: np.ndarray) -> np.ndarray:
+    """arr, once it is checked to hold the amplitudes of a state: svq.hilbert's
+    check as it was when these classes were declared, before it returned |arr|^2."""
+    _checked_squares(arr)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
