@@ -19,11 +19,11 @@ basis, turning -0.0 into 0.0, where only its diagonal of ones is added now.
 import math
 import tracemalloc
 
-import lattice_oracle as oracle
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_oracle as oracle
 from svq import Subspace, TruthValue, join, make_state, meet, membership, orthocomplement, span_subspace, zero_subspace
 
 TOLS = (1e-9, 1e-6, 1e-3)
