@@ -66,10 +66,10 @@ the run seed.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import islice, repeat
+from json import dumps
 from json.encoder import encode_basestring_ascii as _quote
 from numbers import Real
 from operator import itemgetter
@@ -175,16 +175,20 @@ class _Rows(Sequence):
         """The text lines of rows: a view of this kind, or the list of dicts it stands for."""
         return cls._lines(rows._values() if isinstance(rows, _Rows) else map(itemgetter(*cls.FIELDS), rows))
 
-    def json(self, newline: str, out: list[str]) -> None:
-        """Append what json.dumps(list(self), indent=2) writes from newline on."""
-        inner = newline + "  "
-        rows = self._json_rows(f",{inner}{{{inner}  ", f",{inner}  ", inner + "}")
+    @classmethod
+    def json(cls, rows, newline: str, out: list[str]) -> None:
+        """Append what json.dumps(list(rows), indent=2) writes from newline
+        on, for rows a view of this kind or the list of dicts it stands for."""
         if not rows:
             out.append("[]")
-            return
-        rows[0] = "[" + rows[0][1:]
-        out += rows
-        out.append(newline + "]")
+        elif not isinstance(rows, _Rows):  # a JSON text holds no raw newline
+            out.append(dumps(rows, indent=2, allow_nan=False).replace("\n", newline))
+        else:
+            inner = newline + "  "
+            pieces = rows._json_rows(f",{inner}{{{inner}  ", f",{inner}  ", inner + "}")
+            pieces[0] = "[" + pieces[0][1:]
+            out += pieces
+            out.append(newline + "]")
 
 
 class _RecordRows(_Rows):
@@ -343,6 +347,21 @@ def _feasibility_entry(feas) -> dict:
     }
 
 
+# _ITEMS renders each JSON field as json.dumps(payload, indent=2) does: by
+# _quote for a string, str for an int, _BOOL, float.__repr__ or _json_open.
+_BOOL = {False: "false", True: "true"}.__getitem__
+_STEP = (str, str, _quote)  # index, line and kind, which start every step
+_FEASIBILITY = (_BOOL, float.__repr__, float.__repr__, _quote)  # in a clone step and a feasible query
+
+
+def _json_open(entry: dict, renderers, newline: str = "\n    ") -> str:
+    """entry, which has a field, as JSON but its closing brace, each field rendered by the
+    next of renderers; newline is "\\n" and the indentation of the line the brace opens."""
+    sep = f",{newline}  "
+    fields = "".join([f"{sep}{_quote(key)}: {render(value)}" for (key, value), render in zip(entry.items(), renderers)])
+    return "{" + fields[1:]
+
+
 # Handlers: each takes the run, the item and what compile_scenario built for
 # it, and returns the fields its step adds to the report after index, line
 # and kind, or None for a declaration or query. The library functions they
@@ -474,32 +493,41 @@ def _feasible(run: _Run, item: FeasibleQuery, operands) -> None:
     )
 
 
-#: Item kind (scenario.KIND) -> (its handler,), and for a step kind (its
-#: handler, the key of its rows, their view class, the text its line shows
-#: after its kind). Reports and StepErrors name an item by its kind.
+#: Item kind (scenario.KIND) -> (its handler,); for a query (its handler,
+#: the renderers of its entry's fields); for a step (its handler, the key
+#: of its rows, their view class, the text its line shows after its kind,
+#: the renderers of its fields up to its rows). Reports and StepErrors name
+#: an item by its kind.
 _ITEMS = {
     "state": (_state,),
     "prop": (_prop,),
     "formula": (_formula,),
-    "record": (_record, "recorded", _RecordRows, lambda s: f" at {s['at']}"),
+    "record": (_record, "recorded", _RecordRows, lambda s: f" at {s['at']}", (*_STEP, str)),
     "clone": (
         _clone, "transitions", _TransitionRows,
         lambda s: f" {s['source']} -> {s['target']} [non-physical, {verdict(s['feasibility']['feasible'])}:"
         f" overlap {s['feasibility']['overlap']:.8f} vs squared {s['feasibility']['overlap_squared']:.8f}]",
+        (*_STEP, _quote, _quote, _BOOL, _BOOL, lambda f: _json_open(f, _FEASIBILITY, "\n      ") + "\n      }"),
     ),
     "unclone": (
-        _unclone, "transitions", _TransitionRows, lambda s: f" {s['cloned']} blank {s['blank']} [non-physical]"
+        _unclone, "transitions", _TransitionRows, lambda s: f" {s['cloned']} blank {s['blank']} [non-physical]",
+        (*_STEP, _quote, _quote, _BOOL),
     ),
-    "blackhole": (_blackhole, "transitions", _TransitionRows, lambda s: f" {s['state']} (seed {s['seed']})"),
+    "blackhole": (
+        _blackhole, "transitions", _TransitionRows, lambda s: f" {s['state']} (seed {s['seed']})",
+        (*_STEP, _quote, str, _BOOL),
+    ),
     "evolve": (
         _evolve, "transitions", _TransitionRows,
-        lambda s: f" {s['state']} [{'unitary' if s['unitary'] else 'renormalized'}]",
+        lambda s: f" {s['state']} [{'unitary' if s['unitary'] else 'renormalized'}]", (*_STEP, _quote, _BOOL),
     ),
-    "reconstruct": (_reconstruct, "samples", _SampleRows, lambda s: f" (p_one {s['p_one']!r})"),
-    "eval": (_eval,),
-    "super": (_super,),
+    "reconstruct": (
+        _reconstruct, "samples", _SampleRows, lambda s: f" (p_one {s['p_one']!r})", (*_STEP, float.__repr__)
+    ),
+    "eval": (_eval, (_quote,) * 4),
+    "super": (_super, (_quote, _quote, lambda a: _json_open(a, repeat(_quote), "\n      ") + "\n      }", _quote)),
     "check-past": (_check_past,),
-    "feasible": (_feasible,),
+    "feasible": (_feasible, (_quote, _quote, *_FEASIBILITY)),
 }
 
 
@@ -568,7 +596,7 @@ def _text_report(report: Report) -> str:
     if report.steps:
         lines.append("steps:")
         for step in report.steps:
-            _, key, view, head = _ITEMS[step["kind"]]
+            _, key, view, head, _ = _ITEMS[step["kind"]]
             lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{head(step)}")
             lines += view.text(step[key])
     if report.valuations:
@@ -590,74 +618,29 @@ def _text_report(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the pieces of json.dumps(value, indent=2, allow_nan=False).
-
-    newline is "\n" plus the indentation of the line value starts on. The
-    type tests run in json's order (str, None, True, False, int, float,
-    list or tuple, dict), so subclasses render as json renders them; a
-    report view renders as the list it stands for, a list of str in one
-    join, and the exact-type tests in the dict loop are shortcuts to the
-    same output. Dict keys must be strings, which is all a report holds.
-    """
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        out.append(float.__repr__(value))
-    elif isinstance(value, _Rows):
-        value.json(newline, out)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        try:
-            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
-            return
-        except TypeError:  # an item is not a str
-            pass
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{sep}{_quote(key)}: ")
-            sep = "," + inner
-            kind = type(item)
-            if kind is str:
-                out.append(_quote(item))
-            elif kind is int:
-                out.append(int.__repr__(item))
-            else:
-                _write_json(item, inner, out)
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_text(value) -> str:
-    out: list[str] = []
-    _write_json(value, "\n", out)
+def _json_report(report: Report) -> str:
+    tol, p_one = float.__repr__(report.tolerance), float.__repr__(report.p_one)
+    if {tol, p_one} & {"nan", "inf", "-inf"}:
+        raise ValueError(f"Out of range float values are not JSON compliant: {tol}, {p_one}")
+    out = [f'{{\n  "schema": 1,\n  "seed": {report.seed},\n  "tolerance": {tol},\n  "p_one": {p_one}']
+    lists = ("steps", report.steps), ("valuations", report.valuations), ("feasibility", report.feasibility)
+    for name, entries in lists:
+        sep = f',\n  "{name}": ['
+        for entry in entries:
+            item = _ITEMS[entry.get("kind", "feasible")]  # a feasibility entry names no kind
+            out.append(f"{sep}\n    {_json_open(entry, item[-1])}")
+            if len(item) > 2:  # a step: its rows follow its fields
+                _, key, view, *_ = item
+                out.append(f',\n      "{key}": ')
+                view.json(entry[key], "\n      ", out)
+            out.append("\n    }")
+            sep = ","
+        out.append("\n  ]" if entries else f',\n  "{name}": []')
+    out.append(',\n  "violations": ')
+    _ViolationRows.json(report.violations, "\n  ", out)
+    ledger = ",\n    ".join(map(_quote, ledger_lines(report.ledger)))
+    out.append(f',\n  "checks_run": {report.checks_run},\n  "ledger": ' + (f"[\n    {ledger}\n  ]" if ledger else "[]"))
+    out.append("\n}\n")
     return "".join(out)
 
 
@@ -667,24 +650,15 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     The JSON schema is stable and versioned: top-level keys are schema,
     seed, tolerance, p_one, steps, valuations, feasibility, violations,
     checks_run and ledger. Gaps render as the string "0/0" in both formats.
-    JSON is rendered by a direct writer whose bytes equal those of
-    ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline; a
-    non-finite float raises ValueError, as it does there.
+    Each item kind's JSON comes from its entry in _ITEMS and each row
+    kind's from its view. For a report that run_scenario returns, and for
+    the same report with its views replaced by the plain lists they stand
+    for, the bytes equal ``json.dumps(payload, indent=2, allow_nan=False)``
+    plus a newline; a step or entry dict of another shape is not supported.
+    A non-finite tolerance or p_one raises ValueError, as it does there.
     """
     if format == "json":
-        payload = {
-            "schema": 1,
-            "seed": report.seed,
-            "tolerance": report.tolerance,
-            "p_one": report.p_one,
-            "steps": report.steps,
-            "valuations": report.valuations,
-            "feasibility": report.feasibility,
-            "violations": report.violations,
-            "checks_run": report.checks_run,
-            "ledger": ledger_lines(report.ledger),
-        }
-        return (_json_text(payload) + "\n").encode("utf-8")
+        return _json_report(report).encode("utf-8")
     if format == "text":
         return _text_report(report).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

@@ -5,9 +5,10 @@ step's ``transitions`` and, once a check ran, ``violations`` are read-only
 views over the ledger's columns, the runner's transition tuples and the
 audit's tuples. ``materialized`` turns each view into the list of dicts it
 stands for. emit_report must render a report with views as json.dumps
-renders the materialized payload, and as the text renderer that read those
-lists of dicts, kept below as ``old_text_report``, renders it; and a report
-built by hand from the plain lists must render to the same bytes.
+renders the materialized payload and as the generic writer it replaced
+(``json_oracle``) renders the payload, and as the text renderer that read
+those lists of dicts, kept below as ``old_text_report``, renders it; and a
+report built by hand from the plain lists must render to the same bytes.
 """
 
 import json
@@ -21,6 +22,7 @@ from svq import Ledger, StepError, SvqError, TruthValue, emit_report, parse_scen
 from svq.ledger import check_past_unalterability, ledger_lines
 from svq.runner import Report, _RecordRows, _Rows, _SampleRows, _ViolationRows, valuation_line
 
+from json_oracle import _json_text
 from scenario_strategies import scenario_texts
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
@@ -142,16 +144,17 @@ def check_rendering(report: Report) -> None:
     plain = materialized(report)
     want_json = (json.dumps(plain_payload(plain), indent=2) + "\n").encode()
     want_text = old_text_report(plain).encode()
-    assert emit_report(report, "json") == want_json
+    assert emit_report(report, "json") == want_json == (_json_text(plain_payload(report)) + "\n").encode()
     assert emit_report(report, "text") == want_text
     assert emit_report(plain, "json") == want_json
     assert emit_report(plain, "text") == want_text
 
 
 def edge_cases(text: str, non_ascii: bool, huge_ticks: bool) -> str:
-    """text with prop names that are not ASCII, or ticks past 2**64."""
+    """text with prop, state and formula names that are not ASCII, or ticks past 2**64."""
     if non_ascii:
         text = text.replace("P", "Ψé")  # only prop names hold a capital P
+        text = re.sub(r"\bs(\d+)\b", r"sé\1", re.sub(r"\bf(\d+)\b", r"ƒ\1", text))
     if huge_ticks:
         text = re.sub(r"record at (\d+)", lambda m: f"record at {int(m[1]) + 2**64}", text)
     return text
@@ -163,12 +166,16 @@ HUGE_AND_NON_ASCII = (
     "record at 99999999999999999999999\nclone plus -> up\nrecord at 99999999999999999999999\n"
     "reconstruct\ncheck-past\nrecord at 100000000000000000000000\n"
 )
+LONG_LEDGER = "state phi = [1, 0]\nstate upsilon = [1/sqrt(2), 1/sqrt(2)]\nprop Zplus = span([1, 0])\n" + "".join(
+    f"record at {2 * t}\nclone upsilon -> phi\nrecord at {2 * t + 1}\nreconstruct\ncheck-past\n" for t in range(12)
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.builds(edge_cases, scenario_texts(), st.booleans(), st.booleans()), st.integers(0, 2**32))
 @example(EMPTY_ROWS, 0)
 @example(HUGE_AND_NON_ASCII, 3)
+@example(LONG_LEDGER, 5)
 def test_views_render_as_their_lists_do(text, seed):
     try:
         report = run_scenario(parse_scenario(text), {"seed": seed})

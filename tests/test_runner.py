@@ -19,6 +19,7 @@ from svq import (
 from svq import runner
 from svq.dynamics import sample_past_reconstruction
 
+from json_oracle import _json_text
 from test_compile import outcome, reference_run_scenario
 
 CLONE_TEXT = """
@@ -511,7 +512,8 @@ def test_a_run_draws_once_per_p_that_lost_keys(text, p_one, monkeypatch):
     assert calls == list(drawn_per_p(report).items())
 
 
-# The JSON writer against json.dumps, which stays here as its oracle.
+# The generic JSON writer that emit_report replaced, kept in json_oracle as
+# emit_report's oracle, against json.dumps.
 
 def dumps(value):
     return json.dumps(value, indent=2, allow_nan=False)
@@ -575,13 +577,13 @@ json_values = st.recursive(
 
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
-    assert runner._json_text(value) == dumps(value)
+    assert _json_text(value) == dumps(value)
 
 
 @given(st.lists(json_rows, max_size=8))
 def test_json_writer_renders_report_rows_as_json_does(rows):
     value = {"rows": rows}
-    assert runner._json_text(value) == dumps(value)
+    assert _json_text(value) == dumps(value)
 
 
 def test_json_writer_renders_rows_by_their_templates_as_json_does():
@@ -594,7 +596,7 @@ def test_json_writer_renders_rows_by_their_templates_as_json_does():
         {"kind": "flip", "prop": Tagged("Z"), "at": 0, "earlier": "1", "later": "0", "asserted_at": 4},
         {"at": 3, "prop": "Z", "truth": "1", "tense": "present"},
     ]
-    assert runner._json_text([rows, {"rows": rows}]) == dumps([rows, {"rows": rows}])
+    assert _json_text([rows, {"rows": rows}]) == dumps([rows, {"rows": rows}])
 
 
 class LoudFloat(float):
@@ -610,7 +612,7 @@ def test_json_writer_renders_subclasses_as_json_does():
         "nested": [LoudInt(1), (LoudFloat(-0.0),), {Tagged("k"): Tagged("y")}],
         "empty": [{}, [], ()],
     }
-    assert runner._json_text(value) == dumps(value)
+    assert _json_text(value) == dumps(value)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -619,7 +621,7 @@ def test_json_writer_rejects_non_finite_floats(bad):
         with pytest.raises(ValueError):
             dumps(value)
         with pytest.raises(ValueError):
-            runner._json_text(value)
+            _json_text(value)
 
 
 @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", np.int64(3), {"k": {(1, 2): 3}}])
@@ -627,13 +629,13 @@ def test_json_writer_rejects_other_types(bad):
     with pytest.raises(TypeError):
         dumps([bad])
     with pytest.raises(TypeError):
-        runner._json_text([bad])
+        _json_text([bad])
 
 
 @pytest.mark.parametrize("key", [1, 1.5, True, None])
 def test_json_writer_accepts_only_string_keys(key):
     with pytest.raises(TypeError):
-        runner._json_text({"a": {key: 1}})
+        _json_text({"a": {key: 1}})
 
 
 # Overrides are validated before the first step.
