@@ -134,11 +134,7 @@ def _gap_columns(k: int) -> list[int]:
     return columns
 
 
-def evaluate_super(
-    f: Formula,
-    atomics: Mapping[str, TruthValue],
-    cap: int = GAP_CAP,
-) -> TruthValue:
+def evaluate_super(f: Formula, atomics: Mapping[str, TruthValue]) -> TruthValue:
     """Supervaluational truth value of a formula under a gappy valuation.
 
     The formula is evaluated once over all 2^k completions of its k gap
@@ -147,16 +143,16 @@ def evaluate_super(
 
     Raises UnknownAtom when a leaf is missing from atomics, and
     PrecisificationBlowup, before evaluating anything, when the number of
-    gap atoms exceeds the cap.
+    gap atoms exceeds GAP_CAP, read at call time.
     """
     names = formula_atoms(f)
     for name in names:
         if name not in atomics:
             raise UnknownAtom(f"atom {name!r} is not in the valuation map")
     gaps = [n for n in names if atomics[n] is TruthValue.GAP]
-    if len(gaps) > cap:
+    if len(gaps) > GAP_CAP:
         raise PrecisificationBlowup(
-            f"{len(gaps)} gap atoms exceed the completion cap of {cap}"
+            f"{len(gaps)} gap atoms exceed the completion cap of {GAP_CAP}"
         )
     full = (1 << (1 << len(gaps))) - 1
     assignment = {

@@ -25,8 +25,8 @@ _SMALL_SQUARES = 1e-290  # a largest part p with p * p below it has squares that
 
 
 def is_valid_tol(tol) -> bool:
-    """True for a usable tolerance: a finite real number in (0, 1)."""
-    return isinstance(tol, Real) and math.isfinite(tol) and 0 < tol < 1
+    """True for a usable tolerance: a real number in (0, 1), compared exactly (so finite)."""
+    return isinstance(tol, Real) and 0 < tol < 1
 
 
 def _frozen_complex_array(data) -> np.ndarray:

@@ -82,7 +82,7 @@ from .dynamics import check_cloner_feasibility, blackhole_evaporate, sample_past
 from .errors import BadProbability, NotCloneShape, StepError, SvqError
 from .formulas import evaluate_super
 # make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
-from .hilbert import DEFAULT_TOL, Operator, StateVector, apply_operator, is_unitary, make_state
+from .hilbert import DEFAULT_TOL, Operator, StateVector, apply_operator, is_unitary, is_valid_tol, make_state
 from .lattice import Subspace, TruthValue, membership, span_subspace
 from .ledger import FUTURE, PAST, PRESENT, Ledger, derive_tense, check_past_unalterability, ledger_lines
 from .ledger import _settle_truths, record_valuation
@@ -540,7 +540,7 @@ def _new_report(overrides: Mapping | None) -> Report:
             raise SvqError(f"unknown override {name!r}")
         if value is not None:
             settings[name] = value
-    seed, p_one = settings["seed"], settings["p_one"]
+    seed, tol, p_one = settings["seed"], settings["tol"], settings["p_one"]
     if type(seed) is not int or seed < 0:
         raise SvqError(f"seed must be a non-negative integer, got {seed!r}")
     for name in ("tol", "p_one"):
@@ -548,18 +548,19 @@ def _new_report(overrides: Mapping | None) -> Report:
             raise SvqError(f"{name} must be a real number, got {settings[name]!r}")
     if not 0.0 <= p_one <= 1.0:
         raise BadProbability(f"p_one must lie in [0, 1], got {p_one!r}")
-    return Report(seed=seed, tolerance=settings["tol"], p_one=float(p_one))
+    # compile_scenario rejects an invalid tol, and a valid one that is 0.0 as a float.
+    return Report(seed=seed, tolerance=float(tol) if is_valid_tol(tol) else tol, p_one=float(p_one))
 
 
 def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report:
     """Execute a parsed scenario and return its report.
 
-    overrides may set seed (an int >= 0), tol (a finite real number in
-    (0, 1)) and p_one (a real number in [0, 1], stored as a float); bool is
-    not a number here. Each is checked, and the scenario compiled at
-    tol, before the first step. Errors raised by a step or query, SvqError
-    or ValueError, are re-raised as StepError carrying the item's index
-    (1-based) and source line.
+    overrides may set seed (an int >= 0), tol (a real number in (0, 1),
+    also as a float) and p_one (a real number in [0, 1]); tol and p_one
+    are stored as floats, and bool is not a number here. Each is checked,
+    and the scenario compiled at tol, before the first step. Errors raised
+    by a step or query, SvqError or ValueError, are re-raised as StepError
+    carrying the item's index (1-based) and source line.
     """
     report = _new_report(overrides)
     compiled = compile_scenario(scenario, report.tolerance)

@@ -19,6 +19,7 @@ import io
 import re
 import tempfile
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -484,7 +485,10 @@ def test_compile_builds_each_value_once_at_its_tol():
     assert np.allclose(tight[0].amplitudes, make_state([1, 0.01]).amplitudes)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1e-3, "0.1", None, 1e-3 + 0j])
+@pytest.mark.parametrize(
+    "tol",
+    [float("nan"), 0.0, 1.0, -1e-3, "0.1", None, 1e-3 + 0j, pytest.param(10**400, id="10**400"), Fraction(10**400, 3)],
+)
 def test_compile_rejects_a_tolerance_outside_the_open_unit_interval(tol):
     with pytest.raises(SvqError, match="tol"):
         compile_scenario(parse_scenario("state s = [1, 0]\n"), tol)

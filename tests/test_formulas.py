@@ -157,10 +157,12 @@ def test_deep_formulas_do_not_recurse():
         assert evaluate_super(f, atomics) is truth
 
 
-def test_cap_is_configurable():
+def test_a_lowered_gap_cap_is_read_at_call_time(monkeypatch):
     f = Or(Atom("A"), Atom("B"))
-    with pytest.raises(PrecisificationBlowup):
-        evaluate_super(f, {"A": G, "B": G}, cap=1)
+    assert evaluate_super(f, {"A": G, "B": G}) is G
+    monkeypatch.setattr("svq.formulas.GAP_CAP", 1)
+    with pytest.raises(PrecisificationBlowup, match="completion cap of 1"):
+        evaluate_super(f, {"A": G, "B": G})
 
 
 def _random_formula(rng, atoms, depth):

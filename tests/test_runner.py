@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -643,9 +644,15 @@ def test_json_writer_accepts_only_string_keys(key):
 INSIDE_Z = "state up = [1, 0]\nprop Z = span([1, 0])\nrecord at 0\nreconstruct\n"
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, float("inf")])
+@pytest.mark.parametrize(
+    "tol",
+    [float("nan"), -1.0, 0.0, 1.0, float("inf"), pytest.param(10**400, id="10**400"), Fraction(10**400, 3),
+     pytest.param(Fraction(1, 10**400), id="0.0 as a float")],
+)
 def test_run_rejects_a_tolerance_outside_the_open_unit_interval(tol):
-    # A NaN or negative tol used to record "present Z @0 = 0/0" here.
+    # A NaN or negative tol used to record "present Z @0 = 0/0" here; 10**400
+    # and Fraction(10**400, 3) raised a bare OverflowError, and Fraction(1,
+    # 10**400), inside (0, 1) exactly, ran.
     with pytest.raises(SvqError, match="tol") as info:
         run_text(INSIDE_Z, tol=tol)
     assert not isinstance(info.value, StepError)
@@ -690,3 +697,15 @@ def test_p_one_is_stored_as_a_float():
     assert type(report.p_one) is float
     assert "p_one=1.0)" in emit_report(report, "text").decode().splitlines()[0]
     assert run_text(INSIDE_Z, p_one=np.float32(0.25)).p_one == 0.25
+
+
+def test_tol_is_stored_as_a_float():
+    # Both used to reach the text header as Fraction(...) and np.float32(...),
+    # and JSON emission of either raised a bare TypeError.
+    exact = run_text(INSIDE_Z, tol=Fraction(1, 10**9))
+    assert type(exact.tolerance) is float
+    for fmt in ("text", "json"):
+        assert emit_report(exact, fmt) == emit_report(run_text(INSIDE_Z, tol=1e-9), fmt)
+    single = run_text(INSIDE_Z, tol=np.float32(1e-6))
+    assert "tol=9.999999974752427e-07," in emit_report(single, "text").decode().splitlines()[0]
+    json.loads(emit_report(single, "json"))

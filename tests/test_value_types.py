@@ -7,10 +7,13 @@ class, across classes, and across source positions, which equality
 ignores), hash (identity for states and operators, a TypeError for a
 report), repr byte for byte, the error and message of assigning or deleting
 an attribute, and _replace against dataclasses.replace. Field values nest
-value types, so equality and repr recurse in both forms.
+value types, so equality and repr recurse in both forms. A wrong field
+count, an unknown keyword, or line or col on a type without them, is a
+TypeError in both forms, and svq's message starts with the class name.
 """
 
 import dataclasses
+import re
 import subprocess
 import sys
 
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 import svq
 import value_oracle as oracle
 from svq import dynamics, formulas, hilbert, runner, scenario
+from svq._value import Value
 
 NEW = {
     cls.__name__: cls
@@ -142,6 +146,37 @@ def test_replace_matches_dataclasses_replace(spec, data):
         dataclasses.replace(build(spec, OLD), other=1)
     with pytest.raises(TypeError):
         build(spec, NEW)._replace(other=1)
+
+
+@settings(max_examples=300)
+@given(specs(), st.data())
+def test_a_wrong_construction_is_a_type_error_naming_the_class(spec, data):
+    name, fields, keywords = spec
+    n = len(positional(name))
+    cases = ["too few", "too many", "unknown keyword"] + ([] if name in LOCATED else ["line or col"])
+    case = data.draw(st.sampled_from(cases if required(name) else cases[1:]))
+    if case == "too few":
+        fields = fields[: data.draw(st.integers(0, required(name) - 1))]
+    elif case == "too many":
+        fields += (None,) * (n + 1 - len(fields)) + data.draw(st.lists(SCALARS, max_size=2).map(tuple))
+    else:
+        keyword = "other" if case == "unknown keyword" else data.draw(st.sampled_from(["line", "col"]))
+        keywords = {**keywords, keyword: data.draw(st.integers(0, 3))}
+    for classes in (OLD, NEW):
+        with pytest.raises(TypeError) as info:
+            build((name, fields, keywords), classes)
+    assert re.match(rf"{name}(\.__init__)?\(\) ", str(info.value)), str(info.value)
+
+
+def test_value_init_is_the_one_constructor_of_every_type_without_its_own():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    types = [cls for cls in subclasses(Value) if cls.__module__.startswith("svq.")]
+    assert {cls.__name__ for cls in types} >= set(NEW)
+    assert {cls.__name__ for cls in types if "__init__" in cls.__dict__} == {"StateVector", "Operator", "Report"}
 
 
 def test_importing_svq_builds_no_dataclass():
