@@ -10,9 +10,8 @@ built around.
 Subspaces, ordered by inclusion, with the orthocomplement, meet and join
 below, form the lattice of Birkhoff and von Neumann. Holding a rank-k
 subspace of C^d as a d-by-k basis keeps membership at one or two d-by-k
-products, meet and join at O(dk^2), and the orthocomplement at the
-O(d(d-k)k) that writing its d-by-(d-k) basis from k Householder
-reflectors takes.
+products, spans, meet and join at O(dk^2), and the orthocomplement and
+its check at the O(d(d-k)k) that writing its basis takes.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ class Subspace:
     ``Subspace(projector)`` validates the projector invariants (finite,
     Hermitian, idempotent, integer trace) and takes the basis from the
     eigenvectors. The lattice operations build their results from bases
-    and only check that the columns are orthonormal, which is O(d k^2).
-    Instances are immutable.
+    and check that the columns are orthonormal in O(d k^2), or, for the
+    orthocomplement, by a k-by-k identity (see there). Instances are immutable.
     """
 
     def __init__(self, projector):
@@ -112,22 +111,22 @@ class Subspace:
         return f"Subspace(dim={self.dim}, rank={self.rank})"
 
 
-def _svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The left singular vectors and singular values of a thin SVD.
+def _svd(matrix: np.ndarray, vectors: bool = True):
+    """The left singular vectors and singular values of a thin SVD, or only the values.
 
     LAPACK's gesdd can fail to converge on finite, well-scaled matrices
     with clusters of tiny singular values. The SVD of the adjoint, whose
     right singular vectors are the left ones sought, converges on them.
     """
     try:
-        u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+        out = np.linalg.svd(matrix, full_matrices=False, compute_uv=vectors)
+        return (out.U, out.S) if vectors else out
     except np.linalg.LinAlgError:
-        _, s, vh = np.linalg.svd(matrix.conj().T, full_matrices=False)
-        u = vh.conj().T
-    return u, s
+        out = np.linalg.svd(matrix.conj().T, full_matrices=False, compute_uv=vectors)
+        return (out.Vh.conj().T, out.S) if vectors else out
 
 
-def _set_basis(sub: Subspace, basis: np.ndarray) -> None:
+def _set_basis(sub: Subspace, basis: np.ndarray) -> Subspace:
     basis = np.ascontiguousarray(basis, dtype=np.complex128)
     adjoint = np.conjugate(basis.T, out=np.empty(basis.shape[::-1], np.complex128))
     basis.setflags(write=False)
@@ -136,12 +135,12 @@ def _set_basis(sub: Subspace, basis: np.ndarray) -> None:
     # The rounding part of membership's margin, which depends on d and k alone.
     rounding = 16 * (dim + rank + 4) * math.sqrt(rank + 1) * _EPS
     sub.__dict__.update(basis=basis, _adjoint=adjoint, rank=rank, _rounding=rounding)
+    return sub
 
 
 def _from_basis(basis: np.ndarray) -> Subspace:
     """The subspace spanned by orthonormal columns, checked in O(d k^2)."""
-    sub = object.__new__(Subspace)
-    _set_basis(sub, basis)
+    sub = _set_basis(object.__new__(Subspace), basis)
     gram = sub._adjoint @ sub.basis
     gram.reshape(-1)[:: sub.rank + 1] -= 1.0  # Q^dagger Q - I, on the diagonal in place
     if np.max(np.abs(gram), initial=0.0) > DEFAULT_TOL:
@@ -157,13 +156,14 @@ def zero_subspace(dim: int) -> Subspace:
 def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the given vectors.
 
-    The spanning set is orthonormalized through a thin SVD, so any two
-    spanning sets of the same space give the same subspace up to numerical
-    noise. Directions whose relative singular weight falls below tol are
-    treated as noise rather than as extra dimensions. A single vector needs
-    no SVD: at a tol in [0, 1) the SVD would keep its one direction, so it
-    is only divided by its largest real or imaginary part and then by its
-    norm. Raises ValueError for a non-finite component, as make_state does.
+    Directions whose singular value falls below tol times the largest count
+    as noise. A thin QR, A = QR, gives the singular values from R: if all
+    are kept Q is the basis, else Q times R's leading left singular vectors,
+    computed at once when a diagonal entry of R is within tol of the largest
+    (for k <= d, s_min <= min |r_jj| and max |r_jj| <= s_0). A single vector
+    needs no SVD: at a tol in [0, 1) the SVD would keep its one direction,
+    so it is only divided by its largest real or imaginary part and then by
+    its norm. Raises ValueError for a non-finite component, as make_state does.
     """
     cols = []
     for v in vectors:
@@ -183,14 +183,15 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
         # With its largest part at 1 its norm neither overflows nor underflows.
         line = _divided(basis_matrix, top)
         line /= math.sqrt(np.vdot(line, line).real)
-        sub = object.__new__(Subspace)
-        _set_basis(sub, line)
-        return sub
-    u, s = _svd(basis_matrix)
-    if not math.isfinite(s[0]):
-        # The largest singular value overflowed: bring the largest part to 1 first.
-        u, s = _svd(_divided(basis_matrix, top))
-    return _from_basis(u[:, : int(np.sum(s > tol * s[0]))])
+        return _set_basis(object.__new__(Subspace), line)
+    if top * top * basis_matrix.size > 1e300:  # s_0^2 may overflow: bring the largest part to 1 first
+        basis_matrix = _divided(basis_matrix, top)
+    q, r = np.linalg.qr(basis_matrix)
+    diag = np.abs(r.diagonal())
+    if diag.min() > tol * diag.max() and (s := _svd(r, vectors=False))[-1] > tol * s[0]:
+        return _from_basis(q)  # every direction is kept
+    u, s = _svd(r)
+    return _from_basis(q @ u[:, : int(np.sum(s > tol * s[0]))])
 
 
 def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> TruthValue:
@@ -211,8 +212,8 @@ def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> 
 
         |psi - Q c|^2 = |psi|^2 - s^2 + c^dagger (Q^dagger Q - I) c + 2 Re c^dagger e,
 
-    and _from_basis keeps every entry of Q^dagger Q - I within DEFAULT_TOL
-    (the eigenvectors that Subspace(projector) keeps are orthonormal to
+    and each entry of Q^dagger Q - I is within DEFAULT_TOL (_from_basis and
+    orthocomplement check it; eigenvectors and unit lines are orthonormal to
     rounding), so the third term is at most k DEFAULT_TOL s^2 in size. For
     a unit psi the last term and the rounding of |psi|^2 and s^2 sum to
     less than rho / 2, where rho = 8 (d + k + 4) sqrt(k + 1) eps (|psi|^2 is
@@ -245,35 +246,49 @@ def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> 
     return TruthValue.GAP
 
 
+def _wy_factor(tau: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """T of H_1 ... H_k = I - V T V^dagger by LAPACK's larft recurrence, which, unlike T^-1 =
+    triu(V^dagger V, 1) + diag(1 / tau), needs no division by a tau_i of 0 (an axis column)."""
+    t = np.zeros((tau.shape[0],) * 2, dtype=np.complex128)
+    for i in range(tau.shape[0]):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    return t
+
+
 def orthocomplement(prop: Subspace) -> Subspace:
     """The orthogonal complement.
 
     A QR writes the basis as H_1 ... H_k R, with Householder reflectors
-    H_i = I - tau_i v_i v_i^dagger. The trailing d - k columns of the
-    unitary H_1 ... H_k are orthonormal and orthogonal to every column of
-    the basis. In the compact WY form H_1 ... H_k = I - V T V^dagger
-    (Schreiber and Van Loan), with T upper triangular from the recurrence
-    of LAPACK's larft, those columns are E - V (T V[k:]^dagger), where E
-    holds the trailing columns of the identity. The leading k columns and
-    the rest of a complete QR's d-by-d factor are never formed. The cost
-    is O(d k^2) for V^dagger V, O(k^3) for T and O(d (d - k) k) for the
-    result, whose size is d (d - k).
+    H_i = I - tau_i v_i v_i^dagger. In the compact WY form H_1 ... H_k =
+    I - V T V^dagger (Schreiber and Van Loan), the trailing d - k columns of
+    that unitary, orthonormal and orthogonal to the basis, are
+    W = E - V (T V[k:]^dagger), E those of the identity. With G = V^dagger V,
+    W^dagger W - I = -V[k:] D V[k:]^dagger for D = T + T^dagger - T^dagger G T,
+    whose entries are at most rho^2 |D|_2 <= k rho^2 max|D|, rho the largest
+    row norm of V[k:]. Forming W moves a column by at most phi = (2 +
+    gamma_k) gamma_k |V|_F |T|_F rho + 1.01 eps (Higham, ch. 3) and a Gram
+    entry by at most 2.01 phi. With D and |V|_F^2 = tr G as computed (as
+    _from_basis takes its Gram matrix) and the rounding as 10 eps (k |V|_F
+    |T|_F rho + 1), W is orthonormal within DEFAULT_TOL when the two terms
+    sum to at most that. Where the Gram matrix costs less than D's products
+    (d (d - k)^2 <= 2 k^3), or rounding alone exceeds the bound (from about
+    k = 600), the Gram matrix decides. All costs O(d k^2 + d (d - k) k).
     """
     dim, rank = prop.dim, prop.rank
     v, tau = np.linalg.qr(prop.basis, mode="raw")
     v = np.tril(v.T, -1)  # the raw QR holds the reflectors transposed
     v[np.arange(rank), np.arange(rank)] = 1.0
     gram = v.conj().T @ v
-    # The recurrence needs no division: tau_i = 0 (a column that is already
-    # a coordinate axis) gives a zero row and column of T, where the closed
-    # form T^-1 = triu(V^dagger V, 1) + diag(1 / tau) would divide by zero.
-    t = np.zeros((rank, rank), dtype=np.complex128)
-    for i in range(rank):
-        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-        t[i, i] = tau[i]
+    t = _wy_factor(tau, gram)
     trailing = v @ (t @ v[rank:].conj().T)
     np.negative(trailing, out=trailing)
     trailing.reshape(-1)[rank * (dim - rank) :: dim - rank + 1] += 1.0  # E's ones, in place
+    if 2 * rank**3 < dim * (dim - rank) ** 2:
+        rho = float(np.max(np.linalg.norm(v[rank:], axis=1), initial=0.0))
+        rounding = 10 * _EPS * (rank * math.sqrt(gram.trace().real) * float(np.linalg.norm(t)) * rho + 1)
+        if rank * rho**2 * np.abs(t + t.conj().T - t.conj().T @ gram @ t).max(initial=0.0) + rounding <= DEFAULT_TOL:
+            return _set_basis(object.__new__(Subspace), trailing)
     return _from_basis(trailing)
 
 

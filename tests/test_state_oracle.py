@@ -22,6 +22,12 @@ span divided by p through numpy's complex division, which multiplies by
 too, so in the band its basis must equal the oracle's for the vector
 divided by p, part by part, up to the sign of exact zeros: the oracle's
 own complex division by that vector's largest part, 1, may flip them.
+
+Spans of two or more vectors are compared with the same oracle, but not
+bit for bit: they now take a thin QR and the singular values of its
+triangle R where the oracle took a thin SVD of the spanning matrix. The
+rank rule is the same, and the basis is another orthonormal basis of the
+same subspace.
 """
 
 import math
@@ -32,8 +38,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_oracle
 from svq.errors import DimensionMismatch, DimensionTooSmall, EmptySpan, NormLost, ZeroVector
-from svq.hilbert import DEFAULT_TOL, StateVector, _squared_norm, haar_state, make_state
+from svq.hilbert import DEFAULT_TOL, StateVector, _squared_norm, haar_state, haar_unitary, make_state
 from svq.lattice import Subspace, _from_basis, _set_basis, _svd, span_subspace
 
 # The replaced implementations ------------------------------------------------
@@ -325,3 +332,51 @@ def test_norm_is_np_linalg_norm_bit_for_bit(case):
     with np.errstate(over="ignore"):
         got, want = math.sqrt(_squared_norm(arr)), float(np.linalg.norm(arr))
     assert np.array([got]).view(np.uint64) == np.array([want]).view(np.uint64)
+
+
+# Spans of several vectors ----------------------------------------------------
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+@st.composite
+def spanning_sets(draw):
+    """(vectors, dim, tol, rank, exact, kept): the k columns of
+    A = U diag(s) V^dagger as vectors in C^d, for k from 2 to 2d and Haar U
+    and V of min(d, k) columns. Of the ratios s_i / s_0, the kept ones are at
+    least 1e3 tol and the dropped ones zero (a dependent set) or at most
+    tol / 1e3 (a near-dependent one). A third of the sets are scaled to a
+    largest part from 1e150 up, where s_0^2 overflows. exact is the
+    projector onto U's first rank columns, and kept the smallest kept ratio."""
+    dim = draw(st.integers(2, 24))
+    k = draw(st.integers(2, 2 * dim))
+    kind = draw(st.sampled_from(("independent", "dependent", "near-dependent")))
+    tol = draw(st.sampled_from((DEFAULT_TOL, 1e-6)))
+    huge = draw(st.integers(0, 2)) == 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = min(dim, k)
+    rank = m if kind == "independent" else int(rng.integers(1, m))
+    kept = 10.0 ** rng.uniform(math.log10(1e3 * tol), 0.0, rank)
+    kept[0] = 1.0
+    dropped = 1e-3 * tol * 10.0 ** rng.uniform(-3.0, 0.0, m - rank) if kind == "near-dependent" else np.zeros(m - rank)
+    u, v = haar_unitary(dim, rng).entries[:, :m], haar_unitary(k, rng).entries[:, :m]
+    a = (u * np.concatenate([kept, dropped])) @ v.conj().T
+    if huge:
+        a /= np.abs(a.view(np.float64)).max()
+        a *= min(10.0 ** rng.uniform(150.0, 308.2), 1.7e308)
+    return a.T, dim, tol, rank, u[:, :rank] @ u[:, :rank].conj().T, float(kept.min())
+
+
+@settings(max_examples=300)
+@given(spanning_sets())
+def test_a_span_of_several_vectors_keeps_the_svd_oracles_rank_and_subspace(case):
+    vectors, dim, tol, rank, exact, kept = case
+    got, want = span_subspace(vectors, dim, tol), oracle_span_subspace(vectors, dim, tol)
+    assert got.rank == want.rank == rank
+    lattice_oracle._from_basis(got.basis)  # raises unless Q^dagger Q - I is within DEFAULT_TOL
+    # Rounding of about eps s_0 turns a basis by about eps s_0 over the gap to
+    # the dropped directions, at least kept s_0 (1 - 1e-6). Both bases are seen
+    # within 1.6 (d + k) eps / kept of the exact subspace; the bound is ten times that.
+    bound = 16 * (dim + len(vectors)) * EPS / kept
+    assert np.max(np.abs(got.projector - want.projector)) < bound
+    assert np.max(np.abs(got.projector - exact)) < bound
