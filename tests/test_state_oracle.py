@@ -346,7 +346,7 @@ def spanning_sets(draw):
     and V of min(d, k) columns. Of the ratios s_i / s_0, the kept ones are at
     least 1e3 tol and the dropped ones zero (a dependent set) or at most
     tol / 1e3 (a near-dependent one). A third of the sets are scaled to a
-    largest part from 1e150 up, where s_0^2 overflows. exact is the
+    largest part from 1e150 up, where s_0^2 may overflow. exact is the
     projector onto U's first rank columns, and kept the smallest kept ratio."""
     dim = draw(st.integers(2, 24))
     k = draw(st.integers(2, 2 * dim))
