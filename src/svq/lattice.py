@@ -10,8 +10,8 @@ built around.
 Subspaces, ordered by inclusion, with the orthocomplement, meet and join
 below, form the lattice of Birkhoff and von Neumann. Holding a rank-k
 subspace of C^d as a d-by-k basis keeps membership at one or two d-by-k
-products, spans, meet and join at O(dk^2), and the orthocomplement and
-its check at the O(d(d-k)k) that writing its basis takes.
+products, spans, meet and join at O(dk^2), and the orthocomplement at
+the O(d(d-k)k) that writing its basis takes, its check too for small k.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Subspace:
     Hermitian, idempotent, integer trace) and takes the basis from the
     eigenvectors. The lattice operations build their results from bases
     and check that the columns are orthonormal in O(d k^2), or, for the
-    orthocomplement, by a k-by-k identity (see there). Instances are immutable.
+    orthocomplement, by a k-by-k identity where it can (see there). Instances are immutable.
     """
 
     def __init__(self, projector):
@@ -266,14 +266,12 @@ def orthocomplement(prop: Subspace) -> Subspace:
     W = E - V (T V[k:]^dagger), E those of the identity. With G = V^dagger V,
     W^dagger W - I = -V[k:] D V[k:]^dagger for D = T + T^dagger - T^dagger G T,
     whose entries are at most rho^2 |D|_2 <= k rho^2 max|D|, rho the largest
-    row norm of V[k:]. Forming W moves a column by at most phi = (2 +
-    gamma_k) gamma_k |V|_F |T|_F rho + 1.01 eps (Higham, ch. 3) and a Gram
-    entry by at most 2.01 phi. With D and |V|_F^2 = tr G as computed (as
-    _from_basis takes its Gram matrix) and the rounding as 10 eps (k |V|_F
-    |T|_F rho + 1), W is orthonormal within DEFAULT_TOL when the two terms
-    sum to at most that. Where the Gram matrix costs less than D's products
-    (d (d - k)^2 <= 2 k^3), or rounding alone exceeds the bound (from about
-    k = 600), the Gram matrix decides. All costs O(d k^2 + d (d - k) k).
+    row norm of V[k:]. Forming W moves a Gram entry by at most 2.01 phi, phi =
+    (2 + gamma_k) gamma_k |V|_F |T|_F rho + 1.01 eps (Higham, ch. 3), taken as
+    10 eps (k |V|_F |T|_F rho + 1); computing D (products of lengths d, k, k)
+    moves an entry by at most 1.01 (d + 2k + 12) (eps / 2) m^2. W is orthonormal
+    within DEFAULT_TOL if k rho^2 (max|D| + that) plus W's rounding is (6e-10 at
+    d = 512, k = 128); past k = 110 to 170 (d = 256 to 1024) the Gram matrix decides.
     """
     dim, rank = prop.dim, prop.rank
     v, tau = np.linalg.qr(prop.basis, mode="raw")
@@ -284,9 +282,11 @@ def orthocomplement(prop: Subspace) -> Subspace:
     trailing = v @ (t @ v[rank:].conj().T)
     np.negative(trailing, out=trailing)
     trailing.reshape(-1)[rank * (dim - rank) :: dim - rank + 1] += 1.0  # E's ones, in place
-    if 2 * rank**3 < dim * (dim - rank) ** 2:
-        rho = float(np.max(np.linalg.norm(v[rank:], axis=1), initial=0.0))
-        rounding = 10 * _EPS * (rank * math.sqrt(gram.trace().real) * float(np.linalg.norm(t)) * rho + 1)
+    rho = float(np.max(np.linalg.norm(v[rank:], axis=1), initial=0.0))
+    m = np.max(np.sqrt(gram.diagonal().real) @ np.abs(t), initial=0.0)  # >= max|T|; |T|^T |V|^T |V| |T| <= m^2
+    rounding = 10 * _EPS * (rank * math.sqrt(gram.trace().real) * float(np.linalg.norm(t)) * rho + 1)
+    rounding += 0.51 * (dim + 2 * rank + 12) * _EPS * m * m * rank * rho**2  # D's own rounding
+    if rounding < DEFAULT_TOL:
         if rank * rho**2 * np.abs(t + t.conj().T - t.conj().T @ gram @ t).max(initial=0.0) + rounding <= DEFAULT_TOL:
             return _set_basis(object.__new__(Subspace), trailing)
     return _from_basis(trailing)
