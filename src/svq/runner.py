@@ -45,19 +45,22 @@ replace the system with their output:
   that ledger is a persistent value, so it is audited once, after the last
   step, however many checks the scenario runs.
 
-Every truth value the runner reports for the system comes from one row
-per system state: the membership of that state in each declared
-proposition, in declaration order, computed once and extended when a later
-``prop`` is declared. ``membership`` is pure and states are immutable, so
-the row is exact. Rows are kept, by object identity, for the declared
-states and for the current system only: the output of a ``blackhole`` or
-``evolve`` step loses its row, and is freed, once the system moves on.
+Every truth value the runner reports comes from one row per state: the
+membership of that state in each declared proposition, computed when a
+step or query first needs it and kept. A record or transition reads the
+system's row for every declared prop, an ``eval`` its state's row for its
+prop, and a ``super`` the system's row for its formula's atoms, so
+``membership`` runs at most once per (state, prop) in a run. It is pure and
+states are immutable, so the row is exact. Rows are kept, by object
+identity, for the declared states and for the current system only: the
+output of a ``blackhole`` or ``evolve`` step loses its row, and is freed,
+once the system moves on.
 
 The report keeps each row once, in a read-only view of its row kind: a
 record step keeps the range of ledger rows it appended, a reconstruct step
 its range and sub-seeds, any other step its (prop, before, after) tuples,
 and the violations are the audit's tuples. A view reads as the list of
-dicts it stands for and renders its own text lines and JSON rows.
+dicts it stands for and renders itself, as text lines and as JSON.
 
 Reports are deterministic for a fixed scenario, seed and tolerance;
 sub-seeds for random steps are drawn from a single generator seeded with
@@ -68,11 +71,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import islice, repeat
-from json import dumps
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from numbers import Real
-from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -108,10 +109,11 @@ from .scenario import (
 
 class Report(Value):
     """Everything a run produced, in emission-ready data: plain lists and
-    dicts, except that each step's rows and, once a check ran, violations
-    are _Rows views that iterate, index, take len and compare equal as the
-    lists of dicts they stand for, and build each dict only when read.
-    Unlike the other value types a report is mutable and unhashable."""
+    dicts, except that each step's rows and the violations (an empty view
+    until a check runs) are _Rows views that iterate, index, take len and
+    compare equal as the lists of dicts they stand for, and build each dict
+    only when read. Unlike the other value types a report is mutable and
+    unhashable."""
 
     seed: int
     tolerance: float
@@ -130,7 +132,7 @@ class Report(Value):
         self.steps = [] if steps is None else steps
         self.valuations = [] if valuations is None else valuations
         self.feasibility = [] if feasibility is None else feasibility
-        self.violations = [] if violations is None else violations
+        self.violations = _ViolationRows(()) if violations is None else violations
         self.ledger = Ledger() if ledger is None else ledger
 
     @property
@@ -139,13 +141,14 @@ class Report(Value):
 
 
 class _Rows(Sequence):
-    """A read-only report view, one subclass per row kind. Each keeps side
-    by side its FIELDS; _values(), its rows as tuples in FIELDS order (by
-    default the tuples it was built from); _lines(rows), the text lines of
-    such tuples; and _json_rows(head, sep, close), each row's JSON from the
-    comma before it to its closing brace, with head before the first field
-    and sep between fields. A prop id goes through _quote once; truths,
-    tenses and kinds are library constants that need no escaping."""
+    """A read-only report view, one subclass per row kind, that renders
+    itself through text() and json(). Each keeps side by side its FIELDS;
+    _values(), its rows as tuples in FIELDS order (by default the tuples it
+    was built from); _lines(rows), the text lines of such tuples; and
+    _json_rows(head, sep, close), each row's JSON from the comma before it
+    to its closing brace, with head before the first field and sep between
+    fields. A prop id goes through _quote once; truths, tenses and kinds are
+    library constants that need no escaping."""
 
     __slots__ = ()
 
@@ -170,25 +173,20 @@ class _Rows(Sequence):
     def __repr__(self) -> str:
         return repr(list(self))
 
-    @classmethod
-    def text(cls, rows) -> list[str]:
-        """The text lines of rows: a view of this kind, or the list of dicts it stands for."""
-        return cls._lines(rows._values() if isinstance(rows, _Rows) else map(itemgetter(*cls.FIELDS), rows))
+    def text(self) -> list[str]:
+        """The text lines of these rows."""
+        return self._lines(self._values())
 
-    @classmethod
-    def json(cls, rows, newline: str, out: list[str]) -> None:
-        """Append what json.dumps(list(rows), indent=2) writes from newline
-        on, for rows a view of this kind or the list of dicts it stands for."""
-        if not rows:
+    def json(self, newline: str, out: list[str]) -> None:
+        """Append what json.dumps(list(self), indent=2) writes from newline on."""
+        if not self:
             out.append("[]")
-        elif not isinstance(rows, _Rows):  # a JSON text holds no raw newline
-            out.append(dumps(rows, indent=2, allow_nan=False).replace("\n", newline))
-        else:
-            inner = newline + "  "
-            pieces = rows._json_rows(f",{inner}{{{inner}  ", f",{inner}  ", inner + "}")
-            pieces[0] = "[" + pieces[0][1:]
-            out += pieces
-            out.append(newline + "]")
+            return
+        inner = newline + "  "
+        pieces = self._json_rows(f",{inner}{{{inner}  ", f",{inner}  ", inner + "}")
+        pieces[0] = "[" + pieces[0][1:]
+        out += pieces
+        out.append(newline + "]")
 
 
 class _RecordRows(_Rows):
@@ -277,8 +275,8 @@ class _ViolationRows(_Rows):
 _GAP, _FALSE = TruthValue.GAP, TruthValue.FALSE
 _BITS = (_FALSE, TruthValue.TRUE)
 
-#: A valuation row: (prop, truth, str(truth)) per declared prop, in order.
-_Row = list[tuple[str, TruthValue, str]]
+#: A valuation row: prop -> (truth, str(truth)), for the props evaluated so far, in the order first asked.
+_Row = dict[str, tuple[TruthValue, str]]
 
 
 class _Run:
@@ -305,18 +303,20 @@ class _Run:
         """The run's generator, built when a blackhole or reconstruct step first draws."""
         return np.random.default_rng(self.report.seed)
 
-    def row(self, state: StateVector) -> _Row:
-        """The valuation row of a declared state or of the system."""
+    def row(self, state: StateVector, pids=None) -> _Row:
+        """The valuation row of a declared state or of the system, holding
+        pids (every declared prop by default). The runner calls membership
+        here only, for each of pids the row does not hold yet."""
         entry = self.rows.get(id(state))
         if entry is None:
             entry = self.loose
             if entry is None or entry[0] is not state:
-                entry = self.loose = (state, [])
+                entry = self.loose = (state, {})
         row, props = entry[1], self.props
-        if len(row) < len(props):
-            for pid, sub in islice(props.items(), len(row), None):
-                tv = membership(state, sub, self.tol)
-                row.append((pid, tv, str(tv)))
+        for pid in props if pids is None else pids:
+            if pid not in row:
+                tv = membership(state, props[pid], self.tol)
+                row[pid] = tv, str(tv)
         return row
 
     def move(self, system: StateVector) -> _TransitionRows:
@@ -325,7 +325,7 @@ class _Run:
         self.system = system
         if self.loose is not None and self.loose[0] is not system:
             self.loose = None  # the replaced system was undeclared: free it
-        return _TransitionRows([(pid, was, now) for (pid, _, was), (_, _, now) in zip(old, new)])
+        return _TransitionRows([(pid, old[pid][1], new[pid][1]) for pid in self.props])
 
     def mark_lost(self) -> None:
         for key, determinate in self.recorded.items():
@@ -369,7 +369,7 @@ def _json_open(entry: dict, renderers, newline: str = "\n    ") -> str:
 
 
 def _state(run: _Run, item: StateDecl, state: StateVector) -> None:
-    run.rows[id(state)] = (state, [])
+    run.rows[id(state)] = (state, {})
     if run.system is None:
         run.system = state
 
@@ -392,7 +392,9 @@ def _record(run: _Run, item: RecordStep, _) -> dict:
             pid, at0 = key
             led = record_valuation(led, at0, pid, _GAP, at)
             lost[key] = True
-    for pid, tv, _ in run.row(run.system):
+    row = run.row(run.system)
+    for pid in run.props:
+        tv = row[pid][0]
         led = record_valuation(led, at, pid, tv, at)
         recorded[pid, at] = tv is not _GAP or recorded.get((pid, at), False)
     run.ledger = led
@@ -458,26 +460,18 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
 
 
 def _eval(run: _Run, item: EvalQuery, operands) -> None:
-    state, sub = operands
-    tv = membership(state, sub, run.tol)
-    run.report.valuations.append(
-        {"kind": "eval", "state": item.state, "prop": item.prop, "truth": str(tv)}
-    )
+    truth = run.row(operands[0], (item.prop,))[item.prop][1]
+    run.report.valuations.append({"kind": "eval", "state": item.state, "prop": item.prop, "truth": truth})
 
 
 def _super(run: _Run, item: SuperQuery, operands) -> None:
     if run.system is None:
         raise SvqError("super query before any state declaration")
     ((body, atoms),) = operands
-    atomics = {name: membership(run.system, sub, run.tol) for name, sub in atoms}
-    tv = evaluate_super(body, atomics)
+    row = run.row(run.system, atoms)
+    tv = evaluate_super(body, {name: row[name][0] for name in atoms})
     run.report.valuations.append(
-        {
-            "kind": "super",
-            "formula": item.formula,
-            "atoms": {name: str(v) for name, v in atomics.items()},
-            "truth": str(tv),
-        }
+        {"kind": "super", "formula": item.formula, "atoms": {name: row[name][1] for name in atoms}, "truth": str(tv)}
     )
 
 
@@ -495,35 +489,32 @@ def _feasible(run: _Run, item: FeasibleQuery, operands) -> None:
 
 #: Item kind (scenario.KIND) -> (its handler,); for a query (its handler,
 #: the renderers of its entry's fields); for a step (its handler, the key
-#: of its rows, their view class, the text its line shows after its kind,
-#: the renderers of its fields up to its rows). Reports and StepErrors name
-#: an item by its kind.
+#: of its rows, the text its line shows after its kind, the renderers of
+#: its fields up to its rows). Reports and StepErrors name an item by its
+#: kind.
 _ITEMS = {
     "state": (_state,),
     "prop": (_prop,),
     "formula": (_formula,),
-    "record": (_record, "recorded", _RecordRows, lambda s: f" at {s['at']}", (*_STEP, str)),
+    "record": (_record, "recorded", lambda s: f" at {s['at']}", (*_STEP, str)),
     "clone": (
-        _clone, "transitions", _TransitionRows,
+        _clone, "transitions",
         lambda s: f" {s['source']} -> {s['target']} [non-physical, {verdict(s['feasibility']['feasible'])}:"
         f" overlap {s['feasibility']['overlap']:.8f} vs squared {s['feasibility']['overlap_squared']:.8f}]",
         (*_STEP, _quote, _quote, _BOOL, _BOOL, lambda f: _json_open(f, _FEASIBILITY, "\n      ") + "\n      }"),
     ),
     "unclone": (
-        _unclone, "transitions", _TransitionRows, lambda s: f" {s['cloned']} blank {s['blank']} [non-physical]",
+        _unclone, "transitions", lambda s: f" {s['cloned']} blank {s['blank']} [non-physical]",
         (*_STEP, _quote, _quote, _BOOL),
     ),
     "blackhole": (
-        _blackhole, "transitions", _TransitionRows, lambda s: f" {s['state']} (seed {s['seed']})",
-        (*_STEP, _quote, str, _BOOL),
+        _blackhole, "transitions", lambda s: f" {s['state']} (seed {s['seed']})", (*_STEP, _quote, str, _BOOL)
     ),
     "evolve": (
-        _evolve, "transitions", _TransitionRows,
+        _evolve, "transitions",
         lambda s: f" {s['state']} [{'unitary' if s['unitary'] else 'renormalized'}]", (*_STEP, _quote, _BOOL),
     ),
-    "reconstruct": (
-        _reconstruct, "samples", _SampleRows, lambda s: f" (p_one {s['p_one']!r})", (*_STEP, float.__repr__)
-    ),
+    "reconstruct": (_reconstruct, "samples", lambda s: f" (p_one {s['p_one']!r})", (*_STEP, float.__repr__)),
     "eval": (_eval, (_quote,) * 4),
     "super": (_super, (_quote, _quote, lambda a: _json_open(a, repeat(_quote), "\n      ") + "\n      }", _quote)),
     "check-past": (_check_past,),
@@ -597,9 +588,9 @@ def _text_report(report: Report) -> str:
     if report.steps:
         lines.append("steps:")
         for step in report.steps:
-            _, key, view, head, _ = _ITEMS[step["kind"]]
+            _, key, head, _ = _ITEMS[step["kind"]]
             lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{head(step)}")
-            lines += view.text(step[key])
+            lines += step[key].text()
     if report.valuations:
         lines.append("valuations:")
         lines += ["  " + valuation_line(entry) for entry in report.valuations]
@@ -612,7 +603,7 @@ def _text_report(report: Report) -> str:
             )
     if report.checks_run:
         lines.append(f"violations ({len(report.violations)}):")
-        lines += _ViolationRows.text(report.violations)
+        lines += report.violations.text()
     if len(report.ledger):
         lines.append("ledger:")
         lines.append("  " + "\n  ".join(ledger_lines(report.ledger)))
@@ -631,14 +622,13 @@ def _json_report(report: Report) -> str:
             item = _ITEMS[entry.get("kind", "feasible")]  # a feasibility entry names no kind
             out.append(f"{sep}\n    {_json_open(entry, item[-1])}")
             if len(item) > 2:  # a step: its rows follow its fields
-                _, key, view, *_ = item
-                out.append(f',\n      "{key}": ')
-                view.json(entry[key], "\n      ", out)
+                out.append(f',\n      "{item[1]}": ')
+                entry[item[1]].json("\n      ", out)
             out.append("\n    }")
             sep = ","
         out.append("\n  ]" if entries else f',\n  "{name}": []')
     out.append(',\n  "violations": ')
-    _ViolationRows.json(report.violations, "\n  ", out)
+    report.violations.json("\n  ", out)
     ledger = ",\n    ".join(map(_quote, ledger_lines(report.ledger)))
     out.append(f',\n  "checks_run": {report.checks_run},\n  "ledger": ' + (f"[\n    {ledger}\n  ]" if ledger else "[]"))
     out.append("\n}\n")
@@ -652,11 +642,12 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     seed, tolerance, p_one, steps, valuations, feasibility, violations,
     checks_run and ledger. Gaps render as the string "0/0" in both formats.
     Each item kind's JSON comes from its entry in _ITEMS and each row
-    kind's from its view. For a report that run_scenario returns, and for
-    the same report with its views replaced by the plain lists they stand
-    for, the bytes equal ``json.dumps(payload, indent=2, allow_nan=False)``
-    plus a newline; a step or entry dict of another shape is not supported.
-    A non-finite tolerance or p_one raises ValueError, as it does there.
+    kind's from its view. For a report that run_scenario returns the bytes
+    equal ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
+    with each view as the list of dicts it stands for; a report whose rows
+    are not views, or whose step or entry dicts have another shape, is not
+    supported. A non-finite tolerance or p_one raises ValueError, as it does
+    there.
     """
     if format == "json":
         return _json_report(report).encode("utf-8")

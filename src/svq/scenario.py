@@ -448,8 +448,9 @@ def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[obje
     """Resolve every name of a parsed scenario and build its values at tol.
 
     Returns one value per item: the StateVector of a state, the Subspace of
-    a prop, (body, ((atom, Subspace), ...)) of a formula, the operands of a
-    step or query in _USES order (an evolve's Operator last), else None.
+    a prop, (body, atom names) of a formula, whose atoms are declared props,
+    the operands of a step or query in _USES order (an evolve's Operator
+    last), else None.
     Raises SvqError unless tol is a finite number in (0, 1). Otherwise the
     first error in source order is raised with the item's line:column:
     UnknownIdentifier, DuplicateIdentifier, DimensionMismatch,
@@ -482,8 +483,9 @@ def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[obje
         elif kind is EvolveStep:
             lengths = (len(item.matrix), *map(len, item.matrix))
         elif kind is FormulaDecl:
-            atoms = formula_atoms(item.body)
-            value = (item.body, tuple([(atom, resolve(atom, "proposition", item)) for atom in atoms]))
+            value = (item.body, formula_atoms(item.body))
+            for atom in value[1]:
+                resolve(atom, "proposition", item)
         elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
             raise BadProbability(f"{_at(item)} p must lie in [0, 1], got {item.p_one!r}")
         for length in lengths:

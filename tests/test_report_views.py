@@ -1,14 +1,14 @@
 """Report views against the plain lists of dicts they stand for.
 
 A record step's ``recorded``, a reconstruct step's ``samples``, every other
-step's ``transitions`` and, once a check ran, ``violations`` are read-only
-views over the ledger's columns, the runner's transition tuples and the
-audit's tuples. ``materialized`` turns each view into the list of dicts it
-stands for. emit_report must render a report with views as json.dumps
-renders the materialized payload and as the generic writer it replaced
-(``json_oracle``) renders the payload, and as the text renderer that read
-those lists of dicts, kept below as ``old_text_report``, renders it; and a
-report built by hand from the plain lists must render to the same bytes.
+step's ``transitions`` and ``violations`` (empty until a check runs) are
+read-only views over the ledger's columns, the runner's transition tuples
+and the audit's tuples.
+``materialized`` turns each view into the list of dicts it stands for.
+emit_report must render a report with views as json.dumps renders the
+materialized payload and as the generic writer it replaced (``json_oracle``)
+renders the payload, and as the text renderer that read those lists of
+dicts, kept in ``report_oracle`` as ``old_text_report``, renders it.
 """
 
 import json
@@ -19,10 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svq import Ledger, StepError, SvqError, TruthValue, emit_report, parse_scenario, record_valuation, run_scenario
-from svq.ledger import check_past_unalterability, ledger_lines
-from svq.runner import Report, _RecordRows, _Rows, _SampleRows, _ViolationRows, valuation_line
+from svq.ledger import check_past_unalterability
+from svq.runner import Report, _RecordRows, _Rows, _SampleRows, _ViolationRows
 
 from json_oracle import _json_text
+from report_oracle import old_text_report, plain_payload
 from scenario_strategies import scenario_texts
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
@@ -36,85 +37,6 @@ def materialized(report: Report) -> Report:
         for step in report.steps
     ]
     return report._replace(steps=steps, violations=list(report.violations))
-
-
-def plain_payload(report: Report) -> dict:
-    return {
-        "schema": 1,
-        "seed": report.seed,
-        "tolerance": report.tolerance,
-        "p_one": report.p_one,
-        "steps": report.steps,
-        "valuations": report.valuations,
-        "feasibility": report.feasibility,
-        "violations": report.violations,
-        "checks_run": report.checks_run,
-        "ledger": ledger_lines(report.ledger),
-    }
-
-
-# The text renderer as it was before the views, over plain lists of dicts.
-
-
-def _step_head(step: dict) -> str:
-    """What a step's line shows after its kind."""
-    kind = step["kind"]
-    if kind == "record":
-        return f" at {step['at']}"
-    if kind == "clone":
-        feas = step["feasibility"]
-        verdict = "feasible" if feas["feasible"] else "infeasible"
-        return (
-            f" {step['source']} -> {step['target']} [non-physical, {verdict}:"
-            f" overlap {feas['overlap']:.8f} vs squared {feas['overlap_squared']:.8f}]"
-        )
-    if kind == "unclone":
-        return f" {step['cloned']} blank {step['blank']} [non-physical]"
-    if kind == "blackhole":
-        return f" {step['state']} (seed {step['seed']})"
-    if kind == "evolve":
-        return f" {step['state']} [{'unitary' if step['unitary'] else 'renormalized'}]"
-    return f" (p_one {step['p_one']!r})"
-
-
-def old_step_body(step: dict) -> list[str]:
-    if step["kind"] == "record":
-        return [f"      {e['tense']} {e['prop']} @{e['at']} = {e['truth']}" for e in step["recorded"]]
-    if step["kind"] == "reconstruct":
-        return [f"      {s['prop']} @{s['at']} := {s['value']}" for s in step["samples"]]
-    return [f"      {tr['prop']}: {tr['before']} -> {tr['after']}" for tr in step["transitions"]]
-
-
-def old_text_report(report: Report) -> str:
-    lines = [f"svq report (seed={report.seed}, tol={report.tolerance!r}, p_one={report.p_one!r})"]
-    if report.steps:
-        lines.append("steps:")
-        for step in report.steps:
-            lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{_step_head(step)}")
-            lines += old_step_body(step)
-    if report.valuations:
-        lines.append("valuations:")
-        lines += ["  " + valuation_line(entry) for entry in report.valuations]
-    if report.feasibility:
-        lines.append("feasibility:")
-        for entry in report.feasibility:
-            verdict = "feasible" if entry["feasible"] else "infeasible"
-            lines.append(
-                f"  {entry['first']} {entry['second']}: {verdict}"
-                f" (overlap {entry['overlap']:.8f}, squared {entry['overlap_squared']:.8f})"
-            )
-    if report.checks_run:
-        lines.append(f"violations ({len(report.violations)}):")
-        for v in report.violations:
-            lines.append(
-                f"  {v['kind']} {v['prop']} @{v['at']}: {v['earlier']} -> {v['later']}"
-                f" (asserted at {v['asserted_at']})"
-            )
-    if len(report.ledger):
-        lines.append("ledger:")
-        for line in ledger_lines(report.ledger):
-            lines.append("  " + line)
-    return "\n".join(lines) + "\n"
 
 
 def views_of(report: Report) -> list:
@@ -146,8 +68,6 @@ def check_rendering(report: Report) -> None:
     want_text = old_text_report(plain).encode()
     assert emit_report(report, "json") == want_json == (_json_text(plain_payload(report)) + "\n").encode()
     assert emit_report(report, "text") == want_text
-    assert emit_report(plain, "json") == want_json
-    assert emit_report(plain, "text") == want_text
 
 
 def edge_cases(text: str, non_ascii: bool, huge_ticks: bool) -> str:
@@ -161,6 +81,7 @@ def edge_cases(text: str, non_ascii: bool, huge_ticks: bool) -> str:
 
 
 EMPTY_ROWS = "state s = [1, 0]\nrecord at 0\nreconstruct\ncheck-past\n"
+NO_CHECK = "state s = [1, 0]\nprop Z = span([1, 1])\nrecord at 0\nclone s -> s\n"
 HUGE_AND_NON_ASCII = (
     "state up = [1, 0]\nstate plus = [1, 1]\nprop Zé = span([1, 0])\nprop Ж = span([1, 1])\n"
     "record at 99999999999999999999999\nclone plus -> up\nrecord at 99999999999999999999999\n"
@@ -174,6 +95,7 @@ LONG_LEDGER = "state phi = [1, 0]\nstate upsilon = [1/sqrt(2), 1/sqrt(2)]\nprop 
 @settings(max_examples=150, deadline=None)
 @given(st.builds(edge_cases, scenario_texts(), st.booleans(), st.booleans()), st.integers(0, 2**32))
 @example(EMPTY_ROWS, 0)
+@example(NO_CHECK, 0)
 @example(HUGE_AND_NON_ASCII, 3)
 @example(LONG_LEDGER, 5)
 def test_views_render_as_their_lists_do(text, seed):
@@ -200,6 +122,11 @@ def test_every_row_list_of_a_run_is_a_view(text, seed):
 def test_the_edge_cases_are_reached():
     empty = run_scenario(parse_scenario(EMPTY_ROWS))
     assert [list(view) for view in views_of(empty)] == [[], [], []]
+    unchecked = run_scenario(parse_scenario(NO_CHECK))
+    assert unchecked.violations == [] and not unchecked.violations
+    assert type(unchecked.violations) is _ViolationRows and not unchecked.has_violations
+    assert '\n  "violations": [],\n' in emit_report(unchecked, "json").decode()
+    assert "violations" not in emit_report(unchecked, "text").decode()
     report = run_scenario(parse_scenario(HUGE_AND_NON_ASCII), {"seed": 3})
     assert report.steps[0]["recorded"][0] == {
         "prop": "Zé", "at": 99999999999999999999999, "truth": "1", "tense": "present"

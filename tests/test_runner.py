@@ -19,7 +19,9 @@ from svq import (
 )
 from svq import runner
 from svq.dynamics import sample_past_reconstruction
+from svq.lattice import membership
 
+from conftest import SCENARIO_DIR
 from json_oracle import _json_text
 from test_compile import outcome, reference_run_scenario
 
@@ -196,17 +198,19 @@ record at 0
     assert [row["truth"] for row in record["recorded"]] == ["0/0", "0/0"]
 
 
-# The runner keeps one valuation row per system state. The library calls
-# stay visible under the runner's module globals, where the benchmark
-# tracer counts them.
+# The runner keeps one valuation row per state, which records,
+# transitions, eval and super all read. The library calls stay visible
+# under the runner's module globals, where the benchmark tracer counts them.
 
 MEMO_STATES = {"up": "[1, 0]", "down": "[0, 1]", "plus": "[1, 1]", "tilt": "[2, 1]"}
+MEMO_QUERIES = ["", *(f"eval {name} in {prop}" for name in MEMO_STATES for prop in "ZX"), "super both", "super z"]
 
 memo_ticks = st.lists(
     st.tuples(
         st.sampled_from(sorted(MEMO_STATES)),
         st.sampled_from(sorted(MEMO_STATES)),
         st.sampled_from(["", "blackhole up", "evolve plus by [[0, 1], [1, 0]]", "prop Y = span([1, 2])"]),
+        st.sampled_from(MEMO_QUERIES),
     ),
     min_size=1,
     max_size=6,
@@ -215,11 +219,11 @@ memo_ticks = st.lists(
 
 def memo_scenario(ticks):
     lines = [f"state {name} = {vector}" for name, vector in MEMO_STATES.items()]
-    lines += ["prop Z = span([1, 0])", "prop X = span([1, 1])"]
-    for tick, (src, tgt, extra) in enumerate(ticks):
+    lines += ["prop Z = span([1, 0])", "prop X = span([1, 1])", "formula both = Z and not X", "formula z = Z"]
+    for tick, (src, tgt, extra, query) in enumerate(ticks):
         if extra.startswith("prop") and extra in lines:  # Y is declared once
             extra = ""
-        lines += [f"record at {2 * tick}", f"clone {src} -> {tgt}", extra, f"record at {2 * tick + 1}"]
+        lines += [f"record at {2 * tick}", f"clone {src} -> {tgt}", extra, query, f"record at {2 * tick + 1}"]
         lines += ["reconstruct", "check-past"]
     return "\n".join(lines) + "\n"
 
@@ -246,6 +250,16 @@ def test_membership_runs_once_per_state_and_prop_and_every_record_is_appended(ti
         report = run_text(memo_scenario(ticks), seed=4)
     assert 0 < calls["membership"] <= len(pairs)
     assert calls["record_valuation"] == len(report.ledger)
+
+
+def test_the_valuations_scenario_calls_membership_once_per_state_and_prop(monkeypatch):
+    # Two states queried in four and two props, then three super queries
+    # on the first, whose atoms its eval queries already hold.
+    calls = []
+    monkeypatch.setattr(runner, "membership", lambda *args: calls.append(args) or membership(*args))
+    report = run_text((SCENARIO_DIR / "valuations.svq").read_text(encoding="utf-8"))
+    assert [entry["kind"] for entry in report.valuations] == ["eval"] * 6 + ["super"] * 3
+    assert len(calls) == 6
 
 
 def test_the_row_memo_keeps_no_replaced_state():
