@@ -347,19 +347,23 @@ def _feasibility_entry(feas) -> dict:
     }
 
 
-# _ITEMS renders each JSON field as json.dumps(payload, indent=2) does: by
-# _quote for a string, str for an int, _BOOL, float.__repr__ or _json_open.
-_BOOL = {False: "false", True: "true"}.__getitem__
-_STEP = (str, str, _quote)  # index, line and kind, which start every step
-_FEASIBILITY = (_BOOL, float.__repr__, float.__repr__, _quote)  # in a clone step and a feasible query
+#: How _json_open writes a field's value other than a dict, by its type, as json.dumps does.
+_SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__, float: float.__repr__}
 
 
-def _json_open(entry: dict, renderers, newline: str = "\n    ") -> str:
-    """entry, which has a field, as JSON but its closing brace, each field rendered by the
-    next of renderers; newline is "\\n" and the indentation of the line the brace opens."""
-    sep = f",{newline}  "
-    fields = "".join([f"{sep}{_quote(key)}: {render(value)}" for (key, value), render in zip(entry.items(), renderers)])
-    return "{" + fields[1:]
+def _json_open(entry: dict, newline: str, rows: str | None = None) -> str:
+    """entry, which has a field, as json.dumps(entry, indent=2) writes it but
+    its closing brace and its field rows (a step's last field, which its view
+    writes): each field by its value's type, through _SCALARS or, for a dict,
+    this function. newline is "\\n" and the indentation of the brace's line."""
+    inner = newline + "  "
+    fields = []
+    for key, value in entry.items():
+        if type(value) is dict:
+            fields.append(f",{inner}{_quote(key)}: {_json_open(value, inner)}{inner}}}")
+        elif key != rows:
+            fields.append(f",{inner}{_quote(key)}: {_SCALARS[type(value)](value)}")
+    return "{" + "".join(fields)[1:]
 
 
 # Handlers: each takes the run, the item and what compile_scenario built for
@@ -447,7 +451,7 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
     p = run.report.p_one if item.p_one is None else item.p_one
     lost, led = run.lost, run.ledger
     start = len(led)
-    sub_seeds = run.rng.integers(0, 2**63, size=len(lost)).tolist()
+    sub_seeds = run.rng.integers(0, 2**63, size=len(lost)).tolist() if lost else []
     for pid, at0 in lost:  # 0 until run_scenario draws the bit; no step reads it before
         led = record_valuation(led, at0, pid, _FALSE, run.now)
     if sub_seeds:
@@ -487,38 +491,28 @@ def _feasible(run: _Run, item: FeasibleQuery, operands) -> None:
     )
 
 
-#: Item kind (scenario.KIND) -> (its handler,); for a query (its handler,
-#: the renderers of its entry's fields); for a step (its handler, the key
-#: of its rows, the text its line shows after its kind, the renderers of
-#: its fields up to its rows). Reports and StepErrors name an item by its
-#: kind.
+#: Item kind (scenario.KIND) -> (its handler,); for a step (its handler,
+#: the key of its rows, the text its line shows after its kind). An entry's
+#: JSON is its dict, written by _json_open, and its rows' JSON comes from
+#: their view. Reports and StepErrors name an item by its kind.
 _ITEMS = {
     "state": (_state,),
     "prop": (_prop,),
     "formula": (_formula,),
-    "record": (_record, "recorded", lambda s: f" at {s['at']}", (*_STEP, str)),
+    "record": (_record, "recorded", lambda s: f" at {s['at']}"),
     "clone": (
         _clone, "transitions",
         lambda s: f" {s['source']} -> {s['target']} [non-physical, {verdict(s['feasibility']['feasible'])}:"
         f" overlap {s['feasibility']['overlap']:.8f} vs squared {s['feasibility']['overlap_squared']:.8f}]",
-        (*_STEP, _quote, _quote, _BOOL, _BOOL, lambda f: _json_open(f, _FEASIBILITY, "\n      ") + "\n      }"),
     ),
-    "unclone": (
-        _unclone, "transitions", lambda s: f" {s['cloned']} blank {s['blank']} [non-physical]",
-        (*_STEP, _quote, _quote, _BOOL),
-    ),
-    "blackhole": (
-        _blackhole, "transitions", lambda s: f" {s['state']} (seed {s['seed']})", (*_STEP, _quote, str, _BOOL)
-    ),
-    "evolve": (
-        _evolve, "transitions",
-        lambda s: f" {s['state']} [{'unitary' if s['unitary'] else 'renormalized'}]", (*_STEP, _quote, _BOOL),
-    ),
-    "reconstruct": (_reconstruct, "samples", lambda s: f" (p_one {s['p_one']!r})", (*_STEP, float.__repr__)),
-    "eval": (_eval, (_quote,) * 4),
-    "super": (_super, (_quote, _quote, lambda a: _json_open(a, repeat(_quote), "\n      ") + "\n      }", _quote)),
+    "unclone": (_unclone, "transitions", lambda s: f" {s['cloned']} blank {s['blank']} [non-physical]"),
+    "blackhole": (_blackhole, "transitions", lambda s: f" {s['state']} (seed {s['seed']})"),
+    "evolve": (_evolve, "transitions", lambda s: f" {s['state']} [{'unitary' if s['unitary'] else 'renormalized'}]"),
+    "reconstruct": (_reconstruct, "samples", lambda s: f" (p_one {s['p_one']!r})"),
+    "eval": (_eval,),
+    "super": (_super,),
     "check-past": (_check_past,),
-    "feasible": (_feasible, (_quote, _quote, *_FEASIBILITY)),
+    "feasible": (_feasible,),
 }
 
 
@@ -588,7 +582,7 @@ def _text_report(report: Report) -> str:
     if report.steps:
         lines.append("steps:")
         for step in report.steps:
-            _, key, head, _ = _ITEMS[step["kind"]]
+            _, key, head = _ITEMS[step["kind"]]
             lines.append(f"  {step['index']} (line {step['line']}) {step['kind']}{head(step)}")
             lines += step[key].text()
     if report.valuations:
@@ -619,11 +613,11 @@ def _json_report(report: Report) -> str:
     for name, entries in lists:
         sep = f',\n  "{name}": ['
         for entry in entries:
-            item = _ITEMS[entry.get("kind", "feasible")]  # a feasibility entry names no kind
-            out.append(f"{sep}\n    {_json_open(entry, item[-1])}")
-            if len(item) > 2:  # a step: its rows follow its fields
-                out.append(f',\n      "{item[1]}": ')
-                entry[item[1]].json("\n      ", out)
+            rows = _ITEMS[entry["kind"]][1] if name == "steps" else None
+            out.append(sep + "\n    " + _json_open(entry, "\n    ", rows))
+            if rows:  # a step's rows follow its other fields
+                out.append(f',\n      "{rows}": ')
+                entry[rows].json("\n      ", out)
             out.append("\n    }")
             sep = ","
         out.append("\n  ]" if entries else f',\n  "{name}": []')
@@ -641,13 +635,14 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     The JSON schema is stable and versioned: top-level keys are schema,
     seed, tolerance, p_one, steps, valuations, feasibility, violations,
     checks_run and ledger. Gaps render as the string "0/0" in both formats.
-    Each item kind's JSON comes from its entry in _ITEMS and each row
-    kind's from its view. For a report that run_scenario returns the bytes
+    An entry's JSON is its dict, every field written by its value's type
+    (str, int, bool, float, or a dict of these), and each row kind's JSON
+    comes from its view. For a report that run_scenario returns the bytes
     equal ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
     with each view as the list of dicts it stands for; a report whose rows
-    are not views, or whose step or entry dicts have another shape, is not
-    supported. A non-finite tolerance or p_one raises ValueError, as it does
-    there.
+    are not views or not a step's last field, or whose entries hold values
+    of other types, is not supported. A non-finite tolerance or p_one
+    raises ValueError, as it does there.
     """
     if format == "json":
         return _json_report(report).encode("utf-8")

@@ -439,11 +439,6 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(tuple(items))
 
 
-def _at(item: ScenarioItem) -> str:
-    """The line:column prefix of an error in item."""
-    return f"{item.line}:{item.col}:"
-
-
 def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[object, ...]:
     """Resolve every name of a parsed scenario and build its values at tol.
 
@@ -452,57 +447,56 @@ def compile_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> tuple[obje
     the operands of a step or query in _USES order (an evolve's Operator
     last), else None.
     Raises SvqError unless tol is a finite number in (0, 1). Otherwise the
-    first error in source order is raised with the item's line:column:
-    UnknownIdentifier, DuplicateIdentifier, DimensionMismatch,
-    BadProbability, an SvqError from make_state or span_subspace with its
-    type, or a ValueError (a non-finite entry) as a plain SvqError.
+    first error in source order is raised, and one except clause prefixes
+    it with the item's line:column: UnknownIdentifier, DuplicateIdentifier,
+    DimensionMismatch, BadProbability, an SvqError from make_state or
+    span_subspace with its type, or a ValueError (a non-finite entry) as a
+    plain SvqError.
     """
     if not is_valid_tol(tol):
         raise SvqError(f"tol must be a finite number in (0, 1), got {tol!r}")
     table: dict[str, tuple[str, object]] = {}  # name -> (what it denotes, its value)
     dim: int | None = None
 
-    def resolve(name: str, what: str, item: ScenarioItem) -> object:
+    def resolve(name: str, what: str) -> object:
         denotes, value = table.get(name, (None, None))
         if denotes != what:
-            raise UnknownIdentifier(f"{_at(item)} no {what} named {name!r}")
+            raise UnknownIdentifier(f"no {what} named {name!r}")
         return value
 
-    values: list[object] = []
-    for item in scenario.items:
-        kind = type(item)
-        if kind in _DECLARES and item.name in table:
-            raise DuplicateIdentifier(f"{_at(item)} {item.name!r} is already declared")
-        uses = _USES.get(kind)
-        value = tuple([resolve(getattr(item, a), what, item) for a, what in uses]) if uses else None
-        lengths: tuple[int, ...] = ()
-        if kind is StateDecl:
-            lengths = (len(item.components),)
-        elif kind is PropDecl:
-            lengths = tuple(map(len, item.vectors))
-        elif kind is EvolveStep:
-            lengths = (len(item.matrix), *map(len, item.matrix))
-        elif kind is FormulaDecl:
-            value = (item.body, formula_atoms(item.body))
-            for atom in value[1]:
-                resolve(atom, "proposition", item)
-        elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
-            raise BadProbability(f"{_at(item)} p must lie in [0, 1], got {item.p_one!r}")
+    def check_dim(*lengths: int) -> None:
+        nonlocal dim
         for length in lengths:
             if dim is None:
                 dim = length
             elif length != dim:
-                raise DimensionMismatch(f"{_at(item)} dimension {length} conflicts with scenario dimension {dim}")
+                raise DimensionMismatch(f"dimension {length} conflicts with scenario dimension {dim}")
+
+    values: list[object] = []
+    for item in scenario.items:
+        kind = type(item)
         try:
+            if kind in _DECLARES and item.name in table:
+                raise DuplicateIdentifier(f"{item.name!r} is already declared")
+            value = tuple([resolve(getattr(item, a), what) for a, what in _USES[kind]]) or None
             if kind is StateDecl:
+                check_dim(len(item.components))
                 value = make_state(item.components, tol)
             elif kind is PropDecl:
+                check_dim(*map(len, item.vectors))
                 value = span_subspace(item.vectors, dim, tol)
             elif kind is EvolveStep:
+                check_dim(len(item.matrix), *map(len, item.matrix))
                 value = (*value, Operator(item.matrix))
+            elif kind is FormulaDecl:
+                value = (item.body, formula_atoms(item.body))
+                for atom in value[1]:
+                    resolve(atom, "proposition")
+            elif kind is ReconstructStep and item.p_one is not None and not 0.0 <= item.p_one <= 1.0:
+                raise BadProbability(f"p must lie in [0, 1], got {item.p_one!r}")
         except (SvqError, ValueError) as err:
             cls = type(err) if isinstance(err, SvqError) else SvqError
-            raise cls(f"{_at(item)} {err}") from err
+            raise cls(f"{item.line}:{item.col}: {err}") from err
         if kind in _DECLARES:
             table[item.name] = (_DECLARES[kind], value)
         values.append(value)

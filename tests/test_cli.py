@@ -52,6 +52,20 @@ def test_check_reports_syntax_position(tmp_path, capsys):
     assert "1:17" in err
 
 
+@pytest.mark.parametrize("command", ["run", "eval", "check"])
+def test_a_utf8_byte_order_mark_changes_nothing(scenario_dir, tmp_path, capsys, monkeypatch, command):
+    # Some editors start a UTF-8 file with EF BB BF; the copy keeps the
+    # file name, so check's "<file>: ok" line is the same too.
+    (tmp_path / "clone_z.svq").write_bytes(b"\xef\xbb\xbf" + (scenario_dir / "clone_z.svq").read_bytes())
+    results = []
+    for directory in (scenario_dir, tmp_path):
+        monkeypatch.chdir(directory)
+        code = main([command, "clone_z.svq", "--seed", "3"])
+        results.append((code, capsys.readouterr().out))
+    assert results[0] == results[1]
+    assert results[0][0] == (1 if command == "run" else 0)
+
+
 def test_missing_file(capsys):
     code = main(["run", "does-not-exist.svq"])
     assert code == 2

@@ -23,6 +23,7 @@ from svq.lattice import membership
 
 from conftest import SCENARIO_DIR
 from json_oracle import _json_text
+from report_oracle import plain_payload
 from test_compile import outcome, reference_run_scenario
 
 CLONE_TEXT = """
@@ -423,8 +424,8 @@ def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
 
 
 def test_a_run_builds_its_generator_only_when_a_step_draws(monkeypatch):
-    # A run with no blackhole or reconstruct step never draws, so it never
-    # builds the generator its seed would give.
+    # A run with no blackhole step, and no reconstruct step that lost a key,
+    # never draws, so it never builds the generator its seed would give.
     calls = []
     default_rng = np.random.default_rng
 
@@ -435,6 +436,7 @@ def test_a_run_builds_its_generator_only_when_a_step_draws(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
     quiet = CLONE_HEADER + "record at 0\nclone upsilon -> phi\nrecord at 1\neval phi in Zplus\ncheck-past\n"
     run_text(quiet, seed=6)
+    run_text(NOTHING_LOST, seed=6)
     assert calls == []
     # With draws, the first generator is the run's, and its stream gives the
     # blackhole's sub-seed and then one per lost key, in step order.
@@ -525,6 +527,25 @@ def test_a_run_draws_once_per_p_that_lost_keys(text, p_one, monkeypatch):
     # Each call pays the kernel's fixed cost; a reconstruct that lost no
     # key pays nothing.
     assert calls == list(drawn_per_p(report).items())
+
+
+def test_every_field_a_handler_returns_reaches_the_json(scenario_dir, monkeypatch):
+    # An entry's JSON is its dict, each field written by its value's type, so
+    # a field a handler adds needs no renderer of its own.
+    handler, *rest = runner._ITEMS["blackhole"]
+
+    def blackhole_with_extras(run, item, operands):
+        fields = handler(run, item, operands)
+        transitions = fields.pop("transitions")
+        return {**fields, "entropy": 0.6931471805599453, "evaporated": True, "transitions": transitions}
+
+    monkeypatch.setitem(runner._ITEMS, "blackhole", (blackhole_with_extras, *rest))
+    report = run_scenario(parse_scenario((scenario_dir / "blackhole.svq").read_text(encoding="utf-8")), {"seed": 4})
+    out = emit_report(report, "json")
+    assert out == (_json_text(plain_payload(report)) + "\n").encode()
+    (step,) = (step for step in json.loads(out)["steps"] if step["kind"] == "blackhole")
+    assert list(step)[-3:] == ["entropy", "evaporated", "transitions"]
+    assert (step["entropy"], step["evaporated"]) == (0.6931471805599453, True)
 
 
 # The generic JSON writer that emit_report replaced, kept in json_oracle as

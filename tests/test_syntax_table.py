@@ -253,9 +253,12 @@ def test_reserved_words_come_from_the_table():
 
 def test_the_runner_has_one_entry_per_item_kind():
     assert set(_ITEMS) == set(KIND.values())
-    steps = {kind for kind, entry in _ITEMS.items() if len(entry) > 2}
-    queries = {kind for kind, entry in _ITEMS.items() if len(entry) == 2}
-    assert queries == {KIND[cls] for cls in (EvalQuery, SuperQuery, FeasibleQuery)}
+    # A step's entry holds its handler, rows key and text head; every other
+    # kind's holds its handler alone, since an entry's JSON is its dict.
+    steps = {kind for kind, entry in _ITEMS.items() if len(entry) == 3}
+    others = {kind for kind, entry in _ITEMS.items() if len(entry) == 1}
+    assert steps | others == set(_ITEMS)
+    assert {KIND[cls] for cls in (EvalQuery, SuperQuery, FeasibleQuery)} <= others
     step_classes = (RecordStep, CloneStep, UncloneStep, BlackholeStep, EvolveStep, ReconstructStep)
     assert steps == {KIND[cls] for cls in step_classes}
     assert {cls for cls in KIND if cls.__name__.endswith("Step")} == set(step_classes)
