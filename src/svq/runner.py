@@ -73,14 +73,13 @@ from collections.abc import Sequence
 from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
 from ._value import Value
 from .dynamics import check_cloner_feasibility, blackhole_evaporate, sample_past_reconstruction
-from .errors import BadProbability, NotCloneShape, StepError, SvqError
+from .errors import NotCloneShape, StepError, SvqError
 from .formulas import evaluate_super
 # make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
 from .hilbert import DEFAULT_TOL, Operator, StateVector, apply_operator, is_unitary, is_valid_tol, make_state
@@ -113,7 +112,7 @@ class Report(Value):
     until a check runs) are _Rows views that iterate, index, take len and
     compare equal as the lists of dicts they stand for, and build each dict
     only when read. Unlike the other value types a report is mutable and
-    unhashable."""
+    unhashable. p_one is not a setting: it is the 0.5 a bare reconstruct draws at."""
 
     seed: int
     tolerance: float
@@ -517,35 +516,29 @@ _ITEMS = {
 
 
 def _new_report(overrides: Mapping | None) -> Report:
-    """An empty report carrying the run's seed, tol and p_one: the
-    defaults, under every override that is not None."""
-    settings = {"seed": 0, "tol": DEFAULT_TOL, "p_one": 0.5}
+    """An empty report carrying the run's seed and tol, the defaults under
+    every override that is not None, and the p_one of a bare reconstruct."""
+    settings = {"seed": 0, "tol": DEFAULT_TOL}
     for name, value in (overrides or {}).items():
         if name not in settings:
             raise SvqError(f"unknown override {name!r}")
         if value is not None:
             settings[name] = value
-    seed, tol, p_one = settings["seed"], settings["tol"], settings["p_one"]
+    seed, tol = settings["seed"], settings["tol"]
     if type(seed) is not int or seed < 0:
         raise SvqError(f"seed must be a non-negative integer, got {seed!r}")
-    for name in ("tol", "p_one"):
-        if isinstance(settings[name], bool) or not isinstance(settings[name], Real):
-            raise SvqError(f"{name} must be a real number, got {settings[name]!r}")
-    if not 0.0 <= p_one <= 1.0:
-        raise BadProbability(f"p_one must lie in [0, 1], got {p_one!r}")
     # compile_scenario rejects an invalid tol, and a valid one that is 0.0 as a float.
-    return Report(seed=seed, tolerance=float(tol) if is_valid_tol(tol) else tol, p_one=float(p_one))
+    return Report(seed=seed, tolerance=float(tol) if is_valid_tol(tol) else tol, p_one=0.5)
 
 
 def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report:
     """Execute a parsed scenario and return its report.
 
-    overrides may set seed (an int >= 0), tol (a real number in (0, 1),
-    also as a float) and p_one (a real number in [0, 1]); tol and p_one
-    are stored as floats, and bool is not a number here. Each is checked,
-    and the scenario compiled at tol, before the first step. Errors raised
-    by a step or query, SvqError or ValueError, are re-raised as StepError
-    carrying the item's index (1-based) and source line.
+    overrides may set seed (an int >= 0) and tol (a real number in (0, 1),
+    stored as a float), and nothing else; None keeps the default. Both are
+    checked, and the scenario compiled at tol, before the first step.
+    Errors raised by a step or query, SvqError or ValueError, are re-raised
+    as StepError carrying the item's index (1-based) and source line.
     """
     report = _new_report(overrides)
     compiled = compile_scenario(scenario, report.tolerance)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svq import (
-    BadProbability,
     NotCloneShape,
     StepError,
     SvqError,
@@ -483,23 +482,23 @@ def drawn_per_p(report):
     return totals
 
 
-#: (props, round suffixes, p_one override, bits drawn per p). The totals lie
-#: below, at and above the kernel's _SCALAR_CUTOFF of 8; an override equal
-#: to a step's p puts that step and the default ones in one batch.
+#: (props, round suffixes, bits drawn per p). The totals lie below, at and
+#: above the kernel's _SCALAR_CUTOFF of 8; a bare reconstruct and one at
+#: p 0.5 draw in one batch.
 DEFERRED_DRAWS = {
-    "below": (1, ["", " p 0.25", " p 1"], None, {0.5: 1, 0.25: 2, 1.0: 3}),
-    "at": (2, ["", " p 1", "", " p 0.25"], None, {0.5: 8, 1.0: 4, 0.25: 8}),
-    "above": (4, ["", " p 0.25", " p 1", "", " p 0.25"], None, {0.5: 20, 0.25: 28, 1.0: 12}),
-    "merged": (1, ["", " p 0.25", " p 1", ""], 0.25, {0.25: 7, 1.0: 3}),
+    "below": (1, ["", " p 0.25", " p 1"], {0.5: 1, 0.25: 2, 1.0: 3}),
+    "at": (2, ["", " p 1", "", " p 0.25"], {0.5: 8, 1.0: 4, 0.25: 8}),
+    "above": (4, ["", " p 0.25", " p 1", "", " p 0.25"], {0.5: 20, 0.25: 28, 1.0: 12}),
+    "merged": (1, ["", " p 0.5", " p 1", ""], {0.5: 7, 1.0: 3}),
 }
 
 
 @pytest.mark.parametrize("seed", [0, 11])
 @pytest.mark.parametrize("case", DEFERRED_DRAWS)
 def test_bits_drawn_per_run_match_those_drawn_per_step(case, seed):
-    props, rounds, p_one, totals = DEFERRED_DRAWS[case]
+    props, rounds, totals = DEFERRED_DRAWS[case]
     scenario = parse_scenario(reconstruct_rounds(props, rounds))
-    overrides = {"seed": seed, "p_one": p_one}
+    overrides = {"seed": seed}
     report = reference_run_scenario(scenario, overrides)
     assert drawn_per_p(report) == totals
     assert 0 < len(report.violations) < len(check_past_unalterability(report.ledger))
@@ -510,12 +509,12 @@ NOTHING_LOST = "state up = [1, 0]\nprop Z = span([1, 0])\nrecord at 0\nreconstru
 
 
 @pytest.mark.parametrize(
-    "text, p_one",
-    [(reconstruct_rounds(*DEFERRED_DRAWS[case][:2]), DEFERRED_DRAWS[case][2]) for case in DEFERRED_DRAWS]
-    + [(NOTHING_LOST, None), (CLONE_TEXT, None), (CLONE_TEXT, 1.0)],
+    "text",
+    [reconstruct_rounds(*DEFERRED_DRAWS[case][:2]) for case in DEFERRED_DRAWS]
+    + [NOTHING_LOST, CLONE_TEXT, CLONE_TEXT.replace("reconstruct", "reconstruct p 1")],
     ids=[*DEFERRED_DRAWS, "nothing-lost", "clone", "clone-p1"],
 )
-def test_a_run_draws_once_per_p_that_lost_keys(text, p_one, monkeypatch):
+def test_a_run_draws_once_per_p_that_lost_keys(text, monkeypatch):
     calls = []
 
     def counting_draw(p, seeds):
@@ -523,7 +522,7 @@ def test_a_run_draws_once_per_p_that_lost_keys(text, p_one, monkeypatch):
         return sample_past_reconstruction(p, seeds)
 
     monkeypatch.setattr(runner, "sample_past_reconstruction", counting_draw)
-    report = run_text(text, p_one=p_one)
+    report = run_text(text)
     # Each call pays the kernel's fixed cost; a reconstruct that lost no
     # key pays nothing.
     assert calls == list(drawn_per_p(report).items())
@@ -682,29 +681,31 @@ INSIDE_Z = "state up = [1, 0]\nprop Z = span([1, 0])\nrecord at 0\nreconstruct\n
 @pytest.mark.parametrize(
     "tol",
     [float("nan"), -1.0, 0.0, 1.0, float("inf"), pytest.param(10**400, id="10**400"), Fraction(10**400, 3),
-     pytest.param(Fraction(1, 10**400), id="0.0 as a float")],
+     pytest.param(Fraction(1, 10**400), id="0.0 as a float"), "0.1", True, pytest.param([0.1], id="[0.1]")],
 )
 def test_run_rejects_a_tolerance_outside_the_open_unit_interval(tol):
     # A NaN or negative tol used to record "present Z @0 = 0/0" here; 10**400
-    # and Fraction(10**400, 3) raised a bare OverflowError, and Fraction(1,
-    # 10**400), inside (0, 1) exactly, ran.
+    # and Fraction(10**400, 3) raised a bare OverflowError, Fraction(1,
+    # 10**400), inside (0, 1) exactly, ran, and "0.1" raised a bare TypeError.
     with pytest.raises(SvqError, match="tol") as info:
         run_text(INSIDE_Z, tol=tol)
     assert not isinstance(info.value, StepError)
 
 
-@pytest.mark.parametrize("p_one", [1.5, -3, float("nan")])
-def test_run_rejects_p_one_outside_the_unit_interval_with_no_key_lost(p_one):
-    # With no key lost the bad value used to reach the report header.
-    with pytest.raises(BadProbability):
-        run_text(INSIDE_Z, p_one=p_one)
-
-
 def test_run_accepts_boundary_overrides():
-    report = run_text(INSIDE_Z, tol=1e-6, p_one=1)
-    assert (report.tolerance, report.p_one) == (1e-6, 1)
+    report = run_text(INSIDE_Z, tol=1e-6)
+    assert (report.tolerance, report.p_one) == (1e-6, 0.5)
     assert report.steps[0]["recorded"] == [{"prop": "Z", "at": 0, "truth": "1", "tense": "present"}]
-    assert run_text(INSIDE_Z, p_one=0.0).p_one == 0.0
+
+
+def test_run_rejects_a_p_one_override_before_the_first_step():
+    # A reconstruction's p is set per step, not per run.
+    scenario = parse_scenario("state up = [1, 0]\nstate down = [0, 1]\nunclone up blank down\n")
+    with pytest.raises(StepError):
+        run_scenario(scenario)
+    with pytest.raises(SvqError, match="^unknown override 'p_one'$") as info:
+        run_scenario(scenario, {"p_one": 0.25})
+    assert not isinstance(info.value, StepError)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
@@ -713,25 +714,6 @@ def test_run_rejects_a_seed_that_is_not_a_non_negative_int(seed):
     with pytest.raises(SvqError, match="seed") as info:
         run_text(INSIDE_Z, seed=seed)
     assert not isinstance(info.value, StepError)
-
-
-@pytest.mark.parametrize(
-    "name, value",
-    [("tol", "0.1"), ("tol", True), ("tol", [0.1]), ("p_one", "x"), ("p_one", True), ("p_one", 1j)],
-)
-def test_run_rejects_a_tol_or_p_one_that_is_not_a_real_number(name, value):
-    # "0.1" and "x" used to raise a bare TypeError, and p_one=True was
-    # accepted and printed as "p_one=True".
-    with pytest.raises(SvqError, match=f"^{name} must be a real number") as info:
-        run_text(INSIDE_Z, **{name: value})
-    assert not isinstance(info.value, StepError)
-
-
-def test_p_one_is_stored_as_a_float():
-    report = run_text(INSIDE_Z, p_one=1)
-    assert type(report.p_one) is float
-    assert "p_one=1.0)" in emit_report(report, "text").decode().splitlines()[0]
-    assert run_text(INSIDE_Z, p_one=np.float32(0.25)).p_one == 0.25
 
 
 def test_tol_is_stored_as_a_float():
