@@ -4,9 +4,13 @@ A formula whose atoms all carry determinate values is evaluated classically.
 With gap atoms it is TRUE when classically true under every Boolean
 completion of them, FALSE when false under all, and GAP otherwise.
 Classical tautologies therefore stay true no matter how many atoms have
-gaps. All 2^k completions of k gap atoms are evaluated in one bit-parallel
-pass: each atom is bound to a Python int holding one bit lane per
-completion, and the formula is evaluated once with ``&``, ``|`` and ``~``.
+gaps. Completions are evaluated bit-parallel: each atom is bound to a
+Python int holding one bit lane per completion, and the formula is
+evaluated once with ``&``, ``|`` and ``~``. A first 2-lane pass evaluates
+the completions that make every gap atom false and every gap atom true; when
+they disagree the formula is a gap, and otherwise one pass over all 2^k
+completions of k gap atoms decides. That pass's gap lanes are built by
+shift and xor from the upper half of the lanes.
 
 Completions treat gap atoms as independent Booleans; no compatibility
 constraints between atoms are imposed.
@@ -118,28 +122,24 @@ def evaluate_classical(f: Formula, assignment: Mapping[str, bool | int]) -> bool
 
 def _gap_columns(k: int) -> list[int]:
     """Lane patterns for k gap atoms over 2^k lanes: bit j of column i is
-    bit i of j, so lane j holds the completion numbered j."""
+    bit i of j, so lane j holds the completion numbered j. Column k-1 is the
+    upper half of the lanes, and column i is c ^ (c >> 2**i) for c column i+1."""
     lanes = 1 << k
-    nbytes = max(1, lanes // 8)
-    full = (1 << lanes) - 1
-    columns = []
-    for i in range(k):
-        if i < 3:
-            pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1])
-        else:
-            half = 1 << (i - 3)
-            pattern = b"\x00" * half + b"\xff" * half
-        column = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
-        columns.append(column & full)
-    return columns
+    columns = [(1 << lanes) - (1 << lanes // 2)] if k else []
+    for i in reversed(range(k - 1)):
+        columns.append(columns[-1] ^ columns[-1] >> (1 << i))
+    return columns[::-1]
 
 
 def evaluate_super(f: Formula, atomics: Mapping[str, TruthValue]) -> TruthValue:
     """Supervaluational truth value of a formula under a gappy valuation.
 
-    The formula is evaluated once over all 2^k completions of its k gap
-    atoms, one bit lane per completion: TRUE when every lane is true, FALSE
-    when none is, GAP otherwise.
+    Two completions are evaluated first, in one 2-lane pass: lane 0 makes
+    every gap atom false and lane 1 every gap atom true. If they disagree the
+    formula is a GAP; with at most one gap atom they are every completion.
+    Otherwise the formula is evaluated once over all 2^k completions of its
+    k gap atoms, one bit lane per completion: TRUE when every lane is true,
+    FALSE when none is, GAP otherwise.
 
     Raises UnknownAtom when a leaf is missing from atomics, and
     PrecisificationBlowup, before evaluating anything, when the number of
@@ -154,12 +154,15 @@ def evaluate_super(f: Formula, atomics: Mapping[str, TruthValue]) -> TruthValue:
         raise PrecisificationBlowup(
             f"{len(gaps)} gap atoms exceed the completion cap of {GAP_CAP}"
         )
-    full = (1 << (1 << len(gaps))) - 1
-    assignment = {
-        n: full if atomics[n] is TruthValue.TRUE else 0 for n in names if atomics[n].is_determinate
-    }
-    assignment.update(zip(gaps, _gap_columns(len(gaps))))
+    # -1 has every lane set, however many lanes a pass has.
+    assignment = {n: -1 if atomics[n] is TruthValue.TRUE else 0 for n in names if atomics[n].is_determinate}
+    assignment.update(dict.fromkeys(gaps, 0b10))
+    full = 0b11
     lanes = evaluate_classical(f, assignment) & full
+    if len(gaps) > 1 and (lanes == 0 or lanes == full):
+        full = (1 << (1 << len(gaps))) - 1
+        assignment.update(zip(gaps, _gap_columns(len(gaps))))
+        lanes = evaluate_classical(f, assignment) & full
     if lanes == full:
         return TruthValue.TRUE
     return TruthValue.FALSE if lanes == 0 else TruthValue.GAP

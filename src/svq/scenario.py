@@ -165,13 +165,16 @@ KIND = {cls: keyword for keyword, (cls, _) in SYNTAX.items()}
 #: One alternative per token kind, tried in order, then the whitespace and
 #: comments after the token. In a str pattern \d is str.isdecimal and \w is
 #: isalnum() or "_", the lexical rules the module docstring states. finditer
-#: searches, so "error" takes any character that starts no token.
+#: searches, so "error" takes any character that starts no token. A number's
+#: mantissa is scanned once, by a lookahead, which never backtracks; "imag",
+#: "float" (a mantissa with a fraction or exponent, group "real") and "int"
+#: then match it by backreference. Python 3.10 has no atomic groups or
+#: possessive repeats, the other ways to forbid the rescan.
 _SKIP = r"(?:[ \t\r\n]|#[^\n]*)*"
 _TOKEN_PATTERN = re.compile(
     r"(?:(?P<punct>check-past(?![\w-])|->|[\[\](),=/+-])"
-    r"|(?P<imag>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?i(?!\w))"
-    r"|(?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))"
-    r"|(?P<int>\d+)"
+    r"|(?=(?P<mantissa>\d+(?P<real>\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)?))"
+    r"(?:(?P<imag>(?P=mantissa)i(?!\w))|(?(real)(?P<float>(?P=mantissa))|(?P<int>(?P=mantissa))))"
     r"|(?P<word>\w+)"
     r"|(?P<error>[\s\S]))" + _SKIP
 )
@@ -285,24 +288,24 @@ class _Parser:
     # numbers and values --------------------------------------------------
 
     def _parse_signed_part(self) -> tuple[float, bool]:
-        negate = self.accept("-")
-        if not negate:
-            self.accept("+")
-        pos = self.pos
-        kind = self.kinds[pos]
+        kinds, lexemes, pos = self.kinds, self.lexemes, self.pos
+        negate = lexemes[pos] == "-"
+        if negate or lexemes[pos] == "+":
+            pos += 1
+        kind = kinds[pos]
+        self.pos = pos + 1
         if kind == "imag":
-            self.pos = pos + 1
-            value = float(self.lexemes[pos][:-1])
+            value = float(lexemes[pos][:-1])
             return (-value if negate else value, True)
         if kind != "int" and kind != "float":
+            self.pos = pos
             raise self.unexpected("number")
-        self.pos = pos + 1
-        value = float(self.lexemes[pos])  # an integer too large for a float is inf
+        value = float(lexemes[pos])  # an integer too large for a float is inf
         if kind == "int" and self.accept("/"):
             den = self.pos
-            if self.kinds[den] == "int":
+            if kinds[den] == "int":
                 self.pos = den + 1
-                denominator = float(self.lexemes[den])
+                denominator = float(lexemes[den])
                 if denominator == 0:
                     raise self.error(den, "zero denominator")
                 value /= denominator
@@ -310,7 +313,7 @@ class _Parser:
                 self.expect("(", "'('")
                 arg = self.expect_kind(("int",), "integer")
                 self.expect(")", "')'")
-                radicand = float(self.lexemes[arg])
+                radicand = float(lexemes[arg])
                 if radicand == 0:
                     raise self.error(arg, "zero under sqrt")
                 value /= math.sqrt(radicand)
@@ -324,11 +327,11 @@ class _Parser:
         value, is_imag = self._parse_signed_part()
         if is_imag:
             return complex(0.0, value)
-        pos = self.pos
-        sign = self.lexemes[pos]
-        if (sign == "+" or sign == "-") and self.kinds[pos + 1] == "imag":
+        kinds, lexemes, pos = self.kinds, self.lexemes, self.pos
+        sign = lexemes[pos]
+        if (sign == "+" or sign == "-") and kinds[pos + 1] == "imag":
             self.pos = pos + 2
-            imag = float(self.lexemes[pos + 1][:-1])
+            imag = float(lexemes[pos + 1][:-1])
             return complex(value, imag if sign == "+" else -imag)
         return complex(value, 0.0)
 

@@ -19,7 +19,7 @@ from svq import (
     evaluate_super,
     formula_atoms,
 )
-from svq.formulas import GAP_CAP
+from svq.formulas import GAP_CAP, _gap_columns
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
 
@@ -82,6 +82,94 @@ def reference_evaluate_super(f, atomics, cap=None):
         if len(outcomes) == 2:
             return TruthValue.GAP
     return from_bool(outcomes.pop())
+
+
+def reference_gap_columns(k):
+    """The byte-pattern lanes that the shift-xor recurrence replaced."""
+    lanes = 1 << k
+    nbytes = max(1, lanes // 8)
+    full = (1 << lanes) - 1
+    columns = []
+    for i in range(k):
+        if i < 3:
+            pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1])
+        else:
+            half = 1 << (i - 3)
+            pattern = b"\x00" * half + b"\xff" * half
+        column = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
+        columns.append(column & full)
+    return columns
+
+
+def test_gap_columns_match_the_byte_pattern_oracle():
+    for k in range(GAP_CAP + 1):
+        assert _gap_columns(k) == reference_gap_columns(k), k
+
+
+@pytest.fixture
+def classical_calls(monkeypatch):
+    """Counts the evaluate_classical calls that evaluate_super makes."""
+    calls = []
+
+    def counted(f, assignment):
+        calls.append(f)
+        return evaluate_classical(f, assignment)
+
+    monkeypatch.setattr("svq.formulas.evaluate_classical", counted)
+    return calls
+
+
+def _chain(op, atoms):
+    f = atoms[0]
+    for a in atoms[1:]:
+        f = op(f, a)
+    return f
+
+
+A, B = Atom("A"), Atom("B")
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        And(Implies(A, B), Implies(B, A)),  # FF and TT true, TF false
+        Or(And(A, Not(B)), And(B, Not(A))),  # FF and TT false, TF true
+        Implies(A, B),
+        Not(And(Implies(A, B), Implies(B, A))),
+    ],
+)
+def test_a_gap_that_the_two_extreme_completions_miss_is_still_a_gap(f, classical_calls):
+    assert evaluate_super(f, {"A": G, "B": G}) is G
+    assert len(classical_calls) == 2
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, GAP_CAP])
+def test_uniform_formulas_read_true_and_false_at_every_gap_count(k, classical_calls):
+    gaps = [Atom(f"G{i}") for i in range(k)]
+    d = Atom("D")
+    atomics = {"D": T, **{a.name: G for a in gaps}}
+    tautology = Implies(_chain(And, [d, *gaps]), gaps[-1] if gaps else d)
+    assert evaluate_super(tautology, atomics) is T
+    assert evaluate_super(Not(tautology), atomics) is F
+    # The two-completion probe is the whole answer up to one gap atom.
+    assert len(classical_calls) == (2 if k <= 1 else 4)
+
+
+def test_a_gap_the_probe_finds_takes_one_pass(classical_calls):
+    atoms = [Atom(f"A{i}") for i in range(GAP_CAP)]
+    atomics = {a.name: G for a in atoms}
+    assert evaluate_super(_chain(And, atoms), atomics) is G
+    assert evaluate_super(_chain(Or, atoms), atomics) is G
+    assert len(classical_calls) == 2
+
+
+def test_errors_are_raised_before_anything_is_evaluated(classical_calls):
+    with pytest.raises(UnknownAtom):
+        evaluate_super(Or(A, Atom("missing")), {"A": G})
+    atoms = [Atom(f"A{i}") for i in range(GAP_CAP + 1)]
+    with pytest.raises(PrecisificationBlowup):
+        evaluate_super(_chain(Or, atoms), {a.name: G for a in atoms})
+    assert classical_calls == []
 
 
 def test_excluded_middle_survives_a_gap():

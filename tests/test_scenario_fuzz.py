@@ -182,6 +182,9 @@ def lexed(tokenize, text):
 @example("1i 1ix 1i2 1.e5 1.5e 1e+ 2E-3i a\u00b2 _\u00bd \u0663.\u0665e\u0661i #\r\n\t x")
 @example("a \u00b2a")
 @example("1\u00bd")
+@example("0.5-0.25i 1.5e3i 1ei 1e5x 12i3")  # the edges of a mantissa read once
+@example("3.i")
+@example("12345678901234567+1 12345678901234567-1i 12345678901234567i 1.2345678901234567e+17i")
 def test_lexer_matches_the_reference(text):
     assert lexed(columns, text) == lexed(reference_tokenize, text)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from svq import (
     parse_scenario,
 )
 from svq.scenario import (
+    _TOKEN_PATTERN,
     MAX_FORMULA_NESTING,
     BlackholeStep,
     CheckPastQuery,
@@ -39,6 +41,11 @@ from svq.scenario import (
 )
 
 from scenario_strategies import formula_texts, formula_trees
+
+try:
+    from re import _parser as sre_parse
+except ImportError:  # Python 3.10
+    import sre_parse
 
 ATOMS = ("A", "B", "C")
 STEPS = (RecordStep, CloneStep, UncloneStep, BlackholeStep, EvolveStep, ReconstructStep)
@@ -305,6 +312,29 @@ def test_arabic_indic_digits_are_decimal_numbers():
     s = parse_scenario("state s = [\u0661, \u0660]\nprop P = span([\u0660.\u0665, \u0661e\u0660])")
     assert s.items[0].components == (1 + 0j, 0j)
     assert s.items[1].vectors == ((0.5 + 0j, 1 + 0j),)
+
+
+#: Regex syntax newer than Python 3.10, the floor pyproject.toml declares.
+NEWER_THAN_3_10 = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def opcode_names(node):
+    """The name of every opcode in a parsed pattern, nested ones included."""
+    if isinstance(node, sre_parse.SubPattern):
+        for op, av in node:
+            yield op.name
+            yield from opcode_names(av)
+    elif isinstance(node, (list, tuple)):
+        for child in node:
+            yield from opcode_names(child)
+
+
+def test_the_token_pattern_needs_nothing_newer_than_python_3_10():
+    names = set(opcode_names(sre_parse.parse(_TOKEN_PATTERN.pattern)))
+    assert "GROUPREF_EXISTS" in names  # the walk reaches the number alternatives
+    assert not names & NEWER_THAN_3_10
+    if sys.version_info >= (3, 11):
+        assert set(opcode_names(sre_parse.parse(r"(?:a|(b++))(?>c)"))) >= NEWER_THAN_3_10
 
 
 @pytest.mark.parametrize(
