@@ -51,16 +51,20 @@ step or query first needs it and kept. A record or transition reads the
 system's row for every declared prop, an ``eval`` its state's row for its
 prop, and a ``super`` the system's row for its formula's atoms, so
 ``membership`` runs at most once per (state, prop) in a run. It is pure and
-states are immutable, so the row is exact. Rows are kept, by object
-identity, for the declared states and for the current system only: the
-output of a ``blackhole`` or ``evolve`` step loses its row, and is freed,
-once the system moves on.
+states are immutable, so the row is exact. A row holds truths, whose text
+is taken where a transition, ``eval`` or ``super`` entry is written. Rows
+are kept, by object identity, for the declared states and for the current
+system only: the output of a ``blackhole`` or ``evolve`` step loses its
+row, and is freed, once the system moves on.
 
 The report keeps each row once, in a read-only view of its row kind: a
 record step keeps the range of ledger rows it appended, a reconstruct step
 its range and sub-seeds, any other step its (prop, before, after) tuples,
 and the violations are the audit's tuples. A view reads as the list of
-dicts it stands for and renders itself, as text lines and as JSON.
+dicts it stands for and renders itself, as text lines and as JSON. The
+run gathers the report's steps, valuations, feasibility entries and check
+count, and run_scenario builds the report from them once, after the last
+step, as a frozen value.
 
 Reports are deterministic for a fixed scenario, seed and tolerance;
 sub-seeds for random steps are drawn from a single generator seeded with
@@ -108,31 +112,21 @@ from .scenario import (
 
 class Report(Value):
     """Everything a run produced, in emission-ready data: plain lists and
-    dicts, except that each step's rows and the violations (an empty view
-    until a check runs) are _Rows views that iterate, index, take len and
-    compare equal as the lists of dicts they stand for, and build each dict
-    only when read. Unlike the other value types a report is mutable and
-    unhashable. p_one is not a setting: it is the 0.5 a bare reconstruct draws at."""
+    dicts, except that each step's rows and the violations (empty unless a
+    check ran) are _Rows views that iterate, index, take len and compare
+    equal as the lists of dicts they stand for, and build each dict only
+    when read. run_scenario builds it once, after the run's last step.
+    p_one is not a field: it is the 0.5 a bare reconstruct draws at."""
 
     seed: int
     tolerance: float
-    p_one: float
     steps: list[dict]
     valuations: list[dict]
     feasibility: list[dict]
     violations: Sequence[dict]
     checks_run: int
     ledger: Ledger
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, seed, tolerance, p_one, steps=None, valuations=None, feasibility=None, violations=None,
-                 checks_run=0, ledger=None):
-        self.seed, self.tolerance, self.p_one, self.checks_run = seed, tolerance, p_one, checks_run
-        self.steps = [] if steps is None else steps
-        self.valuations = [] if valuations is None else valuations
-        self.feasibility = [] if feasibility is None else feasibility
-        self.violations = _ViolationRows(()) if violations is None else violations
-        self.ledger = Ledger() if ledger is None else ledger
+    p_one = 0.5
 
     @property
     def has_violations(self) -> bool:
@@ -274,16 +268,16 @@ class _ViolationRows(_Rows):
 _GAP, _FALSE = TruthValue.GAP, TruthValue.FALSE
 _BITS = (_FALSE, TruthValue.TRUE)
 
-#: A valuation row: prop -> (truth, str(truth)), for the props evaluated so far, in the order first asked.
-_Row = dict[str, tuple[TruthValue, str]]
+#: A valuation row: prop -> truth, for the props evaluated so far, in the order first asked.
+_Row = dict[str, TruthValue]
 
 
 class _Run:
-    """The bindings and history of one run, which the handlers update."""
+    """The bindings, history and report entries of one run, which the handlers update."""
 
-    def __init__(self, report: Report):
-        self.report = report
-        self.tol = report.tolerance
+    def __init__(self, seed: int, tol: float):
+        self.seed, self.tol, self.checks_run = seed, tol, 0
+        self.steps, self.valuations, self.feasibility = [], [], []  # the report's entry lists
         self.props: dict[str, Subspace] = {}  # every prop declared so far, in order
         self.system: StateVector | None = None
         self.rows: dict[int, tuple[StateVector, _Row]] = {}  # id(declared state) -> it and its row
@@ -300,7 +294,7 @@ class _Run:
     @cached_property
     def rng(self) -> np.random.Generator:
         """The run's generator, built when a blackhole or reconstruct step first draws."""
-        return np.random.default_rng(self.report.seed)
+        return np.random.default_rng(self.seed)
 
     def row(self, state: StateVector, pids=None) -> _Row:
         """The valuation row of a declared state or of the system, holding
@@ -314,8 +308,7 @@ class _Run:
         row, props = entry[1], self.props
         for pid in props if pids is None else pids:
             if pid not in row:
-                tv = membership(state, props[pid], self.tol)
-                row[pid] = tv, str(tv)
+                row[pid] = membership(state, props[pid], self.tol)
         return row
 
     def move(self, system: StateVector) -> _TransitionRows:
@@ -324,7 +317,7 @@ class _Run:
         self.system = system
         if self.loose is not None and self.loose[0] is not system:
             self.loose = None  # the replaced system was undeclared: free it
-        return _TransitionRows([(pid, old[pid][1], new[pid][1]) for pid in self.props])
+        return _TransitionRows([(pid, old[pid]._value_, new[pid]._value_) for pid in self.props])
 
     def mark_lost(self) -> None:
         for key, determinate in self.recorded.items():
@@ -346,23 +339,28 @@ def _feasibility_entry(feas) -> dict:
     }
 
 
-#: How _json_open writes a field's value other than a dict, by its type, as json.dumps does.
+#: How _json_entry writes a scalar field value, by its type, as json.dumps does.
 _SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__, float: float.__repr__}
 
 
-def _json_open(entry: dict, newline: str, rows: str | None = None) -> str:
-    """entry, which has a field, as json.dumps(entry, indent=2) writes it but
-    its closing brace and its field rows (a step's last field, which its view
-    writes): each field by its value's type, through _SCALARS or, for a dict,
-    this function. newline is "\\n" and the indentation of the brace's line."""
+def _json_entry(entry: dict, newline: str, out: list[str]) -> None:
+    """Append entry, which has a field, as json.dumps(entry, indent=2) writes
+    it: each field by its value's type, a scalar through _SCALARS, a dict
+    through this function and otherwise a view through its json(). newline
+    is "\\n" and the indentation of the brace's line."""
     inner = newline + "  "
-    fields = []
+    sep = "{" + inner
     for key, value in entry.items():
-        if type(value) is dict:
-            fields.append(f",{inner}{_quote(key)}: {_json_open(value, inner)}{inner}}}")
-        elif key != rows:
-            fields.append(f",{inner}{_quote(key)}: {_SCALARS[type(value)](value)}")
-    return "{" + "".join(fields)[1:]
+        out.append(f"{sep}{_quote(key)}: ")
+        write = _SCALARS.get(type(value))
+        if write is not None:
+            out.append(write(value))
+        elif type(value) is dict:
+            _json_entry(value, inner, out)
+        else:
+            value.json(inner, out)
+        sep = "," + inner
+    out.append(newline + "}")
 
 
 # Handlers: each takes the run, the item and what compile_scenario built for
@@ -397,7 +395,7 @@ def _record(run: _Run, item: RecordStep, _) -> dict:
             lost[key] = True
     row = run.row(run.system)
     for pid in run.props:
-        tv = row[pid][0]
+        tv = row[pid]
         led = record_valuation(led, at, pid, tv, at)
         recorded[pid, at] = tv is not _GAP or recorded.get((pid, at), False)
     run.ledger = led
@@ -447,7 +445,7 @@ def _evolve(run: _Run, item: EvolveStep, operands) -> dict:
 
 
 def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
-    p = run.report.p_one if item.p_one is None else item.p_one
+    p = Report.p_one if item.p_one is None else item.p_one
     lost, led = run.lost, run.ledger
     start = len(led)
     sub_seeds = run.rng.integers(0, 2**63, size=len(lost)).tolist() if lost else []
@@ -463,8 +461,8 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
 
 
 def _eval(run: _Run, item: EvalQuery, operands) -> None:
-    truth = run.row(operands[0], (item.prop,))[item.prop][1]
-    run.report.valuations.append({"kind": "eval", "state": item.state, "prop": item.prop, "truth": truth})
+    truth = run.row(operands[0], (item.prop,))[item.prop]._value_
+    run.valuations.append({"kind": "eval", "state": item.state, "prop": item.prop, "truth": truth})
 
 
 def _super(run: _Run, item: SuperQuery, operands) -> None:
@@ -472,28 +470,25 @@ def _super(run: _Run, item: SuperQuery, operands) -> None:
         raise SvqError("super query before any state declaration")
     ((body, atoms),) = operands
     row = run.row(run.system, atoms)
-    tv = evaluate_super(body, {name: row[name][0] for name in atoms})
-    run.report.valuations.append(
-        {"kind": "super", "formula": item.formula, "atoms": {name: row[name][1] for name in atoms}, "truth": str(tv)}
-    )
+    truth = evaluate_super(body, row)._value_
+    texts = {name: row[name]._value_ for name in atoms}
+    run.valuations.append({"kind": "super", "formula": item.formula, "atoms": texts, "truth": truth})
 
 
 def _check_past(run: _Run, item: CheckPastQuery, _) -> None:
-    run.report.checks_run += 1
+    run.checks_run += 1
     run.audited = run.ledger
 
 
 def _feasible(run: _Run, item: FeasibleQuery, operands) -> None:
     feas = check_cloner_feasibility(*operands, run.tol)
-    run.report.feasibility.append(
-        {"first": item.first, "second": item.second, **_feasibility_entry(feas)}
-    )
+    run.feasibility.append({"first": item.first, "second": item.second, **_feasibility_entry(feas)})
 
 
 #: Item kind (scenario.KIND) -> (its handler,); for a step (its handler,
 #: the key of its rows, the text its line shows after its kind). An entry's
-#: JSON is its dict, written by _json_open, and its rows' JSON comes from
-#: their view. Reports and StepErrors name an item by its kind.
+#: JSON is its dict, written by _json_entry, which has each view write its
+#: rows. Reports and StepErrors name an item by its kind.
 _ITEMS = {
     "state": (_state,),
     "prop": (_prop,),
@@ -515,9 +510,8 @@ _ITEMS = {
 }
 
 
-def _new_report(overrides: Mapping | None) -> Report:
-    """An empty report carrying the run's seed and tol, the defaults under
-    every override that is not None, and the p_one of a bare reconstruct."""
+def _settings(overrides: Mapping | None) -> tuple[int, float]:
+    """The run's seed and tol: the defaults under every override that is not None."""
     settings = {"seed": 0, "tol": DEFAULT_TOL}
     for name, value in (overrides or {}).items():
         if name not in settings:
@@ -528,7 +522,7 @@ def _new_report(overrides: Mapping | None) -> Report:
     if type(seed) is not int or seed < 0:
         raise SvqError(f"seed must be a non-negative integer, got {seed!r}")
     # compile_scenario rejects an invalid tol, and a valid one that is 0.0 as a float.
-    return Report(seed=seed, tolerance=float(tol) if is_valid_tol(tol) else tol, p_one=0.5)
+    return seed, float(tol) if is_valid_tol(tol) else tol
 
 
 def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report:
@@ -540,10 +534,10 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     Errors raised by a step or query, SvqError or ValueError, are re-raised
     as StepError carrying the item's index (1-based) and source line.
     """
-    report = _new_report(overrides)
-    compiled = compile_scenario(scenario, report.tolerance)
-    run = _Run(report)
-    steps = report.steps
+    seed, tol = _settings(overrides)
+    compiled = compile_scenario(scenario, tol)
+    run = _Run(seed, tol)
+    steps = run.steps
     for index, (item, operands) in enumerate(zip(scenario.items, compiled), start=1):
         kind = KIND[type(item)]
         try:
@@ -555,10 +549,8 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
 
     for p, (rows, seeds) in run.draws.items():
         _settle_truths(run.ledger, rows, [_BITS[bit] for bit in sample_past_reconstruction(p, seeds)])
-    if report.checks_run:
-        report.violations = _ViolationRows(check_past_unalterability(run.audited))
-    report.ledger = run.ledger
-    return report
+    violations = _ViolationRows(check_past_unalterability(run.audited) if run.checks_run else ())
+    return Report(seed, tol, steps, run.valuations, run.feasibility, violations, run.checks_run, run.ledger)
 
 
 def valuation_line(entry: dict) -> str:
@@ -598,21 +590,17 @@ def _text_report(report: Report) -> str:
 
 
 def _json_report(report: Report) -> str:
-    tol, p_one = float.__repr__(report.tolerance), float.__repr__(report.p_one)
-    if {tol, p_one} & {"nan", "inf", "-inf"}:
-        raise ValueError(f"Out of range float values are not JSON compliant: {tol}, {p_one}")
-    out = [f'{{\n  "schema": 1,\n  "seed": {report.seed},\n  "tolerance": {tol},\n  "p_one": {p_one}']
+    tol = float.__repr__(report.tolerance)
+    if tol in ("nan", "inf", "-inf"):
+        raise ValueError(f"Out of range float values are not JSON compliant: {tol}")
+    out = [f'{{\n  "schema": 1,\n  "seed": {report.seed},\n  "tolerance": {tol},\n  "p_one": {report.p_one!r}']
     lists = ("steps", report.steps), ("valuations", report.valuations), ("feasibility", report.feasibility)
     for name, entries in lists:
-        sep = f',\n  "{name}": ['
+        sep = f',\n  "{name}": [\n    '
         for entry in entries:
-            rows = _ITEMS[entry["kind"]][1] if name == "steps" else None
-            out.append(sep + "\n    " + _json_open(entry, "\n    ", rows))
-            if rows:  # a step's rows follow its other fields
-                out.append(f',\n      "{rows}": ')
-                entry[rows].json("\n      ", out)
-            out.append("\n    }")
-            sep = ","
+            out.append(sep)
+            _json_entry(entry, "\n    ", out)
+            sep = ",\n    "
         out.append("\n  ]" if entries else f',\n  "{name}": []')
     out.append(',\n  "violations": ')
     report.violations.json("\n  ", out)
@@ -629,13 +617,12 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     seed, tolerance, p_one, steps, valuations, feasibility, violations,
     checks_run and ledger. Gaps render as the string "0/0" in both formats.
     An entry's JSON is its dict, every field written by its value's type
-    (str, int, bool, float, or a dict of these), and each row kind's JSON
-    comes from its view. For a report that run_scenario returns the bytes
+    (str, int, bool, float, a dict of these, or a view, in any field, which
+    writes its rows). For a report that run_scenario returns the bytes
     equal ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
     with each view as the list of dicts it stands for; a report whose rows
-    are not views or not a step's last field, or whose entries hold values
-    of other types, is not supported. A non-finite tolerance or p_one
-    raises ValueError, as it does there.
+    are not views, or whose entries hold values of other types, is not
+    supported. A non-finite tolerance raises ValueError, as it does there.
     """
     if format == "json":
         return _json_report(report).encode("utf-8")

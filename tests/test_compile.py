@@ -3,9 +3,10 @@
 ``reference_run_scenario`` is the runner as it was before scenarios were
 compiled: it built each state and subspace while executing, dispatched on
 an isinstance chain, and read its defaults from a configuration record.
-Its body is kept as it was, except that the defaults are a local record
-and that a key's first determinate present record, not its first record,
-makes it erasable. It calls today's library functions, so the differential
+Its body is kept as it was, except that the defaults are a local record,
+that a key's first determinate present record, not its first record,
+makes it erasable, and that it gathers the report's entries and builds
+the frozen report at the end. It calls today's library functions, so the differential
 property below compares the runners alone: the same parsed scenario goes
 through both.
 
@@ -114,7 +115,6 @@ def ideal_unclone(cloned: ProductState, blank: StateVector, tol: float) -> Produ
 class ReferenceConfig:
     tol: float = 1e-9
     seed: int = 0
-    p_one: float = 0.5
 
 
 REFERENCE_KINDS = {
@@ -151,10 +151,12 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
         cfg = replace(cfg, **{k: v for k, v in dict(overrides).items() if v is not None})
     if not is_valid_tol(cfg.tol):
         raise SvqError(f"tol must be a finite number in (0, 1), got {cfg.tol!r}")
-    if not 0.0 <= cfg.p_one <= 1.0:
-        raise BadProbability(f"p_one must lie in [0, 1], got {cfg.p_one!r}")
     rng = np.random.default_rng(cfg.seed)
-    report = Report(seed=cfg.seed, tolerance=cfg.tol, p_one=cfg.p_one)
+    steps: list[dict] = []
+    valuations: list[dict] = []
+    feasibility: list[dict] = []
+    violations: list[dict] = []
+    checks_run = 0
 
     states: dict[str, StateVector] = {}
     props: dict[str, Proposition] = {}
@@ -219,7 +221,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                         {"prop": pid, "at": item.at, "truth": str(tv), "tense": "present"}
                     )
                 now = item.at
-                report.steps.append(
+                steps.append(
                     {"index": index, "line": item.line, "kind": kind, "at": item.at, "recorded": entries}
                 )
             elif isinstance(item, CloneStep):
@@ -231,7 +233,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                 system = product.factors[1]
                 if not feas.feasible:
                     mark_lost()
-                report.steps.append(
+                steps.append(
                     {
                         "index": index,
                         "line": item.line,
@@ -254,7 +256,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                 pending_clone = None
                 before = system
                 system = result.factors[1]
-                report.steps.append(
+                steps.append(
                     {
                         "index": index,
                         "line": item.line,
@@ -270,7 +272,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                 before = system
                 system = blackhole_evaporate(states[item.state], seed=sub_seed)
                 mark_lost()
-                report.steps.append(
+                steps.append(
                     {
                         "index": index,
                         "line": item.line,
@@ -287,7 +289,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                 op = Operator(matrix, unitary=flag)
                 before = system
                 system = apply_operator(op, states[item.state], cfg.tol)
-                report.steps.append(
+                steps.append(
                     {
                         "index": index,
                         "line": item.line,
@@ -298,7 +300,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                     }
                 )
             elif isinstance(item, ReconstructStep):
-                p = cfg.p_one if item.p_one is None else item.p_one
+                p = Report.p_one if item.p_one is None else item.p_one
                 samples = []
                 sub_seeds = rng.integers(0, 2**63, size=len(lost)).tolist()
                 bits = sample_past_reconstruction(p, sub_seeds)
@@ -307,7 +309,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                     led = record_valuation(led, at0, pid, tv, now)
                     samples.append({"prop": pid, "at": at0, "value": bit, "seed": sub_seed})
                 lost.clear()
-                report.steps.append(
+                steps.append(
                     {
                         "index": index,
                         "line": item.line,
@@ -318,7 +320,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                 )
             elif isinstance(item, EvalQuery):
                 tv = membership(states[item.state], props[item.prop].subspace, cfg.tol)
-                report.valuations.append(
+                valuations.append(
                     {"kind": "eval", "state": item.state, "prop": item.prop, "truth": str(tv)}
                 )
             elif isinstance(item, SuperQuery):
@@ -330,7 +332,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                     for name in formula_atoms(body)
                 }
                 tv = evaluate_super(body, atomics)
-                report.valuations.append(
+                valuations.append(
                     {
                         "kind": "super",
                         "formula": item.formula,
@@ -339,13 +341,13 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
                     }
                 )
             elif isinstance(item, CheckPastQuery):
-                report.checks_run += 1
+                checks_run += 1
                 audited = led
             elif isinstance(item, FeasibleQuery):
                 feas = check_cloner_feasibility(states[item.first], states[item.second], cfg.tol)
                 entry = {"first": item.first, "second": item.second}
                 entry.update(reference_feasibility_entry(feas))
-                report.feasibility.append(entry)
+                feasibility.append(entry)
             else:
                 raise SvqError(f"unhandled scenario item {item!r}")
         except StepError:
@@ -353,8 +355,8 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
         except (SvqError, ValueError) as err:
             raise StepError(index, item.line, kind, err) from err
 
-    if report.checks_run:
-        report.violations = [
+    if checks_run:
+        violations = [
             {
                 "kind": v.kind,
                 "prop": v.prop_id,
@@ -365,8 +367,7 @@ def reference_run_scenario(scenario, overrides=None) -> Report:
             }
             for v in check_past_unalterability(audited)
         ]
-    report.ledger = led
-    return report
+    return Report(cfg.seed, cfg.tol, steps, valuations, feasibility, violations, checks_run, led)
 
 
 

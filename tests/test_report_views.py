@@ -148,18 +148,13 @@ def test_future_tense_rows_render_as_their_lists_do():
     bits = record_valuation(led, 5, "Zé", T, 8)
     bits = record_valuation(bits, 2**70, "X", F, 8)
     samples = _SampleRows(bits, len(led), [11, 2**63 - 1])
-    report = Report(
-        seed=0,
-        tolerance=1e-9,
-        p_one=0.5,
-        steps=[
-            {"index": 1, "line": 1, "kind": "record", "at": 7, "recorded": recorded},
-            {"index": 2, "line": 2, "kind": "reconstruct", "p_one": 0.5, "samples": samples},
-        ],
-        violations=_ViolationRows(check_past_unalterability(led)),
-        checks_run=1,
-        ledger=led,
-    )
+    # Each view sits before its step's last field, where the runner puts none:
+    # a view renders in whatever field of an entry holds it.
+    steps = [
+        {"index": 1, "line": 1, "kind": "record", "recorded": recorded, "at": 7},
+        {"index": 2, "line": 2, "kind": "reconstruct", "samples": samples, "p_one": 0.5},
+    ]
+    report = Report(0, 1e-9, steps, [], [], _ViolationRows(check_past_unalterability(led)), 1, led)
     assert report.violations == [
         {"kind": "loss", "prop": "Zé", "at": 5, "earlier": "0", "later": "0/0", "asserted_at": 7}
     ]

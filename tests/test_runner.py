@@ -19,6 +19,7 @@ from svq import (
 from svq import runner
 from svq.dynamics import sample_past_reconstruction
 from svq.lattice import membership
+from svq.runner import Report
 
 from conftest import SCENARIO_DIR
 from json_oracle import _json_text
@@ -370,8 +371,7 @@ def test_unknown_format_rejected():
 
 
 def test_json_report_refuses_non_finite_numbers():
-    report = run_text("state phi = [1, 0]\n")
-    report.tolerance = float("nan")
+    report = run_text("state phi = [1, 0]\n")._replace(tolerance=float("nan"))
     with pytest.raises(ValueError):
         emit_report(report, "json")
 
@@ -403,6 +403,8 @@ def test_violations_are_those_of_the_ledger_at_the_last_check(audit_each):
     assert report.checks_run == at_cut.checks_run == (3 if audit_each else 1)
     assert report.violations == at_cut.violations
     assert report.violations
+    with pytest.raises(AttributeError, match="^cannot assign to field 'violations'$"):
+        report.violations = at_cut.violations  # a returned report is frozen
     # The records after the last check-past hold violations of their own,
     # which the report must not list.
     assert len(check_past_unalterability(report.ledger)) > len(report.violations)
@@ -706,6 +708,7 @@ def test_run_rejects_a_p_one_override_before_the_first_step():
     with pytest.raises(SvqError, match="^unknown override 'p_one'$") as info:
         run_scenario(scenario, {"p_one": 0.25})
     assert not isinstance(info.value, StepError)
+    assert Report.p_one == 0.5 and "p_one" not in Report._fields
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])

@@ -4,12 +4,12 @@ Each of the 24 classes is built from the same drawn field values in both
 forms, the svq class and its @dataclass definition in value_oracle, and
 every observable the dataclass defined must agree: == and != (within a
 class, across classes, and across source positions, which equality
-ignores), hash (identity for states and operators, a TypeError for a
-report), repr byte for byte, the error and message of assigning or deleting
-an attribute, and _replace against dataclasses.replace. Field values nest
-value types, so equality and repr recurse in both forms. A wrong field
-count, an unknown keyword, or line or col on a type without them, is a
-TypeError in both forms, and svq's message starts with the class name.
+ignores), hash (identity for states and operators), repr byte for byte,
+the error and message of assigning or deleting an attribute, and _replace
+against dataclasses.replace. Field values nest value types, so equality
+and repr recurse in both forms. A wrong field count, an unknown keyword,
+or line or col on a type without them, is a TypeError in both forms, and
+svq's message starts with the class name.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import svq
 import value_oracle as oracle
 from svq import dynamics, formulas, hilbert, runner, scenario
 from svq._value import Value
@@ -39,7 +38,7 @@ NEW = {
 OLD = {name: getattr(oracle, name) for name in NEW}
 LOCATED = {name for name, cls in OLD.items() if issubclass(cls, oracle.ScenarioItem)}
 #: Classes whose fields any value may fill; the others validate or default theirs.
-FREE = sorted(set(NEW) - {"StateVector", "Operator", "Report"})
+FREE = sorted(set(NEW) - {"StateVector", "Operator"})
 
 NAN = float("nan")  # one object, so a tuple holding it equals itself in both forms
 SCALARS = st.sampled_from([0, 1, -1, True, False, 0.5, NAN, "", "x", "y", None, (), (1 + 2j, -0.5j), ((1j,), (0j,))])
@@ -73,10 +72,6 @@ def specs(draw, depth: int = 2, names=st.sampled_from(sorted(NEW))):
         fields = [draw(AMPLITUDES)]
     elif name == "Operator":
         fields = [draw(ENTRIES), draw(st.booleans())][:count]
-    elif name == "Report":
-        fields = [draw(st.sampled_from([0, 7])), draw(st.sampled_from([1e-9, 0.5])), 0.5]
-        fields += [[draw(SCALARS)] for _ in range(4)] + [draw(st.integers(0, 3)), svq.Ledger()]
-        fields = fields[:count]
     else:
         fields = [draw(values(depth)) for _ in range(count)]
     keywords = {}
@@ -176,7 +171,7 @@ def test_value_init_is_the_one_constructor_of_every_type_without_its_own():
 
     types = [cls for cls in subclasses(Value) if cls.__module__.startswith("svq.")]
     assert {cls.__name__ for cls in types} >= set(NEW)
-    assert {cls.__name__ for cls in types if "__init__" in cls.__dict__} == {"StateVector", "Operator", "Report"}
+    assert {cls.__name__ for cls in types if "__init__" in cls.__dict__} == {"StateVector", "Operator"}
 
 
 def test_importing_svq_builds_no_dataclass():

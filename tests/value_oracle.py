@@ -2,13 +2,16 @@
 
 These are the 24 @dataclass definitions that svq's value types replaced,
 kept verbatim (from svq.hilbert, svq.formulas, svq.dynamics, svq.scenario
-and svq.runner, in that order) as the oracle of tests/test_value_types.py.
-Every class keeps its name, so a repr compares byte for byte.
+and svq.runner, in that order) as the oracle of tests/test_value_types.py,
+except Report, which is frozen, takes every field, and holds p_one as a
+class constant, as svq's Report does since a run builds it once. Every
+class keeps its name, so a repr compares byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -205,22 +208,22 @@ class Scenario:
     items: tuple[ScenarioItem, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
     """Everything a run produced, in emission-ready data: plain lists and
-    dicts, except that each step's rows and, once a check ran, violations
-    are _Rows views that iterate, index, take len and compare equal as the
-    lists of dicts they stand for, and build each dict only when read."""
+    dicts, except that each step's rows and the violations are _Rows views
+    that iterate, index, take len and compare equal as the lists of dicts
+    they stand for, and build each dict only when read."""
 
     seed: int
     tolerance: float
-    p_one: float
-    steps: list[dict] = field(default_factory=list)
-    valuations: list[dict] = field(default_factory=list)
-    feasibility: list[dict] = field(default_factory=list)
-    violations: Sequence[dict] = field(default_factory=list)
-    checks_run: int = 0
-    ledger: Ledger = field(default_factory=Ledger)
+    steps: list[dict]
+    valuations: list[dict]
+    feasibility: list[dict]
+    violations: Sequence[dict]
+    checks_run: int
+    ledger: Ledger
+    p_one: ClassVar[float] = 0.5
 
     @property
     def has_violations(self) -> bool:
