@@ -8,16 +8,16 @@ Ledgers are persistent values: appending returns a new ledger and never
 touches the old one, so any previously held ledger stays valid. Appends
 must not regress in assertion time.
 
-A ledger is stored in columns (``_cols``): a dict that interns each prop
-id as its position in it, then one list per field, of each row's prop
-index, at, truth and asserted_at (ticks are unbounded ints). A TensedRecord
-is built only when a row is read through iteration or ``records``; the
-audit, ``ledger_lines`` and the report renderer read the columns. Versions
-of a ledger share its columns, and each version sees the rows of its own
-length. Appending to the newest version extends the columns in place, so
-building a ledger of n records costs O(n) in all. Appending to an older
-version is a fork: it copies the older version's rows into new columns
-first, and every version keeps the records it had.
+A ledger is stored in columns (``_cols``): one list per field, of each
+row's prop id (the object it was appended with), at, truth and asserted_at
+(ticks are unbounded ints). A TensedRecord is built only when a row is read
+through iteration or ``records``; the audit, ``ledger_lines`` and the
+report renderer read the columns. Versions of a ledger share its columns,
+and each version sees the rows of its own length. Appending to the newest
+version extends the columns in place, so building a ledger of n records
+costs O(n) in all. Appending to an older version is a fork: it copies the
+older version's rows into new columns first, and every version keeps the
+records it had.
 
 One exception to immutability serves the runner, which appends a
 reconstructed row before its bit is drawn and draws the bits of a run at
@@ -70,7 +70,7 @@ class Ledger:
     __slots__ = ("_cols", "_size")
 
     def __init__(self, records: Iterable[TensedRecord] = ()):
-        self._cols, self._size = ({}, [], [], [], []), 0
+        self._cols, self._size = ([], [], [], []), 0
         for at, prop_id, tense, truth, asserted_at in records:
             appended = record_valuation(self, at, prop_id, truth, asserted_at)
             if tense != derive_tense(at, asserted_at):
@@ -78,11 +78,10 @@ class Ledger:
             self._cols, self._size = appended._cols, appended._size
 
     def columns(self, start: int = 0):
-        """The interned prop ids, then the prop index (into them), at, truth
-        and asserted_at columns of the rows from start on, as lists."""
-        index, props, ats, truths, asserted = self._cols
+        """The prop id, at, truth and asserted_at columns of the rows from
+        start on, as lists."""
         n = self._size
-        return list(index), props[start:n], ats[start:n], truths[start:n], asserted[start:n]
+        return [column[start:n] for column in self._cols]
 
     @property
     def records(self) -> tuple[TensedRecord, ...]:
@@ -92,9 +91,8 @@ class Ledger:
         return self._size
 
     def __iter__(self):
-        names, props, ats, truths, asserted = self.columns()
-        tenses = map(derive_tense, ats, asserted)
-        return map(TensedRecord, ats, map(names.__getitem__, props), tenses, truths, asserted)
+        props, ats, truths, asserted = self.columns()
+        return map(TensedRecord, ats, props, map(derive_tense, ats, asserted), truths, asserted)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ledger):
@@ -148,7 +146,7 @@ def record_valuation(
     if type(truth) is not TruthValue:
         raise TypeError(f"truth must be a TruthValue, got {truth!r}")
     cols, size = ledger._cols, ledger._size
-    index, props, ats, truths, asserted = cols
+    props, ats, truths, asserted = cols
     if size and asserted_at < asserted[size - 1]:
         raise NonMonotoneAssertion(f"asserted_at {asserted_at} regresses behind {asserted[size - 1]}")
     appended = Ledger.__new__(Ledger)
@@ -163,12 +161,8 @@ def record_valuation(
     else:  # a fork: this version's rows, copied into new columns
         props, ats, truths, asserted = props[:size], ats[:size], truths[:size], asserted[:size]
         asserted.append(asserted_at)
-        index = dict(index)
-        cols = (index, props, ats, truths, asserted)
-    p = index.get(prop_id)
-    if p is None:
-        p = index[prop_id] = len(index)
-    props.append(p)
+        cols = (props, ats, truths, asserted)
+    props.append(prop_id)
     ats.append(at)
     truths.append(truth)
     appended._cols = cols
@@ -181,7 +175,7 @@ def _settle_truths(ledger: Ledger, rows: list[int], truths: list[TruthValue]) ->
 
     Only for rows the calling run appended, before it returns (see above).
     """
-    column = ledger._cols[3]
+    column = ledger._cols[2]
     for row, truth in zip(rows, truths, strict=True):
         column[row] = truth
 
@@ -197,27 +191,26 @@ def check_past_unalterability(ledger: Ledger) -> tuple[Violation, ...]:
     records are predictions, not history: one never serves as a baseline,
     so a prediction that fails to come true is not an alteration.
     """
-    names, props, ats, truths, asserted = ledger.columns()
-    width = len(names)  # a (prop, at) key is the int at * width + prop index
-    baselines: dict[int, TruthValue | None] = {}  # in first-appearance order
-    found: dict[int, list[Violation]] = {}
+    props, ats, truths, asserted = ledger.columns()
+    baselines: dict[tuple[str, int], TruthValue | None] = {}  # in first-appearance order
+    found: dict[tuple[str, int], list[Violation]] = {}
     gap = TruthValue.GAP
     for p, at, truth, asserted_at in zip(props, ats, truths, asserted):
-        key = at * width + p
+        key = (p, at)
         baseline = baselines.get(key)
         if baseline is None:
             baselines[key] = truth if truth is not gap and at <= asserted_at else None
         elif truth is not baseline:
             kind = "loss" if truth is gap else "flip"
-            found.setdefault(key, []).append(Violation(names[p], at, baseline, truth, asserted_at, kind))
+            found.setdefault(key, []).append(Violation(p, at, baseline, truth, asserted_at, kind))
     return tuple(v for key in baselines if key in found for v in found[key])
 
 
 def ledger_lines(ledger: Ledger) -> list[str]:
     """Line-delimited serialization: tick, prop id, tense, truth, asserted tick."""
-    names, props, ats, truths, asserted = ledger.columns()
+    props, ats, truths, asserted = ledger.columns()
     # The tense and str(truth), without a Python-level call per row.
     return [
-        f"{at}\t{names[p]}\t{PAST if at < a else PRESENT if at == a else FUTURE}\t{truth._value_}\t{a}"
+        f"{at}\t{p}\t{PAST if at < a else PRESENT if at == a else FUTURE}\t{truth._value_}\t{a}"
         for p, at, truth, a in zip(props, ats, truths, asserted)
     ]

@@ -140,8 +140,8 @@ class _Rows(Sequence):
     was built from); _lines(rows), the text lines of such tuples; and
     _json_rows(head, sep, close), each row's JSON from the comma before it
     to its closing brace, with head before the first field and sep between
-    fields. A prop id goes through _quote once; truths, tenses and kinds are
-    library constants that need no escaping."""
+    fields. Prop ids go through _quote; truths, tenses and kinds are library
+    constants that need no escaping."""
 
     __slots__ = ()
 
@@ -196,14 +196,13 @@ class _RecordRows(_Rows):
         return len(self.ledger) - self.start
 
     def _values(self):
-        names, props, ats, truths, asserted = self.ledger.columns(self.start)
-        return zip(map(names.__getitem__, props), ats, map(str, truths), map(derive_tense, ats, asserted))
+        props, ats, truths, asserted = self.ledger.columns(self.start)
+        return zip(props, ats, map(str, truths), map(derive_tense, ats, asserted))
 
     def _json_rows(self, h, i, n):
-        names, props, ats, truths, asserted = self.ledger.columns(self.start)
-        names = list(map(_quote, names))
+        props, ats, truths, asserted = self.ledger.columns(self.start)
         return [
-            f'{h}"prop": {names[p]}{i}"at": {at}{i}"truth": "{truth._value_}"'
+            f'{h}"prop": {_quote(p)}{i}"at": {at}{i}"truth": "{truth._value_}"'
             f'{i}"tense": "{PAST if at < a else PRESENT if at == a else FUTURE}"{n}'
             for p, at, truth, a in zip(props, ats, truths, asserted)
         ]
@@ -221,14 +220,13 @@ class _SampleRows(_RecordRows):
         self.seeds = seeds
 
     def _values(self):
-        names, props, ats, truths, _ = self.ledger.columns(self.start)
-        return zip(map(names.__getitem__, props), ats, map(_BITS.index, truths), self.seeds)
+        props, ats, truths, _ = self.ledger.columns(self.start)
+        return zip(props, ats, map(_BITS.index, truths), self.seeds)
 
     def _json_rows(self, h, i, n):
-        names, props, ats, truths, _ = self.ledger.columns(self.start)
-        names = list(map(_quote, names))
+        props, ats, truths, _ = self.ledger.columns(self.start)
         return [  # a bit's truth text is the bit, "0" or "1"
-            f'{h}"prop": {names[p]}{i}"at": {at}{i}"value": {truth._value_}{i}"seed": {seed}{n}'
+            f'{h}"prop": {_quote(p)}{i}"at": {at}{i}"value": {truth._value_}{i}"seed": {seed}{n}'
             for p, at, truth, seed in zip(props, ats, truths, self.seeds)
         ]
 

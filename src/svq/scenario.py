@@ -8,7 +8,7 @@ fields name a declared state, proposition or formula. The pieces:
 
     name      := NAME     (also state, proposition and formula)
     tick      := INT
-    p         := ("p" NUMBER)?
+    p         := ("p" (INT | FLOAT))?    unsigned: no fraction, sqrt or "i" part
     span      := "span" "(" vector ("," vector)* ")"
     vector    := "[" num ("," num)* "]"
     matrix    := "[" vector ("," vector)* "]"
@@ -25,7 +25,10 @@ letters, digits or "_"; numbers use Unicode decimal digits; whitespace is
 only space, tab, CR and LF; '#' starts a comment running to end of line.
 Numbers are reals (decimals, integer fractions "a/b", or the "a/sqrt(b)"
 sugar) optionally combined with an imaginary literal: "0.5+0.5i", "1i",
-"1/sqrt(2)-0.5i". An integer too large for a float reads as infinity.
+"1/sqrt(2)-0.5i". An integer too large for a float reads as infinity. One
+longer than the interpreter's int-string digit limit (4,300 digits by
+default) is a lex error, "integer literal too long", wherever it stands,
+and it is reported before any parse error earlier in the text.
 The lexer holds tokens as three columns (kinds, lexemes, start offsets),
 numbers are converted where the parser reads them, and a line and column
 are derived from an offset only for an item's keyword or a diagnostic.
@@ -137,7 +140,8 @@ class Scenario(Value):
 #: keyword). A field piece (a key of _PIECES) fills the class's next field:
 #: "name" is a declared name; "state", "proposition" and "formula" name one
 #: declared above; "vector", "matrix", "span", "boolexpr" and "tick" are
-#: values; "p" is an optional "p NUMBER". Any other piece is a literal.
+#: values; "p" is an optional "p" and one unsigned int or float literal.
+#: Any other piece is a literal.
 SYNTAX = {
     "state": (StateDecl, ("name", "=", "vector")),
     "prop": (PropDecl, ("name", "=", "span")),

@@ -1,18 +1,21 @@
 """Run-time properties of generated scenarios, through the library and the CLI.
 
-Every text comes from the grammar strategy ``scenario_texts``, so it parses
-and compiles at the default tolerance; runs may still fail in a step (a
-record before any state, an unclone without a clone, an evolve that
-annihilates the state, ...). The properties are the documented contracts:
+Every text comes from the grammar strategy ``scenario_texts``, so it
+parses; a run may still be rejected before its first step (a state whose
+components all fall below tolerance) or fail in a step (a record before
+any state, an unclone without a clone, an evolve that annihilates the
+state, ...). The properties are the documented contracts:
 exit 1 means exactly "the audit found violations", JSON output is JSON,
-every step failure names its step, kind and line, and a feasibility
-verdict is the no-cloning rule on the pair's overlap.
+every step failure names its step, kind and line, a feasibility verdict
+is the no-cloning rule on the pair's overlap, and the audit's violations
+are those ``bench/oracles.independent_audit`` finds in the report's ledger.
 """
 
 import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,11 +23,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svq import StepError, SvqError, make_state, parse_scenario, run_scenario
+from svq import StepError, SvqError, emit_report, make_state, parse_scenario, run_scenario
 from svq.cli import main
 from svq.scenario import FeasibleQuery, StateDecl, format_item
 
 from scenario_strategies import scenario_texts
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from oracles import independent_audit, reported_violations  # noqa: E402
 
 tolerances = st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.5])
 seeds = st.integers(min_value=0, max_value=2**32)
@@ -91,3 +98,14 @@ def test_feasible_is_infeasible_exactly_on_a_partial_overlap(text, tol, seed):
         overlap = float(abs(np.vdot(a, b)))
         assert (entry["first"], entry["second"]) == (query.first, query.second)
         assert entry["feasible"] == (not (tol <= overlap and 1 - overlap >= tol))
+
+
+@settings(max_examples=500)
+@given(scenario_texts(), seeds)
+def test_the_audit_finds_what_the_independent_audit_finds_in_the_ledger(text, seed):
+    try:
+        report = run_scenario(parse_scenario(text + "check-past\n"), {"seed": seed})
+    except SvqError:  # a state below tolerance, or a failed step
+        return
+    payload = json.loads(emit_report(report, "json"))
+    assert reported_violations(payload) == independent_audit(payload["ledger"])

@@ -391,14 +391,18 @@ def test_integers_too_large_for_a_float_parse(text, components):
     "text, error, message",
     [
         ("record at " + "1" * 5000, ScenarioSyntaxError, "1:11: integer literal too long"),
+        ("state a = [" + "9" * 5000 + ", 0]", ScenarioSyntaxError, "1:12: integer literal too long"),
         (f"state s = [{HUGE}/{HUGE}, 1]", ScenarioSyntaxError, "1:12: fraction too large to evaluate"),
         (f"state s = [1, 0]\nreconstruct p {HUGE}", BadProbability, "2:1: p must lie in [0, 1], got inf"),
+        # A probability is one unsigned literal: no fraction and no sign.
+        ("reconstruct p 1/2", ScenarioSyntaxError, "1:16: unexpected '/' (expected declaration or step or query)"),
+        ("reconstruct p -0.5", ScenarioSyntaxError, "1:15: unexpected '-' (expected probability)"),
     ],
-    ids=["digit-limit", "inf-over-inf", "probability"],
+    ids=["digit-limit", "digit-limit-component", "inf-over-inf", "probability", "p-fraction", "p-sign"],
 )
 def test_number_literals_that_cannot_be_values_are_positioned_errors(text, error, message):
-    # The first used to fail with int()'s digit-limit ValueError and no
-    # position, the others with a bare OverflowError.
+    # "digit-limit" used to fail with int()'s digit-limit ValueError and no
+    # position, "inf-over-inf" and "probability" with a bare OverflowError.
     with pytest.raises(error) as err:
         compile_scenario(parse_scenario(text))
     assert str(err.value) == message
