@@ -117,13 +117,14 @@ def _svd(matrix: np.ndarray, vectors: bool = True):
     LAPACK's gesdd can fail to converge on finite, well-scaled matrices
     with clusters of tiny singular values. The SVD of the adjoint, whose
     right singular vectors are the left ones sought, converges on them.
+    The result is read by position, as numpy 1.x returns a plain tuple.
     """
     try:
         out = np.linalg.svd(matrix, full_matrices=False, compute_uv=vectors)
-        return (out.U, out.S) if vectors else out
+        return out[:2] if vectors else out
     except np.linalg.LinAlgError:
         out = np.linalg.svd(matrix.conj().T, full_matrices=False, compute_uv=vectors)
-        return (out.Vh.conj().T, out.S) if vectors else out
+        return (out[2].conj().T, out[1]) if vectors else out
 
 
 def _set_basis(sub: Subspace, basis: np.ndarray) -> Subspace:

@@ -64,7 +64,7 @@ and the violations are the audit's tuples. A view reads as the list of
 dicts it stands for and renders itself, as text lines and as JSON. The
 run gathers the report's steps, valuations, feasibility entries and check
 count, and run_scenario builds the report from them once, after the last
-step, as a frozen value.
+step, as a value read-only at every depth: its past stays as recorded.
 
 Reports are deterministic for a fixed scenario, seed and tolerance;
 sub-seeds for random steps are drawn from a single generator seeded with
@@ -77,6 +77,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -88,7 +89,7 @@ from .formulas import evaluate_super
 # make_state and span_subspace go unused here, but tracers wrap them by name in svq.runner too.
 from .hilbert import DEFAULT_TOL, Operator, StateVector, apply_operator, is_unitary, is_valid_tol, make_state
 from .lattice import Subspace, TruthValue, membership, span_subspace
-from .ledger import FUTURE, PAST, PRESENT, Ledger, derive_tense, check_past_unalterability, ledger_lines
+from .ledger import FUTURE, PAST, PRESENT, Ledger, Violation, derive_tense, check_past_unalterability, ledger_lines
 from .ledger import _settle_truths, record_valuation
 from .scenario import (
     KIND,
@@ -111,19 +112,20 @@ from .scenario import (
 
 
 class Report(Value):
-    """Everything a run produced, in emission-ready data: plain lists and
-    dicts, except that each step's rows and the violations (empty unless a
-    check ran) are _Rows views that iterate, index, take len and compare
-    equal as the lists of dicts they stand for, and build each dict only
-    when read. run_scenario builds it once, after the run's last step.
-    p_one is not a field: it is the 0.5 a bare reconstruct draws at."""
+    """Everything a run produced, in emission-ready data read-only at every
+    depth: tuples of entries, each entry and nested mapping a MappingProxyType,
+    except that each step's rows and the violations (empty unless a check
+    ran) are _Rows views that iterate, index, take len and compare equal as
+    the lists of dicts they stand for, and build each dict only when read.
+    run_scenario builds it once, after the run's last step. p_one is not a
+    field: it is the 0.5 a bare reconstruct draws at."""
 
     seed: int
     tolerance: float
-    steps: list[dict]
-    valuations: list[dict]
-    feasibility: list[dict]
-    violations: Sequence[dict]
+    steps: tuple[Mapping, ...]
+    valuations: tuple[Mapping, ...]
+    feasibility: tuple[Mapping, ...]
+    violations: Sequence[Mapping]
     checks_run: int
     ledger: Ledger
     p_one = 0.5
@@ -133,20 +135,16 @@ class Report(Value):
         return self.checks_run > 0 and bool(self.violations)
 
 
-class _Rows(Sequence):
+class _Rows(Value, Sequence):
     """A read-only report view, one subclass per row kind, that renders
-    itself through text() and json(). Each keeps side by side its FIELDS;
-    _values(), its rows as tuples in FIELDS order (by default the tuples it
-    was built from); _lines(rows), the text lines of such tuples; and
-    _json_rows(head, sep, close), each row's JSON from the comma before it
-    to its closing brace, with head before the first field and sep between
-    fields. Prop ids go through _quote; truths, tenses and kinds are library
-    constants that need no escaping."""
-
-    __slots__ = ()
-
-    def __init__(self, rows):
-        self.rows = rows
+    itself through text() and json(), its fields a frozen Value's, held as
+    tuples or a ledger. Each keeps side by side its FIELDS; _values(), its
+    rows as tuples in FIELDS order (by default its rows field); _lines(rows),
+    the text lines of such tuples; and _json_rows(head, sep, close), each
+    row's JSON from the comma before it to its closing brace, with head
+    before the first field and sep between fields. Prop ids go through
+    _quote; truths, tenses and kinds are library constants that need no
+    escaping."""
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -185,12 +183,10 @@ class _Rows(Sequence):
 class _RecordRows(_Rows):
     """The ledger rows a record step appended: those of ledger from start on."""
 
-    __slots__ = ("ledger", "start")
+    ledger: Ledger
+    start: int
     FIELDS = ("prop", "at", "truth", "tense")
     _lines = staticmethod(lambda rows: [f"      {tense} {prop} @{at} = {truth}" for prop, at, truth, tense in rows])
-
-    def __init__(self, ledger: Ledger, start: int):
-        self.ledger, self.start = ledger, start
 
     def __len__(self) -> int:
         return len(self.ledger) - self.start
@@ -211,13 +207,9 @@ class _RecordRows(_Rows):
 class _SampleRows(_RecordRows):
     """The ledger rows a reconstruct step appended, with their sub-seeds."""
 
-    __slots__ = ("seeds",)
+    seeds: tuple[int, ...]
     FIELDS = ("prop", "at", "value", "seed")
     _lines = staticmethod(lambda rows: [f"      {prop} @{at} := {value}" for prop, at, value, _ in rows])
-
-    def __init__(self, ledger: Ledger, start: int, seeds: list[int]):
-        super().__init__(ledger, start)
-        self.seeds = seeds
 
     def _values(self):
         props, ats, truths, _ = self.ledger.columns(self.start)
@@ -234,7 +226,7 @@ class _SampleRows(_RecordRows):
 class _TransitionRows(_Rows):
     """A step's (prop, truth text before, truth text after) tuples."""
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[str, str, str], ...]
     FIELDS = ("prop", "before", "after")
     _lines = staticmethod(lambda rows: [f"      {prop}: {before} -> {after}" for prop, before, after in rows])
 
@@ -245,7 +237,7 @@ class _TransitionRows(_Rows):
 class _ViolationRows(_Rows):
     """The audit's Violation tuples, as report rows."""
 
-    __slots__ = ("rows",)
+    rows: tuple[Violation, ...]
     FIELDS = ("kind", "prop", "at", "earlier", "later", "asserted_at")
     _lines = staticmethod(
         lambda rows: [f"  {kind} {pid} @{at}: {was} -> {now} (asserted at {a})" for kind, pid, at, was, now, a in rows]
@@ -315,7 +307,7 @@ class _Run:
         self.system = system
         if self.loose is not None and self.loose[0] is not system:
             self.loose = None  # the replaced system was undeclared: free it
-        return _TransitionRows([(pid, old[pid]._value_, new[pid]._value_) for pid in self.props])
+        return _TransitionRows(tuple((pid, old[pid]._value_, new[pid]._value_) for pid in self.props))
 
     def mark_lost(self) -> None:
         for key, determinate in self.recorded.items():
@@ -328,24 +320,25 @@ def verdict(feasible: bool) -> str:
     return "feasible" if feasible else "infeasible"
 
 
-def _feasibility_entry(feas) -> dict:
-    return {
+def _feasibility_entry(feas) -> MappingProxyType:
+    return MappingProxyType({
         "feasible": feas.feasible,
         "overlap": float(feas.witness_overlap),
         "overlap_squared": float(feas.witness_overlap_squared),
         "detail": feas.detail,
-    }
+    })
 
 
 #: How _json_entry writes a scalar field value, by its type, as json.dumps does.
 _SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__, float: float.__repr__}
 
 
-def _json_entry(entry: dict, newline: str, out: list[str]) -> None:
+def _json_entry(entry: Mapping, newline: str, out: list[str]) -> None:
     """Append entry, which has a field, as json.dumps(entry, indent=2) writes
-    it: each field by its value's type, a scalar through _SCALARS, a dict
-    through this function and otherwise a view through its json(). newline
-    is "\\n" and the indentation of the brace's line."""
+    the dict it stands for: each field by its value's type, a scalar through
+    _SCALARS, a read-only mapping through this function and otherwise a view
+    through its json(). newline is "\\n" and the indentation of the brace's
+    line."""
     inner = newline + "  "
     sep = "{" + inner
     for key, value in entry.items():
@@ -353,7 +346,7 @@ def _json_entry(entry: dict, newline: str, out: list[str]) -> None:
         write = _SCALARS.get(type(value))
         if write is not None:
             out.append(write(value))
-        elif type(value) is dict:
+        elif type(value) is MappingProxyType:
             _json_entry(value, inner, out)
         else:
             value.json(inner, out)
@@ -455,7 +448,7 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
         seeds += sub_seeds
     lost.clear()
     run.ledger = led
-    return {"p_one": float(p), "samples": _SampleRows(led, start, sub_seeds)}
+    return {"p_one": float(p), "samples": _SampleRows(led, start, tuple(sub_seeds))}
 
 
 def _eval(run: _Run, item: EvalQuery, operands) -> None:
@@ -469,7 +462,7 @@ def _super(run: _Run, item: SuperQuery, operands) -> None:
     ((body, atoms),) = operands
     row = run.row(run.system, atoms)
     truth = evaluate_super(body, row)._value_
-    texts = {name: row[name]._value_ for name in atoms}
+    texts = MappingProxyType({name: row[name]._value_ for name in atoms})
     run.valuations.append({"kind": "super", "formula": item.formula, "atoms": texts, "truth": truth})
 
 
@@ -548,10 +541,11 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     for p, (rows, seeds) in run.draws.items():
         _settle_truths(run.ledger, rows, [_BITS[bit] for bit in sample_past_reconstruction(p, seeds)])
     violations = _ViolationRows(check_past_unalterability(run.audited) if run.checks_run else ())
-    return Report(seed, tol, steps, run.valuations, run.feasibility, violations, run.checks_run, run.ledger)
+    frozen = (tuple(map(MappingProxyType, entries)) for entries in (steps, run.valuations, run.feasibility))
+    return Report(seed, tol, *frozen, violations, run.checks_run, run.ledger)
 
 
-def valuation_line(entry: dict) -> str:
+def valuation_line(entry: Mapping) -> str:
     """One eval or super result as the text report and ``svq eval`` print it."""
     if entry["kind"] == "eval":
         return f"eval {entry['state']} in {entry['prop']} = {entry['truth']}"
@@ -614,13 +608,14 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     The JSON schema is stable and versioned: top-level keys are schema,
     seed, tolerance, p_one, steps, valuations, feasibility, violations,
     checks_run and ledger. Gaps render as the string "0/0" in both formats.
-    An entry's JSON is its dict, every field written by its value's type
-    (str, int, bool, float, a dict of these, or a view, in any field, which
-    writes its rows). For a report that run_scenario returns the bytes
-    equal ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
-    with each view as the list of dicts it stands for; a report whose rows
-    are not views, or whose entries hold values of other types, is not
-    supported. A non-finite tolerance raises ValueError, as it does there.
+    An entry's JSON is its mapping's, every field written by its value's
+    type (str, int, bool, float, a read-only mapping of these, or a view, in
+    any field, which writes its rows). For a report that run_scenario
+    returns the bytes equal ``json.dumps(payload, indent=2, allow_nan=False)``
+    plus a newline, with each mapping as a dict and each view as the list of
+    dicts it stands for; a report whose rows are not views, or whose entries
+    hold values of other types (a nested dict too), is not supported. A
+    non-finite tolerance raises ValueError, as it does there.
     """
     if format == "json":
         return _json_report(report).encode("utf-8")

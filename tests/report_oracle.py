@@ -6,10 +6,19 @@ emit_report must; ``old_text_report`` is the text renderer that read the
 lists of dicts before the report views. Both read a report whose rows are
 plain lists, as the reference runner of tests/test_compile.py builds it,
 and are the oracles of the views in tests/test_report_views.py.
+``plain_payload`` also takes a report's read-only entries, which json.dumps
+cannot write, as the dicts they stand for.
 """
+
+from collections.abc import Mapping
 
 from svq.ledger import ledger_lines
 from svq.runner import Report, valuation_line
+
+
+def _plain(value):
+    """value, or if it is a mapping the dict it stands for, with its values plain too."""
+    return {key: _plain(item) for key, item in value.items()} if isinstance(value, Mapping) else value
 
 
 def plain_payload(report: Report) -> dict:
@@ -18,9 +27,9 @@ def plain_payload(report: Report) -> dict:
         "seed": report.seed,
         "tolerance": report.tolerance,
         "p_one": report.p_one,
-        "steps": report.steps,
-        "valuations": report.valuations,
-        "feasibility": report.feasibility,
+        "steps": list(map(_plain, report.steps)),
+        "valuations": list(map(_plain, report.valuations)),
+        "feasibility": list(map(_plain, report.feasibility)),
         "violations": list(report.violations),
         "checks_run": report.checks_run,
         "ledger": ledger_lines(report.ledger),

@@ -907,3 +907,33 @@ def test_a_failed_svd_is_retried_on_the_adjoint(caller, monkeypatch):
     assert np.array_equal(calls[failing], calls[failing - 1].conj().T)
     assert result.rank == expected.rank
     assert projectors_close(result, expected, 1e-12)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["first-try", "retried"])
+@pytest.mark.parametrize("caller", ["span", "meet", "join"])
+def test_an_svd_that_returns_a_plain_tuple_gives_the_same_subspace(caller, fails, monkeypatch):
+    # numpy 1.x returns (u, s, vh) as a plain tuple; only numpy 2's SVDResult names them.
+    call, failing = SVD_CALLERS[caller]
+    svd, calls, plain = np.linalg.svd, [], []
+
+    def flaky_svd(matrix, *args, **kwargs):
+        calls.append(matrix)
+        if fails and len(calls) == failing:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(matrix, *args, **kwargs)
+
+    def tuple_svd(matrix, *args, **kwargs):
+        out = flaky_svd(matrix, *args, **kwargs)
+        if isinstance(out, np.ndarray):  # the values alone, as both numpys return them
+            return out
+        plain.append(matrix)
+        return tuple(out)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    expected = call()
+    calls.clear()
+    monkeypatch.setattr(np.linalg, "svd", tuple_svd)
+    result = call()
+    assert len(calls) == failing + fails and plain
+    assert result.rank == expected.rank
+    assert np.array_equal(result.basis, expected.basis)
