@@ -52,10 +52,9 @@ system's row for every declared prop, an ``eval`` its state's row for its
 prop, and a ``super`` the system's row for its formula's atoms, so
 ``membership`` runs at most once per (state, prop) in a run. It is pure and
 states are immutable, so the row is exact. A row holds truths, whose text
-is taken where a transition, ``eval`` or ``super`` entry is written. Rows
-are kept, by object identity, for the declared states and for the current
-system only: the output of a ``blackhole`` or ``evolve`` step loses its
-row, and is freed, once the system moves on.
+is taken where an entry is written. Rows are keyed by declared state (a
+state hashes by identity), and the system's row is kept beside the system:
+its own row if declared, else a fresh one that goes with it.
 
 The report keeps each row once, in a read-only view of its row kind: a
 record step keeps the range of ledger rows it appended, a reconstruct step
@@ -153,10 +152,19 @@ class _Rows(Value, Sequence):
         return self.rows
 
     def __getitem__(self, index):
-        return list(self)[index]
+        picked = list(self._values())[index]
+        if isinstance(index, slice):
+            return [dict(zip(self.FIELDS, values)) for values in picked]
+        return dict(zip(self.FIELDS, picked))
 
     def __iter__(self):
         return map(dict, map(zip, repeat(self.FIELDS), self._values()))
+
+    def __reversed__(self):
+        return reversed(list(self))
+
+    def index(self, value, start=0, stop=None) -> int:
+        return list(self).index(value, start, len(self) if stop is None else stop)
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (list, _Rows)) else NotImplemented
@@ -270,10 +278,9 @@ class _Run:
         self.steps, self.valuations, self.feasibility = [], [], []  # the report's entry lists
         self.props: dict[str, Subspace] = {}  # every prop declared so far, in order
         self.system: StateVector | None = None
-        self.rows: dict[int, tuple[StateVector, _Row]] = {}  # id(declared state) -> it and its row
-        self.loose: tuple[StateVector, _Row] | None = None  # an undeclared system and its row
-        self.ledger = Ledger()
-        self.audited = self.ledger
+        self.system_row: _Row = {}  # the system's row, kept beside it
+        self.rows: dict[StateVector, _Row] = {}  # declared state -> its row
+        self.ledger = self.audited = Ledger()  # the ledger as it stands, and as of the last check-past
         self.recorded: dict[tuple[str, int], bool] = {}  # key -> some present record is determinate
         self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
         self.now = 0
@@ -286,27 +293,20 @@ class _Run:
         """The run's generator, built when a blackhole or reconstruct step first draws."""
         return np.random.default_rng(self.seed)
 
-    def row(self, state: StateVector, pids=None) -> _Row:
-        """The valuation row of a declared state or of the system, holding
-        pids (every declared prop by default). The runner calls membership
-        here only, for each of pids the row does not hold yet."""
-        entry = self.rows.get(id(state))
-        if entry is None:
-            entry = self.loose
-            if entry is None or entry[0] is not state:
-                entry = self.loose = (state, {})
-        row, props = entry[1], self.props
-        for pid in props if pids is None else pids:
+    def row(self, state: StateVector, pids) -> _Row:
+        """The valuation row of the system or of a declared state, holding pids.
+        The runner calls membership here only, for each of pids the row does not hold yet."""
+        row, props = (self.system_row if state is self.system else self.rows[state]), self.props
+        for pid in pids:
             if pid not in row:
                 row[pid] = membership(state, props[pid], self.tol)
         return row
 
     def move(self, system: StateVector) -> _TransitionRows:
-        """Replace the system; return each proposition's truth before and after."""
-        old, new = self.row(self.system), self.row(system)
-        self.system = system
-        if self.loose is not None and self.loose[0] is not system:
-            self.loose = None  # the replaced system was undeclared: free it
+        """Replace the system and its row; return each proposition's truth before and after."""
+        old = self.row(self.system, self.props)
+        self.system, self.system_row = system, self.rows.get(system, {})
+        new = self.row(system, self.props)
         return _TransitionRows(tuple((pid, old[pid]._value_, new[pid]._value_) for pid in self.props))
 
     def mark_lost(self) -> None:
@@ -361,9 +361,9 @@ def _json_entry(entry: Mapping, newline: str, out: list[str]) -> None:
 
 
 def _state(run: _Run, item: StateDecl, state: StateVector) -> None:
-    run.rows[id(state)] = (state, {})
+    run.rows[state] = row = {}
     if run.system is None:
-        run.system = state
+        run.system, run.system_row = state, row
 
 
 def _prop(run: _Run, item: PropDecl, sub: Subspace) -> None:
@@ -384,7 +384,7 @@ def _record(run: _Run, item: RecordStep, _) -> dict:
             pid, at0 = key
             led = record_valuation(led, at0, pid, _GAP, at)
             lost[key] = True
-    row = run.row(run.system)
+    row = run.row(run.system, run.props)
     for pid in run.props:
         tv = row[pid]
         led = record_valuation(led, at, pid, tv, at)
@@ -528,7 +528,6 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
     seed, tol = _settings(overrides)
     compiled = compile_scenario(scenario, tol)
     run = _Run(seed, tol)
-    steps = run.steps
     for index, (item, operands) in enumerate(zip(scenario.items, compiled), start=1):
         kind = KIND[type(item)]
         try:
@@ -536,12 +535,12 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
         except (SvqError, ValueError) as err:
             raise StepError(index, item.line, kind, err) from err
         if fields is not None:
-            steps.append({"index": index, "line": item.line, "kind": kind, **fields})
+            run.steps.append({"index": index, "line": item.line, "kind": kind, **fields})
 
     for p, (rows, seeds) in run.draws.items():
         _settle_truths(run.ledger, rows, [_BITS[bit] for bit in sample_past_reconstruction(p, seeds)])
     violations = _ViolationRows(check_past_unalterability(run.audited) if run.checks_run else ())
-    frozen = (tuple(map(MappingProxyType, entries)) for entries in (steps, run.valuations, run.feasibility))
+    frozen = (tuple(map(MappingProxyType, entries)) for entries in (run.steps, run.valuations, run.feasibility))
     return Report(seed, tol, *frozen, violations, run.checks_run, run.ledger)
 
 

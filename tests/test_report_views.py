@@ -13,6 +13,7 @@ dicts, kept in ``report_oracle`` as ``old_text_report``, renders it.
 
 import json
 import re
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from svq import Ledger, StepError, SvqError, TruthValue, emit_report, parse_scenario, record_valuation, run_scenario
 from svq.ledger import check_past_unalterability
-from svq.runner import Report, _RecordRows, _Rows, _SampleRows, _ViolationRows
+from svq.runner import Report, _RecordRows, _Rows, _SampleRows, _TransitionRows, _ViolationRows
 
 from json_oracle import _json_text
 from report_oracle import old_text_report, plain_payload
@@ -160,3 +161,49 @@ def test_future_tense_rows_render_as_their_lists_do():
     ]
     check_views_read_as_lists(report)
     check_rendering(report)
+
+
+# Two determinate props erased by one clone: every view kind holds at least two rows.
+EVERY_VIEW = (
+    "state up = [1, 0]\nstate plus = [1, 1]\nprop Z = span([1, 0])\nprop N = span([0, 1])\n"
+    "record at 0\nclone plus -> up\nrecord at 1\nreconstruct\ncheck-past\n"
+)
+
+
+def test_reversed_and_index_read_a_view_in_one_pass(monkeypatch):
+    # Sequence's own __reversed__ and index read view[i] once per row, and
+    # each view[i] reads every row: one pass over the rows per row.
+    passes = []
+    for kind in (_RecordRows, _SampleRows, _TransitionRows, _ViolationRows):
+        monkeypatch.setattr(kind, "_values", lambda view, read=kind._values: passes.append(type(view)) or read(view))
+    report = run_scenario(parse_scenario(EVERY_VIEW), {"seed": 1})
+    views = views_of(report)
+    assert {type(view) for view in views} == {_RecordRows, _SampleRows, _TransitionRows, _ViolationRows}
+    for view in views:
+        rows = list(view)
+        assert len(rows) >= 2
+        calls = [(lambda: list(reversed(view)), rows[::-1]), (lambda: view[-1], rows[-1])]
+        calls += [(lambda: view[::-1], rows[::-1])]
+        calls += [(lambda row=row: view.index(row), rows.index(row)) for row in rows]
+        for call, want in calls:
+            passes.clear()
+            assert call() == want
+            assert passes == [type(view)]
+
+
+def test_index_takes_start_and_stop_as_sequence_does():
+    report = run_scenario(parse_scenario(EVERY_VIEW), {"seed": 1})
+    for view in views_of(report):
+        n = len(view)
+        bounds = (-n - 2, -n, -1, 0, 1, n - 1, n, n + 2)
+        for row in view:
+            for start in bounds:
+                for stop in (None, *bounds):
+                    try:
+                        want = Sequence.index(view, row, start, stop)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            view.index(row, start, stop)
+                    else:
+                        assert view.index(row, start, stop) == want
+                        assert view.index(row, start=start, stop=stop) == want
