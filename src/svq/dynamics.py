@@ -106,16 +106,21 @@ def sample_past_reconstruction(p_one: float, seeds) -> list[int]:
 # The first ``random()`` of ``default_rng(seed)``, for many seeds at once.
 # default_rng seeds PCG64 through a SeedSequence, whose stream numpy keeps
 # stable (NEP 19); the steps below follow numpy's bit_generator.pyx and
-# pcg64.h. All arithmetic is on 1-D uint32 or uint64 arrays, where it wraps
-# silently; numpy scalars would warn on overflow.
+# pcg64.h. All arithmetic is on uint32 or uint64 arrays, where it wraps
+# silently; numpy scalars would warn on overflow. The SeedSequence words are
+# hashed stacked, one row per word: the four pool words as one (4, n) array,
+# the three mixes of one source word into the others as one (3, n) array
+# (they read only the source, and each writes its own word), and the eight
+# output words as one (8, n) array. The hash constants advance as numpy's
+# do, one per hashed word, so row i of a stack takes the i-th of its run.
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_constants(start: int, mult: int, count: int) -> list[np.uint32]:
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
     consts = [start]
     for _ in range(count - 1):
         consts.append(consts[-1] * mult & _MASK32)
-    return [np.uint32(c) for c in consts]
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
 _ENTROPY_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
@@ -127,13 +132,16 @@ _LOW32, _U1, _U11, _U32, _U58, _U63, _U64 = (
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
 _MULT_LO0, _MULT_LO1 = _MULT_LO & _LOW32, _MULT_LO >> _U32
+#: Each source word of the pool mix: the words it mixes into, in order, and their constants.
+_MIXES = [([dst for dst in range(4) if dst != src], _ENTROPY_HASH[4 + 3 * src:8 + 3 * src]) for src in range(4)]
 
 
-def _hashmix(value: np.ndarray, consts: list[np.uint32], k: int) -> np.ndarray:
-    value = value ^ consts[k]
-    value *= consts[k + 1]
-    value ^= value >> _XSHIFT
-    return value
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Hash row i of words with consts[i] and consts[i + 1]; one row broadcasts."""
+    words = words ^ consts[:-1]
+    words *= consts[1:]
+    words ^= words >> _XSHIFT
+    return words
 
 
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
@@ -163,21 +171,18 @@ def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
     """``[default_rng(s).random() for s in seeds]`` for a 1-D uint64 array."""
     # SeedSequence: a seed below 2**64 is two entropy words, and the pool
     # words past the entropy hash as 0.
-    pool = [(seeds & _LOW32).astype(np.uint32), (seeds >> _U32).astype(np.uint32)]
-    pool += [np.zeros_like(pool[0]), np.zeros_like(pool[0])]
-    pool = [_hashmix(word, _ENTROPY_HASH, k) for k, word in enumerate(pool)]
-    k = len(pool)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * _MIX_L
-                mixed -= _hashmix(pool[src], _ENTROPY_HASH, k) * _MIX_R
-                mixed ^= mixed >> _XSHIFT
-                pool[dst] = mixed
-                k += 1
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _LOW32
+    pool[1] = seeds >> _U32
+    pool = _hashmix(pool, _ENTROPY_HASH[:5])
+    for src, (into, consts) in enumerate(_MIXES):
+        mixed = pool[into] * _MIX_L
+        mixed -= _hashmix(pool[src], consts) * _MIX_R
+        mixed ^= mixed >> _XSHIFT
+        pool[into] = mixed
     # generate_state(4, uint64): eight hashed words, paired little-endian.
-    words = [_hashmix(pool[i % 4], _OUTPUT_HASH, i).astype(np.uint64) for i in range(8)]
-    s0, s1, s2, s3 = (words[2 * i] | (words[2 * i + 1] << _U32) for i in range(4))
+    words = _hashmix(np.concatenate((pool, pool)), _OUTPUT_HASH).astype(np.uint64)
+    s0, s1, s2, s3 = words[0::2] | (words[1::2] << _U32)
     # PCG64 seeding: inc = (s2:s3) << 1 | 1, state = (inc + (s0:s1)) stepped.
     inc_hi = (s2 << _U1) | (s3 >> _U63)
     inc_lo = (s3 << _U1) | _U1

@@ -77,10 +77,10 @@ class Ledger:
                 raise ValueError(f"tense {tense!r} disagrees with at {at} and asserted_at {asserted_at}")
             self._cols, self._size = appended._cols, appended._size
 
-    def columns(self, start: int = 0):
+    def columns(self, start: int = 0, stop: int | None = None):
         """The prop id, at, truth and asserted_at columns of the rows from
-        start on, as lists."""
-        n = self._size
+        start to stop (by default to the last row), as lists."""
+        n = self._size if stop is None else min(stop, self._size)
         return [column[start:n] for column in self._cols]
 
     @property
@@ -190,19 +190,26 @@ def check_past_unalterability(ledger: Ledger) -> tuple[Violation, ...]:
     and gap records preceding the baseline, are skipped. Future-tense
     records are predictions, not history: one never serves as a baseline,
     so a prediction that fails to come true is not an alteration.
+
+    A key is one int, at * width + the index of its prop id among the
+    ledger's width distinct ones, so two rows share a key exactly when
+    their (prop_id, at) tuples would be equal; each violation carries its
+    own row's prop id.
     """
     props, ats, truths, asserted = ledger.columns()
-    baselines: dict[tuple[str, int], TruthValue | None] = {}  # in first-appearance order
-    found: dict[tuple[str, int], list[Violation]] = {}
-    gap = TruthValue.GAP
+    index = {p: i for i, p in enumerate(dict.fromkeys(props))}
+    width = len(index)
+    baselines: dict[int, TruthValue | None] = {}  # in first-appearance order
+    found: dict[int, list[Violation]] = {}
+    gap, new = TruthValue.GAP, tuple.__new__  # a NamedTuple's own __new__ is a Python-level call
     for p, at, truth, asserted_at in zip(props, ats, truths, asserted):
-        key = (p, at)
+        key = at * width + index[p]
         baseline = baselines.get(key)
         if baseline is None:
             baselines[key] = truth if truth is not gap and at <= asserted_at else None
         elif truth is not baseline:
             kind = "loss" if truth is gap else "flip"
-            found.setdefault(key, []).append(Violation(p, at, baseline, truth, asserted_at, kind))
+            found.setdefault(key, []).append(new(Violation, (p, at, baseline, truth, asserted_at, kind)))
     return tuple(v for key in baselines if key in found for v in found[key])
 
 

@@ -32,14 +32,14 @@ replace the system with their output:
 * ``record at t`` first re-asserts every lost key as a gap (a past-tense
   record asserted at t), then appends the present valuation of every
   declared proposition against the system.
-* ``reconstruct [p x]`` draws one sub-seed per lost key, appends a
-  past-tense record per key at the current tick, and clears the lost
-  marks. The record holds the seeded Bernoulli bit of its sub-seed. No
-  later step reads those bits, so the run draws them after its last step,
-  in one call per distinct p over that p's sub-seeds in step order, and
-  writes them into the rows; the bits are those a draw per step gives.
-  Flips against the original record are what the past-fixity audit then
-  surfaces.
+* ``reconstruct [p x]`` appends a past-tense record per lost key at the
+  current tick and clears the lost marks. Each record holds the seeded
+  Bernoulli bit of its own sub-seed. No step reads a sub-seed or a bit, so
+  the run draws the sub-seeds of every reconstruct since the last draw in
+  one call, before a ``blackhole`` draws its own and after the last step;
+  then the bits, in one call per distinct p over that p's sub-seeds in step
+  order, written into the rows. Both are what a draw per step gives. Flips
+  against the original record are what the past-fixity audit then surfaces.
 * ``check-past`` counts one audit and keeps the ledger as it stands. The
   report lists the violations of the ledger as of the last ``check-past``;
   that ledger is a persistent value, so it is audited once, after the last
@@ -65,16 +65,16 @@ run gathers the report's steps, valuations, feasibility entries and check
 count, and run_scenario builds the report from them once, after the last
 step, as a value read-only at every depth: its past stays as recorded.
 
-Reports are deterministic for a fixed scenario, seed and tolerance;
-sub-seeds for random steps are drawn from a single generator seeded with
-the run seed.
+Reports are deterministic for a fixed scenario, seed and tolerance: every
+sub-seed comes from one generator seeded with the run seed, in step order,
+and a sub-seed below 2**63 takes one word of its stream however it is batched.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import Mapping
@@ -137,25 +137,26 @@ class Report(Value):
 class _Rows(Value, Sequence):
     """A read-only report view, one subclass per row kind, that renders
     itself through text() and json(), its fields a frozen Value's, held as
-    tuples or a ledger. Each keeps side by side its FIELDS; _values(), its
-    rows as tuples in FIELDS order (by default its rows field); _lines(rows),
-    the text lines of such tuples; and _json_rows(head, sep, close), each
-    row's JSON from the comma before it to its closing brace, with head
-    before the first field and sep between fields. Prop ids go through
-    _quote; truths, tenses and kinds are library constants that need no
-    escaping."""
+    tuples or a ledger. Each keeps side by side its FIELDS; _values(lo, hi),
+    its rows lo to hi (by default all) as tuples in FIELDS order, reading no
+    other row; _lines(rows), the text lines of such tuples; and
+    _json_rows(head, sep, close), each row's JSON from the comma before it
+    to its closing brace, with head before the first field and sep between
+    fields. Prop ids go through _quote; truths, tenses and kinds are library
+    constants that need no escaping."""
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _values(self):
-        return self.rows
+    def _values(self, lo=0, hi=None):
+        return self.rows[lo:hi]
 
     def __getitem__(self, index):
-        picked = list(self._values())[index]
-        if isinstance(index, slice):
-            return [dict(zip(self.FIELDS, values)) for values in picked]
-        return dict(zip(self.FIELDS, picked))
+        picked = range(len(self))[index]  # raises IndexError and TypeError as a list does
+        if type(picked) is int:
+            return dict(zip(self.FIELDS, *self._values(picked, picked + 1)))
+        rows = list(self._values(min(picked, default=0), max(picked, default=-1) + 1))[:: picked.step]
+        return list(map(dict, map(zip, repeat(self.FIELDS), rows)))
 
     def __iter__(self):
         return map(dict, map(zip, repeat(self.FIELDS), self._values()))
@@ -199,8 +200,8 @@ class _RecordRows(_Rows):
     def __len__(self) -> int:
         return len(self.ledger) - self.start
 
-    def _values(self):
-        props, ats, truths, asserted = self.ledger.columns(self.start)
+    def _values(self, lo=0, hi=None):
+        props, ats, truths, asserted = self.ledger.columns(self.start + lo, None if hi is None else self.start + hi)
         return zip(props, ats, map(str, truths), map(derive_tense, ats, asserted))
 
     def _json_rows(self, h, i, n):
@@ -219,9 +220,9 @@ class _SampleRows(_RecordRows):
     FIELDS = ("prop", "at", "value", "seed")
     _lines = staticmethod(lambda rows: [f"      {prop} @{at} := {value}" for prop, at, value, _ in rows])
 
-    def _values(self):
-        props, ats, truths, _ = self.ledger.columns(self.start)
-        return zip(props, ats, map(_BITS.index, truths), self.seeds)
+    def _values(self, lo=0, hi=None):
+        props, ats, truths, _ = self.ledger.columns(self.start + lo, None if hi is None else self.start + hi)
+        return zip(props, ats, map(_BITS.index, truths), self.seeds[lo:hi])
 
     def _json_rows(self, h, i, n):
         props, ats, truths, _ = self.ledger.columns(self.start)
@@ -251,8 +252,8 @@ class _ViolationRows(_Rows):
         lambda rows: [f"  {kind} {pid} @{at}: {was} -> {now} (asserted at {a})" for kind, pid, at, was, now, a in rows]
     )
 
-    def _values(self):
-        return [(kind, pid, at, str(was), str(now), a) for pid, at, was, now, a, kind in self.rows]
+    def _values(self, lo=0, hi=None):
+        return [(kind, pid, at, str(was), str(now), a) for pid, at, was, now, a, kind in self.rows[lo:hi]]
 
     def _json_rows(self, h, i, n):
         quoted = {pid: _quote(pid) for pid in {v[0] for v in self.rows}}
@@ -285,6 +286,8 @@ class _Run:
         self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
         self.now = 0
         self.pending_clone: StateVector | None = None  # the source of the last clone
+        # each reconstruct since the last sub-seed draw: (its place in steps, its ledger, its first row, its p)
+        self.undrawn: list[tuple[int, Ledger, int, float]] = []
         # p -> the ledger rows a reconstruct appended at p, and their sub-seeds
         self.draws: dict[float, tuple[list[int], list[int]]] = {}
 
@@ -309,6 +312,20 @@ class _Run:
         new = self.row(system, self.props)
         return _TransitionRows(tuple((pid, old[pid]._value_, new[pid]._value_) for pid in self.props))
 
+    def draw_sub_seeds(self) -> None:
+        """Draw the sub-seeds of every reconstruct since the last draw in one
+        call, in step order, and set each step's samples."""
+        undrawn, self.undrawn = self.undrawn, []
+        total = sum(len(led) - start for _, led, start, _ in undrawn)
+        drawn = iter(self.rng.integers(0, 2**63, size=total).tolist() if total else ())
+        for place, led, start, p in undrawn:
+            seeds = tuple(islice(drawn, len(led) - start))
+            if seeds:
+                rows, all_seeds = self.draws.setdefault(p, ([], []))
+                rows += range(start, len(led))
+                all_seeds += seeds
+            self.steps[place]["samples"] = _SampleRows(led, start, seeds)
+
     def mark_lost(self) -> None:
         for key, determinate in self.recorded.items():
             if determinate and key not in self.lost:
@@ -331,6 +348,13 @@ def _feasibility_entry(feas) -> MappingProxyType:
 
 #: How _json_entry writes a scalar field value, by its type, as json.dumps does.
 _SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__, float: float.__repr__}
+#: The keys of the report's entries and of their nested mappings, atom names aside.
+_KEYS = (
+    "index line kind at recorded source target physical past_lost feasibility transitions cloned blank state"
+    " seed unitary p_one samples prop truth formula atoms first second feasible overlap overlap_squared detail"
+).split()
+#: The indentation of an entry's brace line -> each key's head after a comma, as _json_entry writes it.
+_HEADS = {newline: {key: f",{newline}  {_quote(key)}: " for key in _KEYS} for newline in ("\n    ", "\n      ")}
 
 
 def _json_entry(entry: Mapping, newline: str, out: list[str]) -> None:
@@ -338,11 +362,10 @@ def _json_entry(entry: Mapping, newline: str, out: list[str]) -> None:
     the dict it stands for: each field by its value's type, a scalar through
     _SCALARS, a read-only mapping through this function and otherwise a view
     through its json(). newline is "\\n" and the indentation of the brace's
-    line."""
-    inner = newline + "  "
-    sep = "{" + inner
+    line. A field's head comes from _HEADS where it has one."""
+    inner, heads, first = newline + "  ", _HEADS.get(newline, {}), len(out)
     for key, value in entry.items():
-        out.append(f"{sep}{_quote(key)}: ")
+        out.append(heads.get(key) or f",{inner}{_quote(key)}: ")
         write = _SCALARS.get(type(value))
         if write is not None:
             out.append(write(value))
@@ -350,7 +373,7 @@ def _json_entry(entry: Mapping, newline: str, out: list[str]) -> None:
             _json_entry(value, inner, out)
         else:
             value.json(inner, out)
-        sep = "," + inner
+    out[first] = "{" + out[first][1:]
     out.append(newline + "}")
 
 
@@ -422,6 +445,7 @@ def _unclone(run: _Run, item: UncloneStep, operands) -> dict:
 
 def _blackhole(run: _Run, item: BlackholeStep, operands) -> dict:
     (state,) = operands
+    run.draw_sub_seeds()  # the stream gives earlier reconstructs their sub-seeds first
     sub_seed = int(run.rng.integers(0, 2**63))
     transitions = run.move(blackhole_evaporate(state, seed=sub_seed))
     run.mark_lost()
@@ -439,16 +463,13 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
     p = Report.p_one if item.p_one is None else item.p_one
     lost, led = run.lost, run.ledger
     start = len(led)
-    sub_seeds = run.rng.integers(0, 2**63, size=len(lost)).tolist() if lost else []
     for pid, at0 in lost:  # 0 until run_scenario draws the bit; no step reads it before
         led = record_valuation(led, at0, pid, _FALSE, run.now)
-    if sub_seeds:
-        rows, seeds = run.draws.setdefault(p, ([], []))
-        rows += range(start, len(led))
-        seeds += sub_seeds
     lost.clear()
     run.ledger = led
-    return {"p_one": float(p), "samples": _SampleRows(led, start, tuple(sub_seeds))}
+    # run_scenario appends this step's entry at len(run.steps); draw_sub_seeds sets its samples.
+    run.undrawn.append((len(run.steps), led, start, p))
+    return {"p_one": float(p), "samples": None}
 
 
 def _eval(run: _Run, item: EvalQuery, operands) -> None:
@@ -537,6 +558,7 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
         if fields is not None:
             run.steps.append({"index": index, "line": item.line, "kind": kind, **fields})
 
+    run.draw_sub_seeds()
     for p, (rows, seeds) in run.draws.items():
         _settle_truths(run.ledger, rows, [_BITS[bit] for bit in sample_past_reconstruction(p, seeds)])
     violations = _ViolationRows(check_past_unalterability(run.audited) if run.checks_run else ())

@@ -239,6 +239,71 @@ def test_kernel_uniforms_equal_one_default_rng_per_seed():
         assert got == [np.random.default_rng(s).random() for s in seeds.tolist()]
 
 
+# The kernel as it was before it hashed the SeedSequence words stacked, one
+# word at a time, kept as the oracle of the stacked one.
+
+
+def word_hash_constants(start, mult, count):
+    consts = [start]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return [np.uint32(c) for c in consts]
+
+
+WORD_ENTROPY_HASH = word_hash_constants(0x43B0D7E5, 0x931E8875, 17)
+WORD_OUTPUT_HASH = word_hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+
+
+def word_hashmix(value, consts, k):
+    value = value ^ consts[k]
+    value *= consts[k + 1]
+    value ^= value >> np.uint32(16)
+    return value
+
+
+def word_by_word_first_uniforms(seeds):
+    low32, u32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    mix_l, mix_r = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+    pool = [(seeds & low32).astype(np.uint32), (seeds >> u32).astype(np.uint32)]
+    pool += [np.zeros_like(pool[0]), np.zeros_like(pool[0])]
+    pool = [word_hashmix(word, WORD_ENTROPY_HASH, k) for k, word in enumerate(pool)]
+    k = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * mix_l
+                mixed -= word_hashmix(pool[src], WORD_ENTROPY_HASH, k) * mix_r
+                mixed ^= mixed >> np.uint32(16)
+                pool[dst] = mixed
+                k += 1
+    words = [word_hashmix(pool[i % 4], WORD_OUTPUT_HASH, i).astype(np.uint64) for i in range(8)]
+    s0, s1, s2, s3 = (words[2 * i] | (words[2 * i + 1] << u32) for i in range(4))
+    one, u63 = np.uint64(1), np.uint64(63)
+    inc_hi = (s2 << one) | (s3 >> u63)
+    inc_lo = (s3 << one) | one
+    lo = inc_lo + s1
+    hi = inc_hi + s0
+    hi += lo < inc_lo
+    hi, lo = svq.dynamics._pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = svq.dynamics._pcg_step(hi, lo, inc_hi, inc_lo)
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & u63))
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+def test_stacked_kernel_equals_the_word_by_word_one():
+    rng = np.random.default_rng(33)
+    arrays = [np.array(EDGE_SEEDS, dtype=np.uint64)]
+    arrays += [rng.integers(0, 2**64, size=n, dtype=np.uint64) for n in range(1, 65)]
+    for seeds in arrays:
+        assert _first_uniforms(seeds).tolist() == word_by_word_first_uniforms(seeds).tolist()
+    # The oracle itself gives numpy's doubles.
+    for seeds in (arrays[0], arrays[-1]):
+        want = [np.random.default_rng(s).random() for s in seeds.tolist()]
+        assert word_by_word_first_uniforms(seeds).tolist() == want
+
+
 @pytest.mark.parametrize("n", [_SCALAR_CUTOFF - 1, _SCALAR_CUTOFF, _SCALAR_CUTOFF + 1])
 def test_both_routes_give_the_reference_bits_at_the_cutoff(n, monkeypatch):
     kernel_calls = []

@@ -264,13 +264,31 @@ def reference_check_past_unalterability(ledger):
     return tuple(violations)
 
 
+# The audit as it was before it keyed each row by one int, keyed by
+# (prop id, at) tuples, kept as the oracle of the int-keyed one.
+
+
+def tuple_keyed_check_past_unalterability(ledger):
+    props, ats, truths, asserted = ledger.columns()
+    baselines = {}
+    found = {}
+    for p, at, truth, asserted_at in zip(props, ats, truths, asserted):
+        key = (p, at)
+        baseline = baselines.get(key)
+        if baseline is None:
+            baselines[key] = truth if truth is not G and at <= asserted_at else None
+        elif truth is not baseline:
+            kind = "loss" if truth is G else "flip"
+            found.setdefault(key, []).append(Violation(p, at, baseline, truth, asserted_at, kind))
+    return tuple(v for key in baselines if key in found for v in found[key])
+
+
+# Prop ids that compare equal across types (1, 1.0 and True) share a key; two
+# distinct nan objects do not, as a nan is equal only to itself.
+NAN_A, NAN_B = float("nan"), float("nan")
+ticks = st.one_of(st.integers(0, 5), st.integers(2**64, 2**64 + 2))
 ledger_entries = st.lists(
-    st.tuples(
-        st.integers(0, 5),
-        st.sampled_from(("P", "Q")),
-        st.sampled_from((T, F, G)),
-        st.integers(0, 5),
-    ),
+    st.tuples(ticks, st.sampled_from(("P", "Q", 1, 1.0, True, NAN_A, NAN_B)), st.sampled_from((T, F, G)), ticks),
     max_size=30,
 )
 
@@ -286,12 +304,15 @@ def test_audit_matches_the_reference_on_newest_and_forked_ledgers(entries, data)
     tick = max((rec.asserted_at for rec in older), default=0)
     fork = older
     for at, pid, truth in data.draw(
-        st.lists(st.tuples(st.integers(0, 6), st.sampled_from(("P", "R")), st.sampled_from((T, F, G))), max_size=6)
+        st.lists(st.tuples(ticks, st.sampled_from(("P", "R", 1.0, NAN_B)), st.sampled_from((T, F, G))), max_size=6)
     ):
         fork = record_valuation(fork, at, pid, truth, tick)
     for led in (ledgers[-1], older, fork):
         found = check_past_unalterability(led)
-        assert found == reference_check_past_unalterability(led)
+        want = tuple_keyed_check_past_unalterability(led)
+        assert found == want == reference_check_past_unalterability(led)
+        # Each violation carries its own row's prop id object, as the tuple-keyed audit does.
+        assert all(v.prop_id is w.prop_id for v, w in zip(found, want))
         assert all(type(v) is Violation for v in found)
 
 

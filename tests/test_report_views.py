@@ -175,7 +175,9 @@ def test_reversed_and_index_read_a_view_in_one_pass(monkeypatch):
     # each view[i] reads every row: one pass over the rows per row.
     passes = []
     for kind in (_RecordRows, _SampleRows, _TransitionRows, _ViolationRows):
-        monkeypatch.setattr(kind, "_values", lambda view, read=kind._values: passes.append(type(view)) or read(view))
+        monkeypatch.setattr(
+            kind, "_values", lambda view, *bounds, read=kind._values: passes.append(type(view)) or read(view, *bounds)
+        )
     report = run_scenario(parse_scenario(EVERY_VIEW), {"seed": 1})
     views = views_of(report)
     assert {type(view) for view in views} == {_RecordRows, _SampleRows, _TransitionRows, _ViolationRows}
@@ -207,3 +209,39 @@ def test_index_takes_start_and_stop_as_sequence_does():
                     else:
                         assert view.index(row, start, stop) == want
                         assert view.index(row, start=start, stop=stop) == want
+
+
+def test_indexing_a_view_reads_only_the_rows_it_returns(monkeypatch):
+    # A record or sample view reads its rows from the ledger's columns; a
+    # view[i] reads row i alone, and a slice the span of the rows it returns.
+    read = []
+    columns = Ledger.columns
+
+    def counting_columns(ledger, *bounds):
+        got = columns(ledger, *bounds)
+        read.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(Ledger, "columns", counting_columns)
+    text = "state up = [1, 0]\nstate plus = [1, 1]\n" + "".join(f"prop P{i} = span([{i % 2}, {1 - i % 2}])\n" for i in range(4))
+    text += "".join(f"record at {t}\n" for t in range(4)) + "clone plus -> up\nrecord at 4\nreconstruct\n"
+    report = run_scenario(parse_scenario(text), {"seed": 5})
+    views = [view for view in views_of(report) if isinstance(view, _RecordRows)]
+    assert {type(view) for view in views} == {_RecordRows, _SampleRows}
+    assert [len(view) for view in views[-2:]] == [20, 16]
+    for view in views:
+        rows = list(view)
+        n = len(rows)
+        for i in range(-n, n):
+            read.clear()
+            assert view[i] == rows[i]
+            assert read == [1]
+        ends = (None, -n - 1, -3, 0, 2, n, n + 1)
+        for cut in (slice(start, stop, step) for start in ends for stop in ends for step in (None, -1, 2, -3)):
+            picked = range(n)[cut]
+            read.clear()
+            assert view[cut] == rows[cut]
+            assert read == [max(picked, default=-1) + 1 - min(picked, default=0)]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[bad]

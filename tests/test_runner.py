@@ -423,6 +423,30 @@ def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
     assert seeds == [int(rng.integers(0, 2**63)) for _ in seeds]
 
 
+# A run draws the sub-seeds of every reconstruct since its last draw in one
+# call, before a blackhole draws its own and after its last step.
+BLACKHOLE_BETWEEN = CLONE_HEADER + (
+    "record at 0\nclone upsilon -> phi\nrecord at 1\nreconstruct\n"
+    "blackhole upsilon\nrecord at 2\nreconstruct p 0.25\ncheck-past\n"
+)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_sub_seeds_drawn_in_batches_are_those_of_one_scalar_draw_each(seed):
+    report = run_text(BLACKHOLE_BETWEEN, seed=seed)
+    drawn = []
+    for step in report.steps:
+        if step["kind"] == "blackhole":
+            drawn.append(step["seed"])
+        elif step["kind"] == "reconstruct":
+            assert step["samples"]
+            drawn += [sample["seed"] for sample in step["samples"]]
+    rng = np.random.default_rng(seed)
+    assert drawn == [int(rng.integers(0, 2**63)) for _ in drawn]
+    scenario = parse_scenario(BLACKHOLE_BETWEEN)
+    overrides = {"seed": seed}
+    assert outcome(run_scenario, scenario, overrides) == outcome(reference_run_scenario, scenario, overrides)
+
 
 def test_a_run_builds_its_generator_only_when_a_step_draws(monkeypatch):
     # A run with no blackhole step, and no reconstruct step that lost a key,
