@@ -18,10 +18,15 @@ METRICS = ("wall_s", "setup_s", "job_p50_ms")
 
 
 def summaries():
-    for name in ("BENCH_21.json", "BENCH_24.json"):
+    for name in ("BENCH_21.json", "BENCH_24.json", "BENCH_33.json"):
         evidence = json.loads((ROOT / name).read_text(encoding="utf-8"))
-        for summary in evidence["summary"]:
-            yield pytest.param(evidence["records"], summary, id=f"{name}-{summary['workload']}-seed{summary['seed']}")
+        # Further runs that carry their own records are checked as well.
+        parts = {"": evidence}
+        parts |= {f"{key}-": evidence[key] for key in ("repeat_runs", "earlier_runs") if "records" in evidence.get(key, {})}
+        for prefix, part in parts.items():
+            for summary in part["summary"]:
+                run_id = f"{name}-{prefix}{summary['workload']}-seed{summary['seed']}"
+                yield pytest.param(part["records"], summary, id=run_id)
 
 
 @pytest.mark.parametrize("records, summary", summaries())

@@ -223,7 +223,9 @@ def test_indexing_a_view_reads_only_the_rows_it_returns(monkeypatch):
         return got
 
     monkeypatch.setattr(Ledger, "columns", counting_columns)
-    text = "state up = [1, 0]\nstate plus = [1, 1]\n" + "".join(f"prop P{i} = span([{i % 2}, {1 - i % 2}])\n" for i in range(4))
+    # Four determinate props recorded at four ticks, all erased by one clone.
+    text = "state up = [1, 0]\nstate plus = [1, 1]\n"
+    text += "".join(f"prop P{i} = span([{i % 2}, {1 - i % 2}])\n" for i in range(4))
     text += "".join(f"record at {t}\n" for t in range(4)) + "clone plus -> up\nrecord at 4\nreconstruct\n"
     report = run_scenario(parse_scenario(text), {"seed": 5})
     views = [view for view in views_of(report) if isinstance(view, _RecordRows)]
