@@ -12,6 +12,8 @@ below, form the lattice of Birkhoff and von Neumann. Holding a rank-k
 subspace of C^d as a d-by-k basis keeps membership at one or two d-by-k
 products, spans, meet and join at O(dk^2), and the orthocomplement at
 the O(d(d-k)k) that writing its basis takes, its check too for small k.
+A span proves that it keeps every direction by one Cholesky factorisation
+of a Gram matrix and computes an SVD only when a direction may drop.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import DimensionMismatch, EmptySpan
 from .hilbert import DEFAULT_TOL, StateVector, _divided, _largest_part
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = math.ulp(0.0)  # 2^-1074, the least subnormal
 
 
 class TruthValue(Enum):
@@ -154,45 +157,105 @@ def zero_subspace(dim: int) -> Subspace:
     return _from_basis(np.zeros((dim, 0)))
 
 
+def _full_rank(r: np.ndarray, tol: float) -> bool:
+    """Whether every singular value of R exceeds tol times the largest, proven by one Cholesky.
+
+    Let n by k be R's shape (n = min(d, k)), G its n-by-n Gram matrix, R^H R
+    for a square R and R R^H for a wide one, whose eigenvalues are the
+    squared singular values s_i^2, f = |R|_F^2 = tr G, u = eps / 2 and xi =
+    2^-1074, the absolute error that gradual underflow adds to an operation.
+    In exact arithmetic G - mu I has a Cholesky factor exactly when
+    lambda_min(G) > mu. The rounding, with f-hat the
+    computed f and gamma_m = m u / (1 - m u) (Higham, chs. 3 and 10, the
+    sqrt(2) of complex multiplication rounded up to 2):
+
+    - forming G, inner products of length k, moves it by at most
+      2 gamma_{k+2} f + 8 n k xi in 2-norm (the Frobenius norm of
+      |R^H| |R| is at most f);
+    - f-hat is within 1.02 (k + n + 2) eps f of f, and computing mu and
+      subtracting it round by less than 3 eps f;
+    - a Cholesky that completes factors A + E with |E| <= 2 gamma_{n+2}
+      |L| |L^H| (Demmel), and |L|_F^2 = tr(A + E), so |E|_2 <= 1.02
+      (n + 2) eps f + 4 n (n + 1) xi.
+
+    These sum to less than (2.1 (k + n) + 10) eps f + 12 (k + 1)^2 xi.
+    The SVD that the rank rule reads has errors of at most p eps s_0, p a
+    modestly growing function of the shape (LAPACK Users' Guide, 4.9),
+    taken as k, so it keeps every direction when s_min exceeds
+    (tol + 2 k eps) s_0, which, for tol in [0, 1) and s_0^2 <= f, holds
+    when s_min^2 > tol^2 f + 4.01 k eps f. With n <= k, the shift
+
+        mu = (max(tol, 0)^2 + 16 (k + 1) eps) f-hat + 16 (k + 1)^2 xi
+
+    covers both about twice over, and a factorisation of G - mu I proves that the SVD keeps
+    all n directions. At tol >= 1, mu exceeds every eigenvalue of G, and a
+    nan tol makes G nan, so neither is ever certified. The cost is an
+    O(n^2 k) product and an O(n^3) factorisation, against a values-only SVD
+    of R that costs several times that.
+    """
+    n, k = r.shape
+    gram = r.conj().T @ r if n == k else r @ r.conj().T
+    frobenius = gram.trace().real
+    gram.reshape(-1)[:: n + 1] -= (max(tol, 0.0) ** 2 + 16 * (k + 1) * _EPS) * frobenius + 16 * (k + 1) ** 2 * _TINY
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    # A potrf that does not stop at a nan pivot carries the nan down every later row to the last pivot.
+    return math.isfinite(factor[-1, -1].real)
+
+
 def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     """The closed span of the given vectors.
 
     Directions whose singular value falls below tol times the largest count
     as noise. A thin QR, A = QR, gives the singular values from R: if all
-    are kept Q is the basis, else Q times R's leading left singular vectors,
-    computed at once when a diagonal entry of R is within tol of the largest
-    (for k <= d, s_min <= min |r_jj| and max |r_jj| <= s_0). A single vector
-    needs no SVD: at a tol in [0, 1) the SVD would keep its one direction,
-    so it is only divided by its largest real or imaginary part and then by
-    its norm. Raises ValueError for a non-finite component, as make_state does.
+    are kept Q is the basis, else Q times R's leading left singular vectors.
+    A diagonal entry of R within tol of the largest already proves a drop
+    (for k <= d, s_min <= min |r_jj| and max |r_jj| <= s_0), and then R's
+    SVD is computed at once. Otherwise one Cholesky factorisation of R's
+    shifted Gram matrix (see _full_rank) proves that every direction is
+    kept; only where it fails, as it must when a direction may drop, is R's
+    SVD computed, once, and Q kept if that SVD keeps every direction. Two
+    or more vectors are gathered as the rows of one array, whose transpose
+    is the A above. A single vector needs no SVD: at a tol in [0, 1) the SVD would
+    keep its one direction, so it is only divided by its largest real or
+    imaginary part and then by its norm. Raises ValueError for a non-finite
+    component, as make_state does.
     """
-    cols = []
+    rows = []
     for v in vectors:
         arr = np.asarray(v, dtype=np.complex128).reshape(-1)
         if arr.shape[0] != dim:
             raise DimensionMismatch(f"spanning vector has length {arr.shape[0]}, expected {dim}")
-        cols.append(arr)
-    if not cols:
+        rows.append(arr)
+    if not rows:
         raise EmptySpan("no spanning vectors given")
-    basis_matrix = cols[0].reshape(dim, 1) if len(cols) == 1 else np.column_stack(cols)
-    top = _largest_part(basis_matrix)
+    if len(rows) == 1:
+        spanning = rows[0].reshape(dim, 1)
+        top = _largest_part(spanning)
+    else:  # one row-major copy, A^T, rather than a column stack, which writes strided columns
+        gathered = np.array(rows)
+        spanning, top = gathered.T, _largest_part(gathered)
     if not math.isfinite(top):
         raise ValueError("spanning vectors must be finite")
-    if top <= tol and float(np.abs(basis_matrix).max()) <= tol:  # |z| is at least z's largest part
+    if top <= tol and float(np.abs(spanning).max()) <= tol:  # |z| is at least z's largest part
         raise EmptySpan("every spanning vector is numerically zero")
-    if len(cols) == 1 and 0.0 <= tol < 1.0:
+    if len(rows) == 1 and 0.0 <= tol < 1.0:
         # With its largest part at 1 its norm neither overflows nor underflows.
-        line = _divided(basis_matrix, top)
+        line = _divided(spanning, top)
         line /= math.sqrt(np.vdot(line, line).real)
         return _set_basis(object.__new__(Subspace), line)
-    if top * top * basis_matrix.size > 1e300:  # s_0^2 may overflow: bring the largest part to 1 first
-        basis_matrix = _divided(basis_matrix, top)
-    q, r = np.linalg.qr(basis_matrix)
+    if top * top * spanning.size > 1e300:  # s_0^2 may overflow: bring the largest part to 1 first
+        spanning = _divided(spanning, top)
+    q, r = np.linalg.qr(spanning)
     diag = np.abs(r.diagonal())
-    if diag.min() > tol * diag.max() and (s := _svd(r, vectors=False))[-1] > tol * s[0]:
+    shown = diag.min() <= tol * diag.max()  # or nan: the diagonal proves a drop
+    if not shown and _full_rank(r, tol):
         return _from_basis(q)  # every direction is kept
     u, s = _svd(r)
-    return _from_basis(q @ u[:, : int(np.sum(s > tol * s[0]))])
+    kept = int(np.sum(s > tol * s[0]))
+    return _from_basis(q if not shown and kept == s.shape[0] else q @ u[:, :kept])
 
 
 def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> TruthValue:

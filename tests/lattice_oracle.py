@@ -5,6 +5,11 @@ membership, _set_basis, _from_basis and orthocomplement are kept verbatim
 from svq.lattice, as are meet and join, whose bodies did not change but
 build their results through _from_basis. They are the differential oracle
 of tests/test_lattice_oracle.py.
+
+span_subspace is kept as it was before a Cholesky factorisation took over
+from R's values-only SVD the proof that no direction drops; only its one
+vector's basis is set through this module's _set_basis. It is the oracle of
+tests/test_span_oracle.py.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import math
 
 import numpy as np
 
-from svq.errors import DimensionMismatch
-from svq.hilbert import DEFAULT_TOL, StateVector
+from svq.errors import DimensionMismatch, EmptySpan
+from svq.hilbert import DEFAULT_TOL, StateVector, _divided, _largest_part
 from svq.lattice import _EPS, Subspace, TruthValue, _svd
 
 
@@ -37,6 +42,49 @@ def _from_basis(basis: np.ndarray) -> Subspace:
     if np.max(np.abs(gram - np.eye(sub.rank)), initial=0.0) > DEFAULT_TOL:
         raise ValueError("basis columns are not orthonormal within tolerance")
     return sub
+
+
+def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
+    """The closed span of the given vectors.
+
+    Directions whose singular value falls below tol times the largest count
+    as noise. A thin QR, A = QR, gives the singular values from R: if all
+    are kept Q is the basis, else Q times R's leading left singular vectors,
+    computed at once when a diagonal entry of R is within tol of the largest
+    (for k <= d, s_min <= min |r_jj| and max |r_jj| <= s_0). A single vector
+    needs no SVD: at a tol in [0, 1) the SVD would keep its one direction,
+    so it is only divided by its largest real or imaginary part and then by
+    its norm. Raises ValueError for a non-finite component, as make_state does.
+    """
+    cols = []
+    for v in vectors:
+        arr = np.asarray(v, dtype=np.complex128).reshape(-1)
+        if arr.shape[0] != dim:
+            raise DimensionMismatch(f"spanning vector has length {arr.shape[0]}, expected {dim}")
+        cols.append(arr)
+    if not cols:
+        raise EmptySpan("no spanning vectors given")
+    basis_matrix = cols[0].reshape(dim, 1) if len(cols) == 1 else np.column_stack(cols)
+    top = _largest_part(basis_matrix)
+    if not math.isfinite(top):
+        raise ValueError("spanning vectors must be finite")
+    if top <= tol and float(np.abs(basis_matrix).max()) <= tol:  # |z| is at least z's largest part
+        raise EmptySpan("every spanning vector is numerically zero")
+    if len(cols) == 1 and 0.0 <= tol < 1.0:
+        # With its largest part at 1 its norm neither overflows nor underflows.
+        line = _divided(basis_matrix, top)
+        line /= math.sqrt(np.vdot(line, line).real)
+        sub = object.__new__(Subspace)
+        _set_basis(sub, line)
+        return sub
+    if top * top * basis_matrix.size > 1e300:  # s_0^2 may overflow: bring the largest part to 1 first
+        basis_matrix = _divided(basis_matrix, top)
+    q, r = np.linalg.qr(basis_matrix)
+    diag = np.abs(r.diagonal())
+    if diag.min() > tol * diag.max() and (s := _svd(r, vectors=False))[-1] > tol * s[0]:
+        return _from_basis(q)  # every direction is kept
+    u, s = _svd(r)
+    return _from_basis(q @ u[:, : int(np.sum(s > tol * s[0]))])
 
 
 def membership(state: StateVector, prop: Subspace, tol: float = DEFAULT_TOL) -> TruthValue:

@@ -874,16 +874,69 @@ _PAIR = [span_subspace(np.hstack([_SHARED, _gaussian(_SVD_RNG, 8, 2)]).T, 8) for
 _INDEPENDENT = _gaussian(_SVD_RNG, 8, 4).T
 
 #: Each call of np.linalg.svd in the lattice: the caller, and which of its
-#: SVD calls fails. A dependent span takes the vectors of R at once, an
-#: independent one only R's values, and a rescaled one its SVD after the
-#: rescale.
+#: SVD calls fails. A dependent span takes the vectors of R at once, a
+#: rescaled one after the rescale; an independent span takes none (below).
 SVD_CALLERS = {
     "span": (lambda: span_subspace(_RANK_3_SPAN, 8), 1),
-    "span-values": (lambda: span_subspace(_INDEPENDENT, 8), 1),
     "span-rescaled": (lambda: span_subspace([[1.7e308, 1.7e308], [1, 0]], 2), 1),
     "meet": (lambda: meet(*_PAIR), 1),
     "join": (lambda: join(*_PAIR), 1),
 }
+
+#: Spans that keep every direction, plain and rescaled: one Cholesky
+#: factorisation proves it, with no SVD.
+INDEPENDENT_SPANS = {
+    "plain": (lambda: span_subspace(_INDEPENDENT, 8), 4),
+    "rescaled": (lambda: span_subspace([[1.7e308, 1.7e308], [1.7e308, 0]], 2), 2),
+}
+
+# 30 vectors e_j - (e_0 + ... + e_{j-1}): R's diagonal is all ones, yet
+# s_min / s_0 is 1.5e-10, so the SVD drops one direction that it does not show.
+_HIDDEN_DROP = np.eye(30) - np.triu(np.ones((30, 30)), 1)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The matrices that np.linalg.<name> is called on from now on."""
+    calls, function = [], getattr(np.linalg, name)
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return function(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("span", INDEPENDENT_SPANS)
+def test_an_independent_span_takes_one_cholesky_and_no_svd(span, monkeypatch):
+    call, rank = INDEPENDENT_SPANS[span]
+    svds, choleskys = _counted(monkeypatch, "svd"), _counted(monkeypatch, "cholesky")
+    assert call().rank == rank
+    assert (len(svds), len(choleskys)) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "call, choleskys",
+    [(SVD_CALLERS["span"][0], 0), (SVD_CALLERS["span-rescaled"][0], 0), (lambda: span_subspace(_HIDDEN_DROP.T, 30), 1)],
+    ids=["shown", "shown-rescaled", "hidden"],
+)
+def test_a_dependent_span_takes_one_svd(call, choleskys, monkeypatch):
+    # A drop that R's diagonal shows skips the Cholesky; a hidden one fails it.
+    svds, factored = _counted(monkeypatch, "svd"), _counted(monkeypatch, "cholesky")
+    call()
+    assert (len(svds), len(factored)) == (1, choleskys)
+
+
+@pytest.mark.parametrize("span", INDEPENDENT_SPANS)
+def test_a_failed_cholesky_gives_the_certified_basis(span, monkeypatch):
+    call, _ = INDEPENDENT_SPANS[span]
+    expected = call()
+
+    def failing(matrix, *args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    assert np.array_equal(call().basis, expected.basis)
 
 
 @pytest.mark.parametrize("caller", SVD_CALLERS)
