@@ -195,8 +195,9 @@ def _full_rank(r: np.ndarray, tol: float) -> bool:
     """
     n, k = r.shape
     gram = r.conj().T @ r if n == k else r @ r.conj().T
-    frobenius = gram.trace().real
-    gram.reshape(-1)[:: n + 1] -= (max(tol, 0.0) ** 2 + 16 * (k + 1) * _EPS) * frobenius + 16 * (k + 1) ** 2 * _TINY
+    diagonal = gram.reshape(-1)[:: n + 1]
+    frobenius = diagonal.real.sum()
+    diagonal -= (max(tol, 0.0) ** 2 + 16 * (k + 1) * _EPS) * frobenius + 16 * (k + 1) ** 2 * _TINY
     try:
         factor = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
