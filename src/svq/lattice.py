@@ -165,9 +165,9 @@ def _full_rank(r: np.ndarray, tol: float) -> bool:
     squared singular values s_i^2, f = |R|_F^2 = tr G, u = eps / 2 and xi =
     2^-1074, the absolute error that gradual underflow adds to an operation.
     In exact arithmetic G - mu I has a Cholesky factor exactly when
-    lambda_min(G) > mu. The rounding, with f-hat the
-    computed f and gamma_m = m u / (1 - m u) (Higham, chs. 3 and 10, the
-    sqrt(2) of complex multiplication rounded up to 2):
+    lambda_min(G) > mu. The rounding, with f-hat the computed f and gamma_m
+    = m u / (1 - m u) (Higham, chs. 3 and 10, the sqrt(2) of complex
+    multiplication rounded up to 2):
 
     - forming G, inner products of length k, moves it by at most
       2 gamma_{k+2} f + 8 n k xi in 2-norm (the Frobenius norm of
@@ -187,11 +187,11 @@ def _full_rank(r: np.ndarray, tol: float) -> bool:
 
         mu = (max(tol, 0)^2 + 16 (k + 1) eps) f-hat + 16 (k + 1)^2 xi
 
-    covers both about twice over, and a factorisation of G - mu I proves that the SVD keeps
-    all n directions. At tol >= 1, mu exceeds every eigenvalue of G, and a
-    nan tol makes G nan, so neither is ever certified. The cost is an
-    O(n^2 k) product and an O(n^3) factorisation, against a values-only SVD
-    of R that costs several times that.
+    covers both about twice over, and a factorisation of G - mu I proves
+    that the SVD keeps all n directions. At tol >= 1, mu exceeds every
+    eigenvalue of G, and a nan tol makes G nan, so neither is ever
+    certified. The cost is an O(n^2 k) product and an O(n^3) factorisation,
+    against a values-only SVD of R that costs several times that.
     """
     n, k = r.shape
     gram = r.conj().T @ r if n == k else r @ r.conj().T
@@ -219,10 +219,10 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     kept; only where it fails, as it must when a direction may drop, is R's
     SVD computed, once, and Q kept if that SVD keeps every direction. Two
     or more vectors are gathered as the rows of one array, whose transpose
-    is the A above. A single vector needs no SVD: at a tol in [0, 1) the SVD would
-    keep its one direction, so it is only divided by its largest real or
-    imaginary part and then by its norm. Raises ValueError for a non-finite
-    component, as make_state does.
+    is the A above. A single vector needs no SVD: at a tol in [0, 1) the
+    SVD would keep its one direction, so it is only divided by its largest
+    real or imaginary part and then by its norm. Raises ValueError for a
+    non-finite component, as make_state does.
     """
     rows = []
     for v in vectors:
@@ -251,7 +251,7 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
         spanning = _divided(spanning, top)
     q, r = np.linalg.qr(spanning)
     diag = np.abs(r.diagonal())
-    shown = diag.min() <= tol * diag.max()  # or nan: the diagonal proves a drop
+    shown = not diag.min() > tol * diag.max()  # the diagonal proves a drop, as a nan tol does
     if not shown and _full_rank(r, tol):
         return _from_basis(q)  # every direction is kept
     u, s = _svd(r)
