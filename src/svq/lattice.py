@@ -235,7 +235,7 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     if len(rows) == 1:
         spanning = rows[0].reshape(dim, 1)
         top = _largest_part(spanning)
-    else:  # one row-major copy, A^T, rather than a column stack, which writes strided columns
+    else:  # one row-major copy, A^T: a column stack would write strided columns
         gathered = np.array(rows)
         spanning, top = gathered.T, _largest_part(gathered)
     if not math.isfinite(top):
