@@ -114,8 +114,8 @@ class Subspace:
         return f"Subspace(dim={self.dim}, rank={self.rank})"
 
 
-def _svd(matrix: np.ndarray, vectors: bool = True):
-    """The left singular vectors and singular values of a thin SVD, or only the values.
+def _svd(matrix: np.ndarray):
+    """The left singular vectors and singular values of a thin SVD.
 
     LAPACK's gesdd can fail to converge on finite, well-scaled matrices
     with clusters of tiny singular values. The SVD of the adjoint, whose
@@ -123,11 +123,10 @@ def _svd(matrix: np.ndarray, vectors: bool = True):
     The result is read by position, as numpy 1.x returns a plain tuple.
     """
     try:
-        out = np.linalg.svd(matrix, full_matrices=False, compute_uv=vectors)
-        return out[:2] if vectors else out
+        return np.linalg.svd(matrix, full_matrices=False)[:2]
     except np.linalg.LinAlgError:
-        out = np.linalg.svd(matrix.conj().T, full_matrices=False, compute_uv=vectors)
-        return (out[2].conj().T, out[1]) if vectors else out
+        out = np.linalg.svd(matrix.conj().T, full_matrices=False)
+        return out[2].conj().T, out[1]
 
 
 def _set_basis(sub: Subspace, basis: np.ndarray) -> Subspace:

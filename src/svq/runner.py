@@ -33,13 +33,12 @@ replace the system with their output:
   record asserted at t), then appends the present valuation of every
   declared proposition against the system.
 * ``reconstruct [p x]`` appends a past-tense record per lost key at the
-  current tick and clears the lost marks. Each record holds the seeded
-  Bernoulli bit of its own sub-seed. No step reads a sub-seed or a bit, so
-  the run draws the sub-seeds of every reconstruct since the last draw in
-  one call, before a ``blackhole`` draws its own and after the last step;
-  then the bits, in one call per distinct p over that p's sub-seeds in step
-  order, written into the rows. Both are what a draw per step gives. Flips
-  against the original record are what the past-fixity audit then surfaces.
+  current tick, takes one sub-seed per record from the run's stream and
+  clears the lost marks. Each record holds the seeded Bernoulli bit of its
+  own sub-seed. No step reads a bit, so the run draws the bits after the
+  last step, in one call per distinct p over that p's sub-seeds in step
+  order, written into the rows: what a draw per step gives. Flips against
+  the original record are what the past-fixity audit then surfaces.
 * ``check-past`` counts one audit and keeps the ledger as it stands. The
   report lists the violations of the ledger as of the last ``check-past``;
   that ledger is a persistent value, so it is audited once, after the last
@@ -74,7 +73,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import Mapping
@@ -286,8 +285,8 @@ class _Run:
         self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
         self.now = 0
         self.pending_clone: StateVector | None = None  # the source of the last clone
-        # each reconstruct since the last sub-seed draw: (its place in steps, its ledger, its first row, its p)
-        self.undrawn: list[tuple[int, Ledger, int, float]] = []
+        self.words: list[int] = []  # the words read from the generator, of which taken are handed out
+        self.taken = 0
         # p -> the ledger rows a reconstruct appended at p, and their sub-seeds
         self.draws: dict[float, tuple[list[int], list[int]]] = {}
 
@@ -312,19 +311,16 @@ class _Run:
         new = self.row(system, self.props)
         return _TransitionRows(tuple((pid, old[pid]._value_, new[pid]._value_) for pid in self.props))
 
-    def draw_sub_seeds(self) -> None:
-        """Draw the sub-seeds of every reconstruct since the last draw in one
-        call, in step order, and set each step's samples."""
-        undrawn, self.undrawn = self.undrawn, []
-        total = sum(len(led) - start for _, led, start, _ in undrawn)
-        drawn = iter(self.rng.integers(0, 2**63, size=total).tolist() if total else ())
-        for place, led, start, p in undrawn:
-            seeds = tuple(islice(drawn, len(led) - start))
-            if seeds:
-                rows, all_seeds = self.draws.setdefault(p, ([], []))
-                rows += range(start, len(led))
-                all_seeds += seeds
-            self.steps[place]["samples"] = _SampleRows(led, start, seeds)
+    def sub_seeds(self, n: int) -> tuple[int, ...]:
+        """The next n words of the generator's stream, each a sub-seed below
+        2**63. Run short, it reads ahead by at least as many words as it
+        holds, so a run that uses w words reads at most 2w in at most
+        ceil(log2 w) + 2 calls."""
+        words, taken = self.words, self.taken
+        if taken + n > len(words):
+            words += self.rng.integers(0, 2**63, size=max(taken + n - len(words), len(words))).tolist()
+        self.taken = taken + n
+        return tuple(words[taken : taken + n])
 
     def mark_lost(self) -> None:
         for key, determinate in self.recorded.items():
@@ -445,8 +441,7 @@ def _unclone(run: _Run, item: UncloneStep, operands) -> dict:
 
 def _blackhole(run: _Run, item: BlackholeStep, operands) -> dict:
     (state,) = operands
-    run.draw_sub_seeds()  # the stream gives earlier reconstructs their sub-seeds first
-    sub_seed = int(run.rng.integers(0, 2**63))
+    (sub_seed,) = run.sub_seeds(1)
     transitions = run.move(blackhole_evaporate(state, seed=sub_seed))
     run.mark_lost()
     return {"state": item.state, "seed": sub_seed, "past_lost": True, "transitions": transitions}
@@ -467,9 +462,12 @@ def _reconstruct(run: _Run, item: ReconstructStep, _) -> dict:
         led = record_valuation(led, at0, pid, _FALSE, run.now)
     lost.clear()
     run.ledger = led
-    # run_scenario appends this step's entry at len(run.steps); draw_sub_seeds sets its samples.
-    run.undrawn.append((len(run.steps), led, start, p))
-    return {"p_one": float(p), "samples": None}
+    seeds = run.sub_seeds(len(led) - start)
+    if seeds:
+        rows, all_seeds = run.draws.setdefault(p, ([], []))
+        rows += range(start, len(led))
+        all_seeds += seeds
+    return {"p_one": float(p), "samples": _SampleRows(led, start, seeds)}
 
 
 def _eval(run: _Run, item: EvalQuery, operands) -> None:
@@ -558,7 +556,6 @@ def run_scenario(scenario: Scenario, overrides: Mapping | None = None) -> Report
         if fields is not None:
             run.steps.append({"index": index, "line": item.line, "kind": kind, **fields})
 
-    run.draw_sub_seeds()
     for p, (rows, seeds) in run.draws.items():
         _settle_truths(run.ledger, rows, [_BITS[bit] for bit in sample_past_reconstruction(p, seeds)])
     violations = _ViolationRows(check_past_unalterability(run.audited) if run.checks_run else ())

@@ -23,6 +23,15 @@ from svq.hilbert import DEFAULT_TOL, StateVector, _divided, _largest_part
 from svq.lattice import _EPS, Subspace, TruthValue, _svd
 
 
+def _singular_values(matrix: np.ndarray) -> np.ndarray:
+    """The singular values of matrix, retried on its adjoint as svq.lattice._svd
+    retries an SVD that does not converge."""
+    try:
+        return np.linalg.svd(matrix, full_matrices=False, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.svd(matrix.conj().T, full_matrices=False, compute_uv=False)
+
+
 def _set_basis(sub: Subspace, basis: np.ndarray) -> None:
     basis = np.ascontiguousarray(basis, dtype=np.complex128)
     adjoint = np.ascontiguousarray(basis.conj().T)
@@ -81,7 +90,7 @@ def span_subspace(vectors, dim: int, tol: float = DEFAULT_TOL) -> Subspace:
         basis_matrix = _divided(basis_matrix, top)
     q, r = np.linalg.qr(basis_matrix)
     diag = np.abs(r.diagonal())
-    if diag.min() > tol * diag.max() and (s := _svd(r, vectors=False))[-1] > tol * s[0]:
+    if diag.min() > tol * diag.max() and (s := _singular_values(r))[-1] > tol * s[0]:
         return _from_basis(q)  # every direction is kept
     u, s = _svd(r)
     return _from_basis(q @ u[:, : int(np.sum(s > tol * s[0]))])

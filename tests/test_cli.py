@@ -5,6 +5,8 @@ import pytest
 
 from svq.cli import _build_parser, main
 
+from conftest import SCENARIO_DIR
+
 
 def test_run_clone_scenario_exits_one(scenario_dir, capsys):
     code = main(["run", str(scenario_dir / "clone_z.svq"), "--seed", "0", "--format", "json"])
@@ -13,6 +15,19 @@ def test_run_clone_scenario_exits_one(scenario_dir, capsys):
     payload = json.loads(out)
     assert payload["schema"] == 1
     assert any(v["kind"] == "loss" for v in payload["violations"])
+
+
+def test_the_readme_sample_run_shows_what_svq_run_prints(capsys, monkeypatch):
+    # Each line the README's sample run shows, "..." aside, is printed, in
+    # that order, and the run exits with the code the sample echoes.
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Sample run:\n\n```text\n", 1)[1].split("```", 1)[0]
+    command, *shown, echo, code = block.splitlines()
+    assert command.startswith("$ svq run ") and echo == "$ echo $?"
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    assert main(command.split()[2:]) == int(code)
+    printed = iter(capsys.readouterr().out.splitlines())
+    assert [line for line in shown if line.strip() != "..." and line not in printed] == []
 
 
 def test_eval_exits_zero_although_the_audit_finds_violations(scenario_dir, capsys):

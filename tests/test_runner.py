@@ -423,17 +423,33 @@ def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
     assert seeds == [int(rng.integers(0, 2**63)) for _ in seeds]
 
 
-# A run draws the sub-seeds of every reconstruct since its last draw in one
-# call, before a blackhole draws its own and after its last step.
+# A run hands each reconstruct and blackhole the next words of its
+# generator's stream, in step order, and reads the stream ahead: run short,
+# it reads at least as many words as it holds.
 BLACKHOLE_BETWEEN = CLONE_HEADER + (
     "record at 0\nclone upsilon -> phi\nrecord at 1\nreconstruct\n"
     "blackhole upsilon\nrecord at 2\nreconstruct p 0.25\ncheck-past\n"
 )
+#: Reconstructs of 1 and 3 keys, a blackhole, and two of 4 keys each: the
+#: stream is read 1, 3, 4 and 8 words at a time, the blackhole takes a word
+#: of a read that the next reconstruct outruns, and the last reconstruct
+#: takes the words that read left over.
+STREAM_REFILLS = CLONE_HEADER + "\n".join(
+    clone_ticks(0, 2, audit_each=False)
+    + ["blackhole upsilon", "record at 4", "reconstruct p 0.25"]
+    + clone_ticks(3, 1, audit_each=False)
+    + ["check-past"]
+) + "\n"
+SEEDS = [0, 3, 2**40]
 
 
-@pytest.mark.parametrize("seed", [0, 3, 2**40])
-def test_sub_seeds_drawn_in_batches_are_those_of_one_scalar_draw_each(seed):
-    report = run_text(BLACKHOLE_BETWEEN, seed=seed)
+@pytest.mark.parametrize(
+    "text, seed",
+    [pytest.param(BLACKHOLE_BETWEEN, seed, id=str(seed)) for seed in SEEDS]
+    + [pytest.param(STREAM_REFILLS, seed, id=f"refills-{seed}") for seed in SEEDS],
+)
+def test_sub_seeds_drawn_in_batches_are_those_of_one_scalar_draw_each(text, seed):
+    report = run_text(text, seed=seed)
     drawn = []
     for step in report.steps:
         if step["kind"] == "blackhole":
@@ -443,7 +459,7 @@ def test_sub_seeds_drawn_in_batches_are_those_of_one_scalar_draw_each(seed):
             drawn += [sample["seed"] for sample in step["samples"]]
     rng = np.random.default_rng(seed)
     assert drawn == [int(rng.integers(0, 2**63)) for _ in drawn]
-    scenario = parse_scenario(BLACKHOLE_BETWEEN)
+    scenario = parse_scenario(text)
     overrides = {"seed": seed}
     assert outcome(run_scenario, scenario, overrides) == outcome(reference_run_scenario, scenario, overrides)
 
@@ -552,6 +568,62 @@ def test_a_run_draws_once_per_p_that_lost_keys(text, monkeypatch):
     # Each call pays the kernel's fixed cost; a reconstruct that lost no
     # key pays nothing.
     assert calls == list(drawn_per_p(report).items())
+
+
+@pytest.mark.parametrize(
+    "text", [STREAM_REFILLS, reconstruct_rounds(4, [""] * 8)], ids=["refills", "rounds"]
+)
+def test_a_run_reads_at_most_twice_the_words_it_uses_in_logarithmic_calls(text, monkeypatch):
+    built, default_rng = [], np.random.default_rng
+
+    class RunGenerator:
+        """A run's generator, logging how many words each integers call reads."""
+
+        def __init__(self, seed):
+            self.gen, self.sizes = default_rng(seed), []
+
+        def integers(self, low, high, size):
+            self.sizes.append(size)
+            return self.gen.integers(low, high, size=size)
+
+    def wrapping_default_rng(seed):
+        # A run's first generator is its own; the blackhole's and the bit
+        # path's are left as numpy builds them.
+        if built:
+            return default_rng(seed)
+        built.append(RunGenerator(seed))
+        return built[0]
+
+    monkeypatch.setattr(np.random, "default_rng", wrapping_default_rng)
+    report = run_text(text, seed=3)
+    used = sum(
+        len(step["samples"]) if step["kind"] == "reconstruct" else 1
+        for step in report.steps
+        if step["kind"] in ("blackhole", "reconstruct")
+    )
+    (run_generator,) = built
+    sizes = run_generator.sizes
+    assert used > 8 and len(sizes) >= 4  # several read-ahead refills
+    assert len(sizes) <= (used - 1).bit_length() + 2  # ceil(log2 used) + 2
+    assert used < sum(sizes) <= 2 * used
+
+
+def test_a_reconstruct_step_returns_its_rows_with_their_sub_seeds(monkeypatch):
+    # Each sample's sub-seed is known when its rows are appended: the
+    # handler's fields hold its view whole, and no later step patches them.
+    handler, *rest = runner._ITEMS["reconstruct"]
+    returned = []
+
+    def keeping_reconstruct(run, item, operands):
+        fields = handler(run, item, operands)
+        returned.append(fields["samples"])
+        return fields
+
+    monkeypatch.setitem(runner._ITEMS, "reconstruct", (keeping_reconstruct, *rest))
+    report = run_text(STREAM_REFILLS, seed=3)
+    assert all(type(rows) is runner._SampleRows and len(rows.seeds) == len(rows) > 0 for rows in returned)
+    reported = [step["samples"] for step in report.steps if step["kind"] == "reconstruct"]
+    assert [rows.seeds for rows in returned] == [tuple(sample["seed"] for sample in rows) for rows in reported]
 
 
 def test_every_field_a_handler_returns_reaches_the_json(scenario_dir, monkeypatch):
