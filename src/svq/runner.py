@@ -72,7 +72,6 @@ and a sub-seed below 2**63 takes one word of its stream however it is batched.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
@@ -285,15 +284,13 @@ class _Run:
         self.lost: dict[tuple[str, int], bool] = {}  # key -> already re-asserted as a gap
         self.now = 0
         self.pending_clone: StateVector | None = None  # the source of the last clone
-        self.words: list[int] = []  # the words read from the generator, of which taken are handed out
+        # The run's generator, built when a step first draws. Set as an attribute: a
+        # cached_property would materialize __dict__ mid-run and slow every attribute read.
+        self.rng: np.random.Generator | None = None
+        self.words: list[int] = []  # the words read from rng; the first taken are handed out
         self.taken = 0
         # p -> the ledger rows a reconstruct appended at p, and their sub-seeds
         self.draws: dict[float, tuple[list[int], list[int]]] = {}
-
-    @cached_property
-    def rng(self) -> np.random.Generator:
-        """The run's generator, built when a blackhole or reconstruct step first draws."""
-        return np.random.default_rng(self.seed)
 
     def row(self, state: StateVector, pids) -> _Row:
         """The valuation row of the system or of a declared state, holding pids.
@@ -313,11 +310,13 @@ class _Run:
 
     def sub_seeds(self, n: int) -> tuple[int, ...]:
         """The next n words of the generator's stream, each a sub-seed below
-        2**63. Run short, it reads ahead by at least as many words as it
-        holds, so a run that uses w words reads at most 2w in at most
-        ceil(log2 w) + 2 calls."""
+        2**63. When the words read run short, it reads at least as many
+        again in one call, so a run that uses w words reads at most 2w of
+        them in at most ceil(log2 w) + 2 calls."""
         words, taken = self.words, self.taken
         if taken + n > len(words):
+            if self.rng is None:
+                self.rng = np.random.default_rng(self.seed)
             words += self.rng.integers(0, 2**63, size=max(taken + n - len(words), len(words))).tolist()
         self.taken = taken + n
         return tuple(words[taken : taken + n])
