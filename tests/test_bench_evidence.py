@@ -18,7 +18,7 @@ METRICS = ("wall_s", "setup_s", "job_p50_ms")
 
 
 def summaries():
-    for name in ("BENCH_21.json", "BENCH_24.json", "BENCH_33.json", "BENCH_34.json"):
+    for name in ("BENCH_21.json", "BENCH_24.json", "BENCH_33.json", "BENCH_34.json", "BENCH_35.json"):
         evidence = json.loads((ROOT / name).read_text(encoding="utf-8"))
         # Further runs that carry their own records are checked as well.
         parts = {"": evidence}

@@ -424,8 +424,8 @@ def test_reconstruct_draws_the_same_sub_seeds_as_one_draw_per_lost_key():
 
 
 # A run hands each reconstruct and blackhole the next words of its
-# generator's stream, in step order, and reads the stream ahead: run short,
-# it reads at least as many words as it holds.
+# generator's stream, in step order, and reads the stream ahead: when the
+# words read run short, it reads at least as many again.
 BLACKHOLE_BETWEEN = CLONE_HEADER + (
     "record at 0\nclone upsilon -> phi\nrecord at 1\nreconstruct\n"
     "blackhole upsilon\nrecord at 2\nreconstruct p 0.25\ncheck-past\n"
